@@ -12,8 +12,8 @@ from .model import (AssumptionReport, ConstantsLedger, ForceModel,
                     check_assumptions, constants_ledger, eval_force,
                     ledger_identity_exact, model_from_config, with_extra_drive)
 from .chain import (InvariantReport, TrajectoryLog, TwistedChain, cfl_dt,
-                    cfl_dt_delta, extend, init_linear, monitor_invariants,
-                    rk4_oracle, run, step, step_delta)
+                    extend, init_linear, monitor_invariants, rk4_oracle, run,
+                    step)
 from .rotation import (EffectiveTable, RotationEstimate, effective_hamiltonian,
                        lambda_pm, rotation_number, sweep)
 from .hull import (HullFunction, TauPeriodicHull, extract_hull,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,15 +30,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (ClassicalFK, ForceModel, ModelError, TWO_PI,
-                    ConstantsLedger, require_monotone)
+from .model import (ClassicalFK, ForceModel, ModelError, ConstantsLedger,
+                    require_monotone, _classical_force, _tabulated_force)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
 
 
 class NumericalError(RuntimeError):
-    """Integration produced NaN/overflow; carries the failing time and state."""
+    """Integration produced NaN/overflow; carries the failing time and the
+    last finite state."""
 
     def __init__(self, msg, tau=None, snapshot=None):
         super().__init__(msg)
@@ -108,17 +110,20 @@ def _require_ordered(chain: TwistedChain):
             raise ModelError(f"initial {name} ordering broken across the twist seam")
 
 
-def cfl_dt(model: ForceModel, safety: float = 1.0, check: bool = True) -> float:
+def cfl_dt(model: ForceModel, safety: float = 1.0, check: bool = True,
+           delta: float = 0.0, a0: float = 0.0) -> float:
     """Largest certified-monotone Euler step, scaled by safety in (0, 1].
 
     U+ = U + dt a0 (Xi - U), Xi+ = Xi + dt (2F + a0 (U - Xi)) is nondecreasing
     in each entry iff dt a0 <= 1, given the off-diagonal monotonicity of F.
+    The delta transport term subtracts up to delta*max(a0, 0) more from the
+    Xi diagonal (a_i <= 0), which tightens the bound accordingly.
     """
     if not 0 < safety <= 1:
         raise ModelError("safety must lie in (0, 1]")
     if check:
         require_monotone(model)
-    return safety / model.alpha0
+    return safety / (model.alpha0 + delta * max(a0, 0.0))
 
 
 @lru_cache(maxsize=64)
@@ -141,51 +146,60 @@ def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int) -> np.nd
     """F_i(tau, window) for every particle of the ring, twist-aware."""
     N = U.size
     if isinstance(model.kind, ClassicalFK):
-        k = model.kind
-        th_self, th_next = _type_patterns(k.theta, model.n, N)
+        th_self, th_next = _type_patterns(model.kind.theta, model.n, N)
         up = np.empty_like(U)
         up[:-1] = U[1:]
         up[-1] = U[0] + Q
         dn = np.empty_like(U)
         dn[1:] = U[:-1]
         dn[0] = U[-1] - Q
-        F = th_next * (up - U) - th_self * (U - dn)
-        if k.amplitude != 0.0:
-            F += k.amplitude * np.sin(TWO_PI * U)
-        if k.drive != 0.0:
-            F += k.drive
-        return F
+        return _classical_force(model.kind, dn, U, up, th_self, th_next)
     windows = np.stack([_neighbor(U, Q, k) for k in range(-model.m, model.m + 1)],
                        axis=-1)
-    jj = (np.arange(N) % model.n) + 1
-    if model.kind.batch:
-        return np.asarray(model.kind.fn(jj, float(tau), windows), dtype=float)
-    return np.array([model.kind.fn(int(j), float(tau), w)
-                     for j, w in zip(jj, windows)])
+    return _tabulated_force(model.kind, (np.arange(N) % model.n) + 1, tau, windows)
 
 
-def _euler_coeff(model: ForceModel, dt: float) -> tuple[float, float]:
+def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
+                 a0: float = 0.0) -> tuple[float, float]:
+    """Weights (1 - dt alpha0, dt alpha0) of the Euler map at step dt; warns
+    past the monotone bound of :func:`cfl_dt`, where order is not preserved."""
+    if delta < 0:
+        raise ModelError("delta must be nonnegative")
+    if dt * (model.alpha0 + delta * max(a0, 0.0)) > 1.0 + 1e-12:
+        warnings.warn("dt exceeds the monotone CFL bound "
+                      "1/(alpha0 + delta max(a0, 0)); comparison is no longer "
+                      "certified", stacklevel=3)
     # clamping the diagonal keeps the update weights nonnegative even when
     # dt*alpha0 rounds a hair above 1 at the CFL limit
     beta = dt * model.alpha0
     return max(0.0, 1.0 - beta), beta
 
 
-def step(chain: TwistedChain, dt: float) -> TwistedChain:
-    """One explicit Euler step on all N particles; tau advances by dt."""
-    import warnings
-    if dt * chain.model.alpha0 > 1.0 + 1e-12:
-        warnings.warn("dt exceeds the monotone CFL bound 1/alpha0; "
-                      "comparison is no longer certified", stacklevel=2)
-    c, beta = _euler_coeff(chain.model, dt)
-    F = force_profile(chain.model, chain.tau, chain.U, chain.Q)
-    U2 = c * chain.U + beta * chain.Xi
-    Xi2 = c * chain.Xi + beta * chain.U + (2.0 * dt) * F
-    tau2 = chain.tau + dt
-    if not (np.all(np.isfinite(U2)) and np.all(np.isfinite(Xi2))):
-        raise NumericalError(f"state blew up at tau = {tau2}", tau=tau2,
-                             snapshot=(chain.U.copy(), chain.Xi.copy()))
-    return TwistedChain(chain.N, chain.Q, U2, Xi2, tau2, chain.p, chain.model)
+def _euler_update(U: np.ndarray, Xi: np.ndarray, F: np.ndarray, c: float,
+                  beta: float, dt: float, extra: Optional[np.ndarray] = None):
+    """U+ = c U + beta Xi, Xi+ = c Xi + beta U + 2 dt F (+ dt extra) on
+    (..., N) arrays; c, beta from :func:`_euler_coeff`, extra the optional
+    delta transport term."""
+    U2 = c * U + beta * Xi
+    Xi2 = c * Xi + beta * U + (2.0 * dt) * F
+    if extra is not None:
+        Xi2 += dt * extra
+    return U2, Xi2
+
+
+def _require_finite(U: np.ndarray, Xi: np.ndarray, tau: float, snapshot):
+    """Raise NumericalError at tau, carrying the state pair ``snapshot``,
+    unless U and Xi are finite."""
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(Xi))):
+        raise NumericalError(f"state blew up at tau = {tau}", tau=tau,
+                             snapshot=snapshot)
+
+
+def step(chain: TwistedChain, dt: float, delta: float = 0.0,
+         a0: float = 0.0) -> TwistedChain:
+    """One explicit Euler step on all N particles; tau advances by dt.
+    delta > 0 adds the transport term of the delta-perturbed dynamics."""
+    return run(chain, dt, dt, dt=dt, delta=delta, a0=a0, check=False).final_state
 
 
 def _delta_term(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
@@ -204,32 +218,6 @@ def _delta_term(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
     q_b = Xi - _neighbor(Xi, Q, -n)
     q = np.where(speed >= 0.0, q_f, q_b)
     return speed * np.maximum(q, 0.0)
-
-
-def cfl_dt_delta(model: ForceModel, delta: float, a0: float,
-                 safety: float = 1.0, check: bool = True) -> float:
-    """Monotone step bound for the delta-perturbed update: the transport term
-    subtracts up to delta*max(a0,0) from the Xi diagonal (a_i <= 0)."""
-    if check:
-        require_monotone(model)
-    return safety / (model.alpha0 + delta * max(a0, 0.0))
-
-
-def step_delta(chain: TwistedChain, dt: float, delta: float, a0: float) -> TwistedChain:
-    """Euler step of the delta-perturbed dynamics; delta = 0 reduces to step."""
-    if delta == 0.0:
-        return step(chain, dt)
-    c, beta = _euler_coeff(chain.model, dt)
-    F = force_profile(chain.model, chain.tau, chain.U, chain.Q)
-    extra = _delta_term(chain.model, chain.U, chain.Xi, chain.Q,
-                        float(chain.p), delta, a0)
-    U2 = c * chain.U + beta * chain.Xi
-    Xi2 = c * chain.Xi + beta * chain.U + (2.0 * dt) * F + dt * extra
-    tau2 = chain.tau + dt
-    if not (np.all(np.isfinite(U2)) and np.all(np.isfinite(Xi2))):
-        raise NumericalError(f"state blew up at tau = {tau2}", tau=tau2,
-                             snapshot=(chain.U.copy(), chain.Xi.copy()))
-    return TwistedChain(chain.N, chain.Q, U2, Xi2, tau2, chain.p, chain.model)
 
 
 @dataclass
@@ -271,7 +259,6 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
     (plus the initial state).  Returns a log whose final_state continues the
     run bitwise.
     """
-    import warnings
     model = chain.model
     if sample_dt <= 0:
         raise ModelError("sample_dt must be positive")
@@ -286,10 +273,7 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
                 f"m0 = {model.m0:.4g}); run is not comparison-certified",
                 stacklevel=2)
     if dt is None:
-        if delta > 0:
-            dt = cfl_dt_delta(model, delta, a0, safety=0.5, check=False)
-        else:
-            dt = cfl_dt(model, safety=0.5, check=False)
+        dt = cfl_dt(model, safety=0.5, check=False, delta=delta, a0=a0)
     n_sub = max(1, math.ceil(sample_dt / dt - 1e-12))
     dt_eff = sample_dt / n_sub
     S = 0 if T <= 0 else math.ceil(T / sample_dt - 1e-12)
@@ -300,8 +284,7 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
     Q = chain.Q
     tau0 = chain.tau
     p_float = float(chain.p)
-    c, beta = _euler_coeff(model, dt_eff)
-    two_dt = 2.0 * dt_eff
+    c, beta = _euler_coeff(model, dt_eff, delta, a0)
 
     times = tau0 + sample_dt * np.arange(S + 1)
     tr_u = np.empty((n, S + 1))
@@ -313,19 +296,16 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
         snaps.append((float(times[0]), U.copy(), Xi.copy()))
 
     use_delta = delta > 0.0
+    extra = None
     for s in range(1, S + 1):
+        last = (U, Xi)             # arrays are replaced, never written in place
         for k in range(n_sub):
             tau = tau0 + (s - 1) * sample_dt + k * dt_eff
             F = force_profile(model, tau, U, Q)
             if use_delta:
                 extra = _delta_term(model, U, Xi, Q, p_float, delta, a0)
-                U, Xi = (c * U + beta * Xi,
-                         c * Xi + beta * U + two_dt * F + dt_eff * extra)
-            else:
-                U, Xi = c * U + beta * Xi, c * Xi + beta * U + two_dt * F
-        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(Xi))):
-            raise NumericalError(f"state blew up at tau = {times[s]}",
-                                 tau=float(times[s]), snapshot=(U, Xi))
+            U, Xi = _euler_update(U, Xi, F, c, beta, dt_eff, extra)
+        _require_finite(U, Xi, float(times[s]), last)
         tr_u[:, s] = U[:n]
         tr_xi[:, s] = Xi[:n]
         if snapshot_stride > 0 and s % snapshot_stride == 0:
@@ -480,9 +460,7 @@ def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
             U = U + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
             W = W + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
         Xi = U + W / a0
-        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(Xi))):
-            raise NumericalError(f"oracle blew up at tau = {times[s]}",
-                                 tau=float(times[s]))
+        _require_finite(U, Xi, float(times[s]), (U, Xi))
         tr_u[:, s] = U[:n]
         tr_xi[:, s] = Xi[:n]
         snaps.append((float(times[s]), U.copy(), Xi.copy()))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -210,9 +211,12 @@ class Cache:
                           sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
+    def path(self, stage: str, key: str) -> Path:
+        return self.root / f"{stage}-{key}.txt"
+
     def get_text(self, stage: str, payload: dict) -> tuple[str, str | None]:
         k = self.key(stage, payload)
-        p = self.root / f"{stage}-{k}.txt"
+        p = self.path(stage, k)
         if p.exists():
             self.log(f"[cache] hit {stage} {k}")
             return k, p.read_text()
@@ -220,7 +224,12 @@ class Cache:
         return k, None
 
     def put_text(self, stage: str, key: str, text: str):
-        (self.root / f"{stage}-{key}.txt").write_text(text)
+        # write beside the target, then rename: a run cut short leaves no
+        # partial file under a name that later hits
+        path = self.path(stage, key)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +297,7 @@ def _effham_table(cfg: dict, args, cache: Cache | None):
     if cache is not None:
         key, text = cache.get_text("effham", payload)
         if text is not None:
-            return rot.EffectiveTable.from_csv(text), text, True
+            return _cached_table(cache.path("effham", key), text, blk), text, True
     table = rot.sweep(model, [_frac(p) for p in blk["p_grid"]], blk["L_grid"],
                       tol=blk.get("tol", 1e-3), T_cap=blk.get("T_cap", 2000.0),
                       threads=args.threads, cells=blk.get("cells", 1))
@@ -296,6 +305,18 @@ def _effham_table(cfg: dict, args, cache: Cache | None):
     if cache is not None:
         cache.put_text("effham", key, text)
     return table, text, False
+
+
+def _cached_table(path: Path, text: str, blk: dict) -> rot.EffectiveTable:
+    """Parse a cached table and insist it holds the requested (L, p) grid."""
+    try:
+        table = rot.EffectiveTable.from_csv(text)
+        if (set(table.L_grid.tolist()) != {float(L) for L in blk["L_grid"]}
+                or set(table.p_grid) != {_frac(p) for p in blk["p_grid"]}):
+            raise ValueError("it does not hold the requested (L, p) grid")
+    except ValueError as exc:
+        raise ConfigError(f"cache file {path} is corrupt: {exc}")
+    return table
 
 
 def cmd_effham(cfg: dict, args) -> int:
@@ -368,16 +389,17 @@ def cmd_homogenize(cfg: dict, args, cache: Cache | None = None) -> int:
     blk = cfg.get("homogenize")
     if not blk:
         raise ConfigError("config.homogenize: block required")
+    model = mdl.model_from_config(cfg["model"])
     u0 = _load_profile(blk["u0_file"])
-    s = u0.slopes()
-    if s.min() <= 0:
+    if u0.slopes().min() <= 0:
         raise ConfigError("config.homogenize.u0_file: profile violates the slope "
                           "frame (nonpositive chord); see check_A0")
-    K0 = max(float(s.max()), 1.0 / float(s.min()), 1.0)
+    K0 = u0.slope_frame()
     rep = mac.check_A0(u0, K0)
     if not rep.ok:
         raise ConfigError(f"config.homogenize.u0_file: profile fails (A0): {rep}")
-    H = _interp_for(cfg, args, blk, cache)
+    # table slopes count cells of n particles, profile slopes count particles
+    H = _interp_for(cfg, args, blk, cache).scaled(model.n)
     times = blk.get("record_times", [blk["T"]])
     state = mac.solve_hj(H, u0, blk["T"], blk["dx"], K0=K0, record_times=times)
     (out / "macro.csv").write_text(state.to_csv())
@@ -403,6 +425,11 @@ def cmd_converge(cfg: dict, args, cache: Cache | None = None) -> int:
     if cache is not None:
         key, text = cache.get_text("converge", payload)
         if text is not None:
+            try:
+                json.loads(text)
+            except ValueError as exc:
+                raise ConfigError(f"cache file {cache.path('converge', key)} "
+                                  f"is corrupt: {exc}")
             (out / "convergence.json").write_text(text)
             print("convergence report served from cache")
             return EXIT_OK

@@ -29,8 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ClassicalFK, ForceModel, ConstantsLedger, TWO_PI
-from .chain import TrajectoryLog, TRANSIENT_RELAXATION_MULTIPLE
+from .model import (ClassicalFK, ForceModel, ConstantsLedger, _classical_force,
+                    _tabulated_force)
+from .chain import TrajectoryLog, TRANSIENT_RELAXATION_MULTIPLE, _type_patterns
 
 
 class HullExtractionError(ValueError):
@@ -127,17 +128,8 @@ def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64,
     from .rotation import lambda_pm, LogTooShort
 
     p = Fraction(p)
-    if not log.snapshots:
-        raise HullExtractionError("hull extraction needs full snapshots; "
-                                  "rerun with snapshot_stride > 0")
+    snaps = _settled_snapshots(log, transient)
     model = log.final_state.model
-    n = model.n
-    if transient is None:
-        transient = TRANSIENT_RELAXATION_MULTIPLE / model.alpha0
-    cut = float(log.sample_times[0]) + transient
-    snaps = [s for s in log.snapshots if s[0] >= cut]
-    if not snaps:
-        raise HullExtractionError("no snapshots past the relaxation transient")
 
     if check_converged:
         try:
@@ -169,6 +161,21 @@ def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64,
         diagnostics={"isotonic_residual": iso_residual,
                      "snapshots_used": len(snaps),
                      "lambda_halfwidth": lambda_halfwidth})
+
+
+def _settled_snapshots(log: TrajectoryLog, transient: Optional[float]) -> list:
+    """The log's snapshots past the relaxation transient (default 5/alpha0
+    after the first sample); refuses logs that leave none."""
+    if not log.snapshots:
+        raise HullExtractionError("hull extraction needs full snapshots; "
+                                  "rerun with snapshot_stride > 0")
+    if transient is None:
+        transient = TRANSIENT_RELAXATION_MULTIPLE / log.final_state.model.alpha0
+    cut = float(log.sample_times[0]) + transient
+    snaps = [s for s in log.snapshots if s[0] >= cut]
+    if not snaps:
+        raise HullExtractionError("no snapshots past the relaxation transient")
+    return snaps
 
 
 def _grid_snapshots(snaps, model, p: Fraction, lam: float, Z: int,
@@ -275,16 +282,8 @@ def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
     snapshots (refused otherwise, with the failing bin).
     """
     p = Fraction(p)
-    if not log.snapshots:
-        raise HullExtractionError("hull extraction needs full snapshots; "
-                                  "rerun with snapshot_stride > 0")
+    snaps = _settled_snapshots(log, transient)
     model = log.final_state.model
-    if transient is None:
-        transient = TRANSIENT_RELAXATION_MULTIPLE / model.alpha0
-    cut = float(log.sample_times[0]) + transient
-    snaps = [s for s in log.snapshots if s[0] >= cut]
-    if not snaps:
-        raise HullExtractionError("no snapshots past the relaxation transient")
 
     bins = [[] for _ in range(n_tau)]
     for s in snaps:
@@ -368,22 +367,14 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
     r_h = float(np.abs(lam * d_z(hull.h) - a0 * (hull.g - hull.h)).max())
 
     win = _neighbor_window(hull, model)
-    n, Z = hull.n, hull.Z
-    F = np.empty((n, Z))
+    n, Z, m = hull.n, hull.Z, model.m
     if isinstance(model.kind, ClassicalFK):
-        k = model.kind
-        for t in range(n):
-            c = win[t, :, model.m]
-            F[t] = k.theta[(t + 1) % n] * (win[t, :, model.m + 1] - c) \
-                - k.theta[t] * (c - win[t, :, model.m - 1]) \
-                + k.amplitude * np.sin(TWO_PI * c) + k.drive
+        th_self, th_next = _type_patterns(model.kind.theta, n, n)
+        F = _classical_force(model.kind, win[..., m - 1], win[..., m],
+                             win[..., m + 1], th_self[:, None], th_next[:, None])
     else:
-        for t in range(n):
-            if model.kind.batch:
-                jj = np.full(Z, t + 1, dtype=int)
-                F[t] = model.kind.fn(jj, 0.0, win[t])
-            else:
-                F[t] = [model.kind.fn(t + 1, 0.0, w) for w in win[t]]
+        F = np.array([_tabulated_force(model.kind, np.full(Z, t + 1), 0.0, win[t])
+                      for t in range(n)])
     r_g = float(np.abs(lam * d_z(hull.g) - (2.0 * F + a0 * (hull.h - hull.g))).max())
     return {"r_h": r_h, "r_g": r_g}
 

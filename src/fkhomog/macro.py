@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import ForceModel, with_extra_drive, require_monotone
-from .chain import NumericalError, force_profile, _euler_coeff
+from .chain import NumericalError, force_profile, _euler_coeff, _euler_update
 
 
 class MacroError(ValueError):
@@ -65,6 +65,11 @@ class Profile:
 
     def slopes(self) -> np.ndarray:
         return np.diff(self.u) / np.diff(self.x)
+
+    def slope_frame(self) -> float:
+        """The tightest K0 >= 1 with 1/K0 <= every chord slope <= K0."""
+        s = self.slopes()
+        return max(float(s.max()), 1.0 / float(s.min()), 1.0)
 
     @classmethod
     def linear(cls, p: float, x_lo: float, x_hi: float, n: int = 2) -> "Profile":
@@ -143,6 +148,8 @@ class HamiltonianInterp:
         if self.p_nodes.ndim != 1 or self.p_nodes.size == 0 \
                 or self.p_nodes.shape != self.values.shape:
             raise MacroError("HamiltonianInterp needs matching nonempty nodes/values")
+        if not (np.all(np.isfinite(self.p_nodes)) and np.all(np.isfinite(self.values))):
+            raise MacroError("HamiltonianInterp nodes and values must be finite")
         if self.p_nodes.size > 1 and not np.all(np.diff(self.p_nodes) > 0):
             raise MacroError("p nodes must be strictly increasing")
 
@@ -183,6 +190,28 @@ class HamiltonianInterp:
 # ---------------------------------------------------------------------------
 # Monotone Lax-Friedrichs solver for u_t = H(u_x)
 # ---------------------------------------------------------------------------
+
+def _march_plan(times, T: float, dt_max: float, unit: float = 1.0) -> list:
+    """Check the times against [0, T] and plan a march from 0 that lands on
+    each, sorted and deduplicated: (t, n_sub, dt, start) takes n_sub steps of
+    dt <= dt_max on the clock time / unit, from the clock value start (the
+    sum of the earlier segments) to t / unit.  Times <= 0 take no step."""
+    want = sorted(set(float(t) for t in times))
+    if want and (want[0] < -1e-12 or want[-1] > T + 1e-9):
+        raise MacroError(f"record times must lie in [0, {T}]")
+    plan = []
+    at = start = 0.0
+    for t in want:
+        seg = t / unit - at
+        if seg <= 0:
+            plan.append((t, 0, 0.0, start))
+            continue
+        n_sub = max(1, math.ceil(seg / dt_max - 1e-12))
+        plan.append((t, n_sub, seg / n_sub, start))
+        at = t / unit
+        start += seg
+    return plan
+
 
 @dataclass
 class MacroState:
@@ -228,8 +257,7 @@ def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
     u = u0.value(x)
     s_lo, s_hi = u0.edge_slopes
     if K0 is None:
-        s = u0.slopes()
-        K0 = max(float(s.max()), 1.0 / float(s.min()), 1.0)
+        K0 = u0.slope_frame()
 
     lip = H.lip_est
     if not H.covers(1.0 / K0, K0):
@@ -243,11 +271,8 @@ def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
             raise MacroError(f"dt = {dt} violates the CFL bound {dt_max}")
         dt_max = dt
 
-    want = sorted(set(float(t) for t in record_times)) if record_times is not None else []
-    if want and (want[0] < -1e-12 or want[-1] > T + 1e-9):
-        raise MacroError(f"record times must lie in [0, {T}]")
-    # march segment by segment between record times so each is hit exactly
-    targets = sorted(set(w for w in want if w > 0).union([T] if T > 0 else []))
+    want = set(float(t) for t in record_times) if record_times is not None else set()
+    plan = _march_plan(list(want) + [T], T, dt_max)
 
     state = MacroState(x_grid=x, u=u, t=0.0, K0=K0)
     smin, smax = math.inf, -math.inf
@@ -260,13 +285,7 @@ def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
             smax = max(smax, float(d.max()))
 
     note_slopes(u)
-    if want and want[0] <= 0.0:
-        state.history.append((want[0], u.copy()))
-    t_cur = 0.0
-    for target in targets:
-        seg = target - t_cur
-        n_sub = max(1, math.ceil(seg / dt_max - 1e-12))
-        dt_eff = seg / n_sub
+    for target, n_sub, dt_eff, _ in plan:
         for _ in range(n_sub):
             um = np.empty_like(u)
             up = np.empty_like(u)
@@ -277,7 +296,6 @@ def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
             grad = (up - um) / (2.0 * dx)
             u = u + dt_eff * (H(grad) + nu * (up - 2.0 * u + um) / dx)
             note_slopes(u)
-        t_cur = target
         if target in want:
             state.history.append((target, u.copy()))
     state.u = u
@@ -351,8 +369,7 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
         raise MacroError(f"window holds only {n_obs} particles at eps = {eps}; "
                          "need >= 100")
     if K0 is None:
-        s = u0.slopes()
-        K0 = max(float(s.max()), 1.0 / float(s.min()), 1.0)
+        K0 = u0.slope_frame()
     rep = check_A0(u0, K0, xi0=xi0, M0=M0, eps=eps)
     if not rep.ok:
         raise MacroError(f"initial profile violates the slope frame: {rep}")
@@ -363,20 +380,8 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     dt_max = safety / a0
     m = model2.m
 
-    want = sorted(set(float(t) for t in (t_record if t_record is not None else [T])))
-    if want and (want[0] < -1e-12 or want[-1] > T + 1e-9):
-        raise MacroError(f"record times must lie in [0, {T}]")
-    # march segment by segment between record times (in microscopic time)
-    # so each requested time is hit exactly
-    segments = []
-    tau_cur = 0.0
-    for w in want:
-        tau_t = w / eps
-        seg = tau_t - tau_cur
-        n_sub = 0 if seg <= 0 else max(1, math.ceil(seg / dt_max - 1e-12))
-        segments.append((w, seg, n_sub))
-        tau_cur = tau_t
-    total_steps = sum(s[2] for s in segments)
+    plan = _march_plan(t_record if t_record is not None else [T], T, dt_max, eps)
+    total_steps = sum(n_sub for _, n_sub, _, _ in plan)
 
     pad = m * (total_steps + 1)
     # widen the pad so the array starts on a type boundary: force_profile
@@ -396,27 +401,17 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     interior = slice(m, N_tot - m) if m > 0 else slice(0, N_tot)
     t_out = []
     vals = []
-    tau_cur = 0.0
-    for w, seg, n_sub in segments:
+    for w, n_sub, dt, start in plan:
         if n_sub:
-            dt = seg / n_sub
             c, beta = _euler_coeff(model2, dt)
-            two_dt = 2.0 * dt
             for k in range(n_sub):
-                tau = tau_cur + k * dt
-                F = force_profile(model2, tau, U, 0)[interior]
-                Ui = U[interior]
-                Xii = Xi[interior]
-                U2 = c * Ui + beta * Xii
-                Xi2 = c * Xii + beta * Ui + two_dt * F
-                U = U.copy()
-                Xi = Xi.copy()
-                U[interior] = U2
-                Xi[interior] = Xi2
-            tau_cur += seg
+                F = force_profile(model2, start + k * dt, U, 0)[interior]
+                # the m ghost particles at each end stay frozen
+                U[interior], Xi[interior] = _euler_update(U[interior], Xi[interior],
+                                                          F, c, beta, dt)
         if not np.all(np.isfinite(U[obs])):
             raise NumericalError(f"microscopic state blew up before t = {w}",
-                                 tau=tau_cur)
+                                 tau=w / eps)
         t_out.append(w)
         vals.append(eps * U[obs].copy())
 
@@ -498,7 +493,7 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     quarter = 0.25 * (x_hi - x_lo)
     cx_lo, cx_hi = x_lo + quarter, x_hi - quarter
 
-    H_eff = H.scaled(model.n) if model.n > 1 else H
+    H_eff = H.scaled(model.n)
 
     errors = []
     floor_err = math.inf

@@ -163,18 +163,36 @@ def with_extra_drive(model: ForceModel, L: float) -> ForceModel:
                    f_at_zero_sup=model.f_at_zero_sup + abs(float(L)))
 
 
+def _classical_force(kind: ClassicalFK, dn, c, up, th_self, th_next):
+    """The classical F on neighbour values V_{-1} = dn, V_0 = c, V_1 = up with
+    spring constants theta_j = th_self, theta_{j+1} = th_next (scalars or
+    broadcastable arrays); zero amplitude and drive terms are skipped."""
+    F = th_next * (up - c) - th_self * (c - dn)
+    if kind.amplitude != 0.0:
+        F += kind.amplitude * np.sin(TWO_PI * c)
+    if kind.drive != 0.0:
+        F += kind.drive
+    return F
+
+
+def _tabulated_force(kind: TabulatedForce, jj, tau: float, windows) -> np.ndarray:
+    """F_j for 1-based types jj (shape (K,)) and windows (shape (K, 2m+1)) at
+    one time tau: one call of a batch callable, else one call per window."""
+    if kind.batch:
+        return np.asarray(kind.fn(jj, float(tau), windows), dtype=float)
+    return np.array([kind.fn(int(j), float(tau), w) for j, w in zip(jj, windows)],
+                    dtype=float)
+
+
 def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
     """F_j(tau, V) for one window of 2m+1 positions; j reduces mod n."""
     w = np.asarray(window, dtype=float)
     if w.shape != (2 * model.m + 1,):
         raise ModelError(f"window must have exactly {2 * model.m + 1} entries, got {w.shape}")
     if isinstance(model.kind, ClassicalFK):
-        k = model.kind
-        t = (int(j) - 1) % model.n
-        c = w[model.m]
-        elastic = k.theta[(t + 1) % model.n] * (w[model.m + 1] - c) \
-            - k.theta[t] * (c - w[model.m - 1])
-        return float(elastic + k.amplitude * math.sin(TWO_PI * c) + k.drive)
+        th, t, m = model.kind.theta, (int(j) - 1) % model.n, model.m
+        return float(_classical_force(model.kind, w[m - 1], w[m], w[m + 1],
+                                      th[t], th[(t + 1) % model.n]))
     return float(model.kind.fn(int(j), float(tau), w))
 
 
@@ -274,17 +292,13 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
     npts = windows.shape[0]
 
     def f_all(j: int, tau_arr, win_arr):
-        if model.kind.batch:
-            jj = np.full(win_arr.shape[0], j, dtype=int)
-            # tabulated batch callables take scalar tau per call in tests;
-            # evaluate per distinct tau to stay general
-            out = np.empty(win_arr.shape[0])
-            for t in np.unique(tau_arr):
-                sel = tau_arr == t
-                out[sel] = model.kind.fn(jj[sel], float(t), win_arr[sel])
-            return out
-        return np.array([model.kind.fn(j, float(t), wv)
-                         for t, wv in zip(tau_arr, win_arr)])
+        # tabulated callables take one scalar tau per call
+        jj = np.full(win_arr.shape[0], j, dtype=int)
+        out = np.empty(win_arr.shape[0])
+        for t in np.unique(tau_arr):
+            sel = tau_arr == t
+            out[sel] = _tabulated_force(model.kind, jj[sel], t, win_arr[sel])
+        return out
 
     worst = {
         "a1": (math.inf, None), "a2": (math.inf, None), "a3": (math.inf, None),

@@ -179,6 +179,8 @@ class EffectiveTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "EffectiveTable":
+        """Parse :meth:`to_csv` output; ValueError unless every row has the 5
+        fields and the rows fill the L x p grid exactly once."""
         lines = [ln for ln in text.strip().splitlines()[1:] if ln]
         rows = []
         for ln in lines:
@@ -187,6 +189,9 @@ class EffectiveTable:
         L_grid = sorted({r[0] for r in rows})
         p_grid = sorted({r[1] for r in rows})
         nL, nP = len(L_grid), len(p_grid)
+        if not rows or len({r[:2] for r in rows}) != len(rows) or len(rows) != nL * nP:
+            raise ValueError(f"{len(rows)} rows do not fill the {nL} x {nP} "
+                             "(L, p) grid exactly once")
         lam = np.full((nL, nP), np.nan)
         hw = np.full((nL, nP), np.nan)
         conv = np.zeros((nL, nP), dtype=bool)

@@ -1,6 +1,7 @@
 """Twisted chains, the monotone Euler integrator, and the RK4 oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -112,6 +113,43 @@ def test_step_flags_super_cfl_dt():
         fk.step(ch, 2.0 / m.alpha0)
 
 
+def test_run_flags_super_cfl_dt():
+    m = fkmodel()
+    ch = fk.init_linear(m, 1, cells=4)
+    dt = 2.0 / m.alpha0
+    with pytest.warns(UserWarning, match="CFL"):
+        fk.run(ch, 5 * dt, dt, dt=dt, check=False)
+
+
+def test_delta_tightens_cfl_warning():
+    """The delta term lowers the monotone bound to 1/(alpha0 + delta a0^+):
+    dt = 1/alpha0 is fine without it and flagged with it, in step and run."""
+    m = fkmodel(L=1.0)
+    ch = fk.init_linear(m, 1, cells=4)
+    delta, a0 = 0.5, 2.0
+    dt = 1.0 / m.alpha0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fk.step(ch, dt)
+        fk.step(ch, dt, delta=delta, a0=-1.0)
+        safe = fk.cfl_dt(m, delta=delta, a0=a0)
+        fk.run(ch, 4 * safe, safe, dt=safe, delta=delta, a0=a0, check=False)
+    assert safe == 1.0 / (m.alpha0 + delta * a0)
+    with pytest.warns(UserWarning, match="CFL"):
+        fk.step(ch, dt, delta=delta, a0=a0)
+    with pytest.warns(UserWarning, match="CFL"):
+        fk.run(ch, 4 * dt, dt, dt=dt, delta=delta, a0=a0, check=False)
+
+
+def test_negative_delta_rejected():
+    m = fkmodel(L=1.0)
+    ch = fk.init_linear(m, 1, cells=4)
+    with pytest.raises(ModelError):
+        fk.step(ch, fk.cfl_dt(m, 0.5), delta=-0.5, a0=1.0)
+    with pytest.raises(ModelError):
+        fk.run(ch, 1.0, 0.5, delta=-0.5, a0=1.0, check=False)
+
+
 def test_step_detects_blowup():
     m = fk.build_constant_force(1e200, m0=0.05)
     ch = fk.init_linear(m, 1, cells=4)
@@ -132,13 +170,14 @@ def test_run_zero_duration_returns_initial_sample():
 def test_run_matches_repeated_steps_bitwise():
     m = fkmodel(L=2.0)
     ch = fk.init_linear(m, 1, cells=4)
-    dt = fk.cfl_dt(m, 0.5)
-    log = fk.run(ch, 10 * dt, dt, dt=dt)
-    cur = ch
-    for _ in range(10):
-        cur = fk.step(cur, dt)
-    assert np.array_equal(log.final_state.U, cur.U)
-    assert np.array_equal(log.final_state.Xi, cur.Xi)
+    for delta in (0.0, 0.5):
+        dt = fk.cfl_dt(m, 0.5, delta=delta, a0=1.0)
+        log = fk.run(ch, 10 * dt, dt, dt=dt, delta=delta, a0=1.0)
+        cur = ch
+        for _ in range(10):
+            cur = fk.step(cur, dt, delta=delta, a0=1.0)
+        assert np.array_equal(log.final_state.U, cur.U)
+        assert np.array_equal(log.final_state.Xi, cur.Xi)
 
 
 def test_extend_is_bitwise_continuation():
@@ -160,6 +199,53 @@ def test_pinned_lattice_is_stationary():
     log = fk.run(ch, 80.0, 1.0)
     tail = log.tracked_u[0][log.sample_times > 60.0]
     assert np.abs(np.diff(tail)).max() < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Force evaluation: one window vs the whole ring
+# ---------------------------------------------------------------------------
+
+def _ring_windows(U, Q, m):
+    """Window (U_{i-m}, ..., U_{i+m}) of every particle, twist applied, built
+    index by index."""
+    N = U.size
+    return [[U[(i + k) % N] + Q * ((i + k) // N) for k in range(-m, m + 1)]
+             for i in range(N)]
+
+
+def _wavy_force(j, tau, w):
+    """n = 2, m = 2 springs, onsite potential and a tau-periodic drive; j may
+    be an int or an array of ints."""
+    w = np.asarray(w, dtype=float)
+    th = np.array([1.0, 0.6])
+    j = np.asarray(j)
+    c = w[..., 2]
+    return (th[j % 2] * (w[..., 3] - c) - th[(j - 1) % 2] * (c - w[..., 1])
+            + 0.2 * (w[..., 4] - 2.0 * c + w[..., 0])
+            + 0.8 * np.sin(2 * math.pi * c) + 0.3 * np.sin(2 * math.pi * tau))
+
+
+@pytest.mark.parametrize("theta", [(1.0,), (1.0, 2.0), (0.5, 1.5, 1.0)])
+def test_eval_force_matches_force_profile_classical(theta):
+    m = fkmodel(theta, A=0.7, L=0.4)
+    rng = np.random.default_rng(len(theta))
+    ch = fk.init_linear(m, Fraction(2, 3), cells=2,
+                        perturbation=0.05 * rng.uniform(-1, 1, 3 * m.n * 2))
+    F = force_profile(m, 0.0, ch.U, ch.Q)
+    wins = _ring_windows(ch.U, ch.Q, m.m)
+    assert [fk.eval_force(m, i + 1, 0.0, w) for i, w in enumerate(wins)] == F.tolist()
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_eval_force_matches_force_profile_tabulated(batch):
+    m = fk.build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                           f_at_zero_sup=0.3, batch=batch)
+    ch = fk.init_linear(m, Fraction(3, 2), cells=2)
+    U = ch.U + 0.05 * np.sin(np.arange(ch.N))
+    tau = 0.37
+    F = force_profile(m, tau, U, ch.Q)
+    wins = _ring_windows(U, ch.Q, m.m)
+    assert [fk.eval_force(m, i + 1, tau, w) for i, w in enumerate(wins)] == F.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +355,7 @@ def test_step_delta_zero_is_step_bitwise():
     ch = fk.init_linear(m, Fraction(1, 2), cells=3)
     dt = fk.cfl_dt(m, 0.5)
     a = fk.step(ch, dt)
-    b = fk.step_delta(ch, dt, 0.0, 1.0)
+    b = fk.step(ch, dt, delta=0.0, a0=1.0)
     assert np.array_equal(a.U, b.U) and np.array_equal(a.Xi, b.Xi)
 
 
@@ -282,7 +368,7 @@ def test_step_delta_flat_state_term_value():
     dt = fk.cfl_dt(m, 0.25)
     delta, a0 = 0.5, 2.0
     plain = fk.step(ch, dt)
-    pert = fk.step_delta(ch, dt, delta, a0)
+    pert = fk.step(ch, dt, delta=delta, a0=a0)
     expect = dt * delta * a0 * float(p)
     assert np.allclose(pert.Xi - plain.Xi, expect, atol=1e-14)
     assert np.array_equal(pert.U, plain.U)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,79 @@ def test_homogenize_from_table_file(tmp_path):
     rc2, out2 = run_cli(tmp_path, cfg2, "homogenize")
     assert rc2 == 0
     assert (out2 / "macro.csv").read_text().startswith("t,x,u")
+
+
+def test_pipeline_two_types_uses_table_in_particle_slopes(tmp_path):
+    """The table slope counts cells of n particles; homogenize must compose
+    H with n like the eps study does, or it extrapolates off the table."""
+    from fkhomog.macro import HamiltonianInterp, solve_hj
+    from fkhomog.rotation import EffectiveTable
+    u0 = Profile.from_callable(lambda x: x + 0.18 * (10 / (2 * math.pi))
+                               * math.sin(2 * math.pi * x / 10), -5.0, 5.0, 101)
+    u0_path = tmp_path / "u0.csv"
+    u0_path.write_text(u0.to_csv())
+    alpha0 = 1.2 * (2 * 1.6 + 4 * math.pi * 0.5)
+    cfg = {
+        "model": {"alpha0": alpha0, "force": {"kind": "classical_fk", "theta": [1.0, 0.6],
+                                              "amplitude": 0.5, "drive": 0.0}},
+        "effham": {"p_grid": [[8, 5], [2, 1], [5, 2]], "L_grid": [2.0],
+                   "tol": 1e-2, "T_cap": 200.0},
+        "homogenize": {"u0_file": str(u0_path), "T": 0.5, "dx": 0.1, "L": 2.0},
+        "converge": {"u0_file": str(u0_path), "eps_list": [0.1], "T": 0.5,
+                     "window": [-5.0, 5.0], "L": 2.0},
+    }
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == 0
+    assert not [w for w in caught if "does not cover" in str(w.message)]
+    table = EffectiveTable.from_csv((out / "effective_table.csv").read_text())
+    H = HamiltonianInterp.from_table(table, 2.0).scaled(2)
+    want = solve_hj(H, u0, 0.5, 0.1, K0=u0.slope_frame(), record_times=[0.5])
+    assert (out / "macro.csv").read_text() == want.to_csv()
+
+
+def test_homogenize_rejects_nan_table_entry(tmp_path, capsys):
+    cfg = _pipeline_cfg(tmp_path)
+    table = tmp_path / "table.csv"
+    table.write_text("L,p,lambda,halfwidth,converged\n"
+                     "0.5,4/5,0.4,0.001,1\n0.5,1/1,nan,nan,0\n0.5,5/4,0.6,0.001,1\n")
+    cfg["homogenize"]["table_file"] = str(table)
+    rc, out = run_cli(tmp_path, cfg, "homogenize")
+    assert rc == cli.EXIT_VALIDATION
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "macro.csv").exists()
+
+
+@pytest.mark.parametrize("stage,cut", [("effham", "mid_row"), ("effham", "row_boundary"),
+                                       ("converge", "half")])
+def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):
+    cfg = _pipeline_cfg(tmp_path)
+    rc, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == 0
+    (cached,) = (out / "cache").glob(f"{stage}-*.txt")
+    text = cached.read_text()
+    last = text.rstrip("\n").rfind("\n") + 1
+    keep = {"mid_row": last + 8, "row_boundary": last, "half": len(text) // 2}[cut]
+    cached.write_text(text[:keep])
+    capsys.readouterr()
+    rc, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == cli.EXIT_VALIDATION
+    assert str(cached) in capsys.readouterr().err
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    """A write cut short before the rename leaves nothing under the name a
+    later lookup hits."""
+    def cut_short(src, dst):
+        raise OSError("simulated crash")
+
+    monkeypatch.setattr("os.replace", cut_short)
+    cache = cli.Cache(tmp_path / "cache", log=lambda msg: None)
+    with pytest.raises(OSError):
+        cache.put_text("effham", "k", "L,p,lambda,halfwidth,converged\n")
+    assert cache.get_text("effham", {})[1] is None
+    assert not (tmp_path / "cache" / "effham-k.txt").exists()
 
 
 # ---------------------------------------------------------------------------

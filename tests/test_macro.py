@@ -90,6 +90,13 @@ def test_interp_exact_at_nodes_and_lipschitz():
     assert not H.covers(0.4, 1.0)
 
 
+def test_interp_rejects_non_finite_data():
+    with pytest.raises(MacroError, match="finite"):
+        HamiltonianInterp.from_points([0.5, 1.0, 1.5], [0.4, np.nan, 1.6])
+    with pytest.raises(MacroError, match="finite"):
+        HamiltonianInterp.from_points([0.5, np.inf], [0.4, 1.6])
+
+
 def test_interp_from_table_slice():
     m = fkmodel(A=0.0, margin=1.2)
     table = fk.sweep(m, [Fraction(1, 2), Fraction(1)], [0.0, 1.0], tol=1e-5,

@@ -204,3 +204,16 @@ def test_table_csv_json_roundtrip():
     import json
     meta = json.loads(table_to_json(table))
     assert meta["p_grid"] == ["1/2", "1/1"]
+
+
+def test_table_from_csv_rejects_cut_tables():
+    text = ("L,p,lambda,halfwidth,converged\n"
+            "0.0,1/2,0.0,0.001,1\n0.0,1/1,0.0,0.001,1\n"
+            "1.0,1/2,0.5,0.001,1\n1.0,1/1,1.0,0.001,1\n")
+    assert EffectiveTable.from_csv(text).lam.shape == (2, 2)
+    with pytest.raises(ValueError, match="expected 5"):
+        EffectiveTable.from_csv(text[:-6])
+    with pytest.raises(ValueError, match="grid"):
+        EffectiveTable.from_csv(text[:text.rstrip().rfind("\n") + 1])
+    with pytest.raises(ValueError, match="grid"):
+        EffectiveTable.from_csv(text + "1.0,1/1,1.0,0.001,1\n")
