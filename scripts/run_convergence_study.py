@@ -23,7 +23,6 @@ def main():
     ap.add_argument("--T", type=float, default=1.0)
     ap.add_argument("--slope-ripple", type=float, default=0.18)
     ap.add_argument("--tol", type=float, default=1e-3)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path("out"))
     args = ap.parse_args()
 
@@ -41,8 +40,7 @@ def main():
     p_grid = [Fraction(4, 5), Fraction(9, 10), Fraction(1), Fraction(9, 8),
               Fraction(5, 4)]
     print(f"tabulating effective Hamiltonian at L={args.drive} over {len(p_grid)} slopes")
-    table = fk.sweep(model, p_grid, [args.drive], tol=args.tol,
-                     threads=args.threads)
+    table = fk.sweep(model, p_grid, [args.drive], tol=args.tol)
     H = HamiltonianInterp.from_table(table, args.drive)
     print(f"  lambda(p): {[f'{v:.4f}' for v in table.lam[0]]}, lip ~ {H.lip_est:.3f}")
 

@@ -25,7 +25,6 @@ def main():
     ap.add_argument("--tol", type=float, default=2e-3)
     ap.add_argument("--margin", type=float, default=1.15,
                     help="mass margin below the monotonicity threshold")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", type=Path, default=Path("out"))
     args = ap.parse_args()
 
@@ -39,7 +38,7 @@ def main():
 
     print(f"model: n={model.n} alpha0={model.alpha0:.4f} "
           f"(critical mass {fk.check_assumptions(model).critical_mass:.5f})")
-    table = fk.sweep(model, [p], L_grid, tol=args.tol, threads=args.threads)
+    table = fk.sweep(model, [p], L_grid, tol=args.tol)
 
     args.out.mkdir(parents=True, exist_ok=True)
     out_csv = args.out / "depinning_table.csv"

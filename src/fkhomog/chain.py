@@ -133,30 +133,64 @@ def _type_patterns(theta: tuple, n: int, N: int):
     return th[t], th[(t + 1) % n]
 
 
+@lru_cache(maxsize=16)
+def _window_gather(N: int, Q: int, m: int):
+    """Index and twist shift of the windows (U_{i-m}, ..., U_{i+m}) of a ring:
+    window[i, k] = U[idx[i, k]] + shift[i, k].  The centre column adds -0.0,
+    which leaves every value (signed zeros included) as it is."""
+    pos = np.arange(N)[:, None] + np.arange(-m, m + 1)
+    idx = pos % N
+    shift = (Q * (pos // N)).astype(float)
+    shift[:, m] = -0.0
+    idx.flags.writeable = shift.flags.writeable = False
+    return idx, shift
+
+
 def _neighbor(U: np.ndarray, Q: int, k: int) -> np.ndarray:
-    """Values U_{i+k} for all i, using the twist for indices off the ring."""
-    N = U.size
+    """Values U_{i+k} for all i (last axis), using the twist for indices off
+    the ring."""
+    N = U.shape[-1]
     if k == 0:
         return U
     idx = np.arange(N) + k
-    return U[idx % N] + Q * (idx // N)
+    return U[..., idx % N] + Q * (idx // N)
 
 
-def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int) -> np.ndarray:
-    """F_i(tau, window) for every particle of the ring, twist-aware."""
-    N = U.size
+def _drive_column(model: ForceModel, L) -> np.ndarray:
+    """Per-row drives for :func:`force_profile` as a (B, 1) column: the total
+    drive kind.drive + L of a classical model, the extra drive L of a
+    tabulated one.  Zero drives are stored as -0.0, whose addition changes no
+    value, so every row matches ``with_extra_drive(model, L)`` bit for bit."""
+    d = np.asarray(L, dtype=float).reshape(-1, 1)
+    if isinstance(model.kind, ClassicalFK):
+        d = model.kind.drive + d
+    return np.where(d == 0.0, -0.0, d)
+
+
+def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int,
+                  drive: Optional[np.ndarray] = None) -> np.ndarray:
+    """F_i(tau, window) for every particle of the ring, twist-aware.
+
+    U has shape (N,) or (B, N) (B rings with the same twist Q).  drive, a
+    (B, 1) column from :func:`_drive_column`, gives each ring its own drive:
+    it replaces a classical model's drive and is added to a tabulated
+    model's value, as :func:`fkhomog.model.with_extra_drive` does.
+    """
+    N = U.shape[-1]
     if isinstance(model.kind, ClassicalFK):
         th_self, th_next = _type_patterns(model.kind.theta, model.n, N)
         up = np.empty_like(U)
-        up[:-1] = U[1:]
-        up[-1] = U[0] + Q
+        up[..., :-1] = U[..., 1:]
+        up[..., -1] = U[..., 0] + Q
         dn = np.empty_like(U)
-        dn[1:] = U[:-1]
-        dn[0] = U[-1] - Q
-        return _classical_force(model.kind, dn, U, up, th_self, th_next)
-    windows = np.stack([_neighbor(U, Q, k) for k in range(-model.m, model.m + 1)],
-                       axis=-1)
-    return _tabulated_force(model.kind, (np.arange(N) % model.n) + 1, tau, windows)
+        dn[..., 1:] = U[..., :-1]
+        dn[..., 0] = U[..., -1] - Q
+        return _classical_force(model.kind, dn, U, up, th_self, th_next, drive)
+    idx, shift = _window_gather(N, Q, model.m)
+    windows = (U[..., idx] + shift).reshape(-1, 2 * model.m + 1)
+    jj = np.tile(np.arange(N) % model.n + 1, windows.shape[0] // N)
+    F = _tabulated_force(model.kind, jj, tau, windows).reshape(U.shape)
+    return F if drive is None else F + drive
 
 
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
@@ -206,13 +240,13 @@ def _delta_term(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
                 p_float: float, delta: float, a0: float) -> np.ndarray:
     """delta (a0 + a_i) q_i^+ with a_i from the per-type running minimum of
     Xi - p y and q_i the one-cell difference of Xi, upwinded by the sign of
-    the advection coefficient."""
+    the advection coefficient; rings along the last axis."""
     n = model.n
-    N = U.size
+    N = U.shape[-1]
     y = np.arange(N) // n
     e = Xi - p_float * y
-    per_type_min = e.reshape(-1, n).min(axis=0)
-    a = per_type_min[np.arange(N) % n] - e
+    per_type_min = e.reshape(*e.shape[:-1], -1, n).min(axis=-2)
+    a = per_type_min[..., np.arange(N) % n] - e
     speed = delta * (a0 + a)
     q_f = _neighbor(Xi, Q, n) - Xi
     q_b = Xi - _neighbor(Xi, Q, -n)
@@ -240,13 +274,68 @@ class TrajectoryLog:
     def span(self) -> float:
         return float(self.sample_times[-1] - self.sample_times[0])
 
-    def max_velocity(self) -> float:
-        """Largest sampled rate of change across tracked series."""
-        if self.sample_times.size < 2:
-            return 0.0
-        du = np.abs(np.diff(self.tracked_u, axis=1)).max()
-        dx = np.abs(np.diff(self.tracked_xi, axis=1)).max()
-        return float(max(du, dx) / self.sample_dt)
+
+#: samples advanced between finiteness checks of the state
+CHECK_BLOCK = 64
+
+
+def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
+           tau0: float, s: int, S: int, sample_dt: float, n_sub: int,
+           dt_eff: float, c: float, beta: float, out: Optional[np.ndarray], *,
+           drive: Optional[np.ndarray] = None, delta: float = 0.0,
+           a0: float = 0.0, p_float: float = 0.0, snaps: Optional[list] = None,
+           snapshot_stride: int = 0, block: int = CHECK_BLOCK):
+    """Advance B rings, U and Xi of shape (B, N), from sample s to sample S of
+    a march started at tau0 (sample k lands on tau0 + k sample_dt), n_sub
+    Euler steps of dt_eff per sample.  Sample k of the n reference particles
+    goes to out[:, :n, k] (U) and out[:, n:, k] (Xi); drive is the per-row
+    column of :func:`force_profile`.  snapshot_stride > 0 appends the first
+    ring's (tau, U, Xi) to snaps every that many samples.
+
+    Finiteness is checked once per block of samples.  The march stops at the
+    end of the first block in which a ring is not finite, and returns
+    (U, Xi, k, errors): k is the last sample reached and errors maps each
+    failing row to the NumericalError of its first non-finite sample (with
+    the last finite sampled state), found by replaying the block for that row
+    alone one sample at a time.  errors is empty when the march reached S.
+    """
+    n = model.n
+    use_delta = delta > 0.0
+    extra = None
+    while s < S:
+        s_end = min(s + block, S)
+        U0, Xi0 = U, Xi            # arrays are replaced, never written in place
+        for k in range(s + 1, s_end + 1):
+            for j in range(n_sub):
+                tau = tau0 + (k - 1) * sample_dt + j * dt_eff
+                F = force_profile(model, tau, U, Q, drive)
+                if use_delta:
+                    extra = _delta_term(model, U, Xi, Q, p_float, delta, a0)
+                U, Xi = _euler_update(U, Xi, F, c, beta, dt_eff, extra)
+            if out is not None:
+                out[:, :n, k] = U[:, :n]
+                out[:, n:, k] = Xi[:, :n]
+            if snapshot_stride > 0 and k % snapshot_stride == 0:
+                snaps.append((tau0 + sample_dt * k, U[0].copy(), Xi[0].copy()))
+        finite = np.isfinite(U).all(axis=1) & np.isfinite(Xi).all(axis=1)
+        if not finite.all():
+            bad = np.flatnonzero(~finite).tolist()
+            if block == 1:
+                tau = tau0 + sample_dt * s_end
+                return U, Xi, s_end, {
+                    b: NumericalError(f"state blew up at tau = {tau}", tau=tau,
+                                      snapshot=(U0[b], Xi0[b])) for b in bad}
+            errors = {}
+            for b in bad:
+                row = slice(b, b + 1)
+                errors[b] = _march(
+                    model, U0[row], Xi0[row], Q, tau0, s, s_end, sample_dt,
+                    n_sub, dt_eff, c, beta, None,
+                    drive=None if drive is None else drive[row], delta=delta,
+                    a0=a0, p_float=p_float, block=1)[3][0]
+            return U, Xi, s_end, errors
+        s = s_end
+    return U, Xi, s, {}
 
 
 def run(chain: TwistedChain, T: float, sample_dt: float, *,
@@ -257,7 +346,8 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
 
     snapshot_stride > 0 stores a full (U, Xi) copy every that many samples
     (plus the initial state).  Returns a log whose final_state continues the
-    run bitwise.
+    run bitwise.  This is the one-ring case of the batched march that
+    :func:`fkhomog.rotation.sweep` uses.
     """
     model = chain.model
     if sample_dt <= 0:
@@ -279,42 +369,32 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
     S = 0 if T <= 0 else math.ceil(T / sample_dt - 1e-12)
 
     n = model.n
-    U = chain.U.copy()
-    Xi = chain.Xi.copy()
-    Q = chain.Q
+    U = chain.U.reshape(1, -1).copy()
+    Xi = chain.Xi.reshape(1, -1).copy()
     tau0 = chain.tau
-    p_float = float(chain.p)
     c, beta = _euler_coeff(model, dt_eff, delta, a0)
 
     times = tau0 + sample_dt * np.arange(S + 1)
-    tr_u = np.empty((n, S + 1))
-    tr_xi = np.empty((n, S + 1))
-    tr_u[:, 0] = U[:n]
-    tr_xi[:, 0] = Xi[:n]
+    tracked = np.empty((1, 2 * n, S + 1))
+    tracked[0, :n, 0] = U[0, :n]
+    tracked[0, n:, 0] = Xi[0, :n]
     snaps = []
     if snapshot_stride > 0:
-        snaps.append((float(times[0]), U.copy(), Xi.copy()))
+        snaps.append((float(times[0]), U[0].copy(), Xi[0].copy()))
 
-    use_delta = delta > 0.0
-    extra = None
-    for s in range(1, S + 1):
-        last = (U, Xi)             # arrays are replaced, never written in place
-        for k in range(n_sub):
-            tau = tau0 + (s - 1) * sample_dt + k * dt_eff
-            F = force_profile(model, tau, U, Q)
-            if use_delta:
-                extra = _delta_term(model, U, Xi, Q, p_float, delta, a0)
-            U, Xi = _euler_update(U, Xi, F, c, beta, dt_eff, extra)
-        _require_finite(U, Xi, float(times[s]), last)
-        tr_u[:, s] = U[:n]
-        tr_xi[:, s] = Xi[:n]
-        if snapshot_stride > 0 and s % snapshot_stride == 0:
-            snaps.append((float(times[s]), U.copy(), Xi.copy()))
+    U, Xi, _, errors = _march(model, U, Xi, chain.Q, tau0, 0, S, sample_dt,
+                              n_sub, dt_eff, c, beta, tracked, delta=delta,
+                              a0=a0, p_float=float(chain.p), snaps=snaps,
+                              snapshot_stride=snapshot_stride)
+    if errors:
+        raise errors[0]
 
-    final = TwistedChain(chain.N, Q, U, Xi, float(times[-1]), chain.p, model)
-    return TrajectoryLog(sample_times=times, tracked_u=tr_u, tracked_xi=tr_xi,
-                         snapshots=snaps, final_state=final, sample_dt=sample_dt,
-                         dt=dt_eff, p=chain.p, delta=delta, a0=a0)
+    final = TwistedChain(chain.N, chain.Q, U[0], Xi[0], float(times[-1]),
+                         chain.p, model)
+    return TrajectoryLog(sample_times=times, tracked_u=tracked[0, :n],
+                         tracked_xi=tracked[0, n:], snapshots=snaps,
+                         final_state=final, sample_dt=sample_dt, dt=dt_eff,
+                         p=chain.p, delta=delta, a0=a0)
 
 
 def extend(log: TrajectoryLog, extra_T: float, snapshot_stride: int = 0) -> TrajectoryLog:

@@ -4,9 +4,9 @@ Subcommands cover the whole chain: ``check`` (structural assumptions),
 ``simulate`` (microscopic trajectories), ``effham`` (effective Hamiltonian
 tables), ``hull`` (hull extraction), ``homogenize`` (macroscopic solve),
 ``converge`` (eps study) and ``pipeline`` (all stages with content-hash
-caching).  Identical config + seed gives byte-identical outputs regardless
-of --threads; exit codes: 0 success, 2 validation, 3 numerical failure,
-4 partial success.
+caching).  Identical config + seed gives byte-identical outputs; --threads
+is accepted and has no effect.  Exit codes: 0 success, 2 validation,
+3 numerical failure, 4 partial success.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ def _effham_table(cfg: dict, args, cache: Cache | None):
             return _cached_table(cache.path("effham", key), text, blk), text, True
     table = rot.sweep(model, [_frac(p) for p in blk["p_grid"]], blk["L_grid"],
                       tol=blk.get("tol", 1e-3), T_cap=blk.get("T_cap", 2000.0),
-                      threads=args.threads, cells=blk.get("cells", 1))
+                      cells=blk.get("cells", 1))
     text = table.to_csv()
     if cache is not None:
         cache.put_text("effham", key, text)
@@ -494,7 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; has no effect (each "
+                         "effective-Hamiltonian column runs as one batched "
+                         "ensemble)")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     return ap
 

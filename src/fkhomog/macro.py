@@ -67,9 +67,14 @@ class Profile:
         return np.diff(self.u) / np.diff(self.x)
 
     def slope_frame(self) -> float:
-        """The tightest K0 >= 1 with 1/K0 <= every chord slope <= K0."""
+        """The tightest K0 >= 1 with 1/K0 <= every chord slope <= K0; a
+        profile with a nonpositive chord has none (MacroError)."""
         s = self.slopes()
-        return max(float(s.max()), 1.0 / float(s.min()), 1.0)
+        lo = float(s.min())
+        if not lo > 0:
+            raise MacroError(f"profile has a nonpositive chord slope {lo:.6g}; "
+                             "it admits no slope frame K0")
+        return max(float(s.max()), 1.0 / lo, 1.0)
 
     @classmethod
     def linear(cls, p: float, x_lo: float, x_hi: float, n: int = 2) -> "Profile":
@@ -177,8 +182,11 @@ class HamiltonianInterp:
         i = int(np.argmin(np.abs(table.L_grid - L)))
         if abs(table.L_grid[i] - L) > 1e-12:
             raise MacroError(f"table has no L = {L} slice")
-        return cls(p_nodes=np.array([float(p) for p in table.p_grid]),
-                   values=table.lam[i, :].copy())
+        # a table computed from a config keeps the config's p order; one read
+        # back from CSV is sorted.  Both give the same interpolant.
+        p_nodes = np.array([float(p) for p in table.p_grid])
+        order = np.argsort(p_nodes, kind="stable")
+        return cls(p_nodes=p_nodes[order], values=table.lam[i, order])
 
     def scaled(self, factor: float) -> "HamiltonianInterp":
         """q -> H(factor q), used to express the table slope (per type period)

@@ -163,14 +163,17 @@ def with_extra_drive(model: ForceModel, L: float) -> ForceModel:
                    f_at_zero_sup=model.f_at_zero_sup + abs(float(L)))
 
 
-def _classical_force(kind: ClassicalFK, dn, c, up, th_self, th_next):
+def _classical_force(kind: ClassicalFK, dn, c, up, th_self, th_next, drive=None):
     """The classical F on neighbour values V_{-1} = dn, V_0 = c, V_1 = up with
     spring constants theta_j = th_self, theta_{j+1} = th_next (scalars or
-    broadcastable arrays); zero amplitude and drive terms are skipped."""
+    broadcastable arrays); zero amplitude and drive terms are skipped.  An
+    array ``drive`` (per-row drives of a batch) replaces kind.drive."""
     F = th_next * (up - c) - th_self * (c - dn)
     if kind.amplitude != 0.0:
         F += kind.amplitude * np.sin(TWO_PI * c)
-    if kind.drive != 0.0:
+    if drive is not None:
+        F += drive
+    elif kind.drive != 0.0:
         F += kind.drive
     return F
 

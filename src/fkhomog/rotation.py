@@ -22,7 +22,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -31,8 +30,8 @@ import numpy as np
 
 from .model import (ForceModel, ConstantsLedger, constants_ledger,
                     require_monotone, with_extra_drive)
-from .chain import (TrajectoryLog, cfl_dt, extend, init_linear, run,
-                    NumericalError)
+from .chain import (TrajectoryLog, cfl_dt, init_linear, NumericalError,
+                    _drive_column, _euler_coeff, _march)
 
 
 class LogTooShort(ValueError):
@@ -42,15 +41,19 @@ class LogTooShort(ValueError):
 def lambda_pm(log: TrajectoryLog, T: float) -> tuple[float, float]:
     """Window rates (lambda_minus, lambda_plus) over all tracked U and Xi
     series; T snaps to the sample grid."""
-    h = log.sample_dt
+    return _window_rates(np.vstack([log.tracked_u, log.tracked_xi]),
+                         log.sample_dt, T)
+
+
+def _window_rates(series: np.ndarray, h: float, T: float) -> tuple[float, float]:
+    """lambda_pm on tracked series of shape (2n, S+1) sampled every h."""
     K = int(round(T / h))
     if K < 1:
         raise LogTooShort(f"window T = {T} is below one sample spacing {h}")
-    S = log.sample_times.size - 1
+    S = series.shape[1] - 1
     if S < 2 * K:
         raise LogTooShort(
             f"log spans {S * h:.6g}, need at least 2T = {2 * K * h:.6g}")
-    series = np.vstack([log.tracked_u, log.tracked_xi])
     T_eff = K * h
     d = (series[:, K:] - series[:, :-K]) / T_eff
     return float(d.min()), float(d.max())
@@ -94,12 +97,34 @@ def rotation_number(model: ForceModel, p, L_extra: float = 0.0,
     Doubles the window T (reusing one trajectory) until
     min(empirical width, C2/T) <= 2 tol or T reaches T_cap; the estimate then
     carries the bracket, the certified half-width C2/T and a converged flag.
+    This is the one-row case of the column solver behind :func:`sweep`.
+    """
+    require_monotone(with_extra_drive(model, L_extra))
+    est, = _solve_column(model, p, [L_extra], tol, T_cap, cells=cells,
+                         safety=safety, sample_dt=sample_dt, T0=T0,
+                         perturbation=perturbation)
+    if isinstance(est, NumericalError):
+        raise est
+    return est
+
+
+def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
+                  cells: int = 1, safety: float = 0.5,
+                  sample_dt: Optional[float] = None, T0: Optional[float] = None,
+                  perturbation=None) -> list:
+    """Rotation numbers of the families (L + F_j) at slope p for every L in
+    Ls, one RotationEstimate or NumericalError per L.
+
+    Every L shares the ring, the step and the doubling schedule, so the rows
+    advance as one (B, N) ensemble with a per-row drive.  After each doubling
+    stage each row takes its own bracket test and retires once it passes (or
+    once 2T would pass T_cap), and a row that blows up retires with its
+    error; the others go on.  Per row the arithmetic is that of a lone run,
+    so every estimate is bitwise the one a single-row column gives.
     """
     p = Fraction(p)
-    model2 = with_extra_drive(model, L_extra)
-    require_monotone(model2)
-    ledger = constants_ledger(model2, p=float(p))
-    dt = cfl_dt(model2, safety=safety, check=False)
+    ledgers = [constants_ledger(with_extra_drive(model, L), p=float(p)) for L in Ls]
+    dt = cfl_dt(model, safety=safety, check=False)
     if sample_dt is None:
         sample_dt = dt
     if T0 is None:
@@ -109,31 +134,76 @@ def rotation_number(model: ForceModel, p, L_extra: float = 0.0,
     K0 = max(1, int(math.ceil(T0 / sample_dt)))
     T = K0 * sample_dt
 
-    chain = init_linear(model2, p, cells=cells, perturbation=perturbation)
-    log = run(chain, 2.0 * T, sample_dt, dt=dt, check=False)
+    chain = init_linear(model, p, cells=cells, perturbation=perturbation)
+    n, B = model.n, len(Ls)
+    n_sub = max(1, math.ceil(sample_dt / dt - 1e-12))
+    dt_eff = sample_dt / n_sub
+    c, beta = _euler_coeff(model, dt_eff)
+    drive = _drive_column(model, Ls)
+    U = np.repeat(chain.U[None, :], B, axis=0)
+    Xi = np.repeat(chain.Xi[None, :], B, axis=0)
+    # each live row's tracked series, (rows, 2n, samples so far)
+    hist = np.concatenate([U[:, :n], Xi[:, :n]], axis=1)[:, :, None]
+    rows = np.arange(B)            # the input index of each live row
+    # running max |sample increment| per row: the sampling slack is
+    # max velocity * sample_dt / T over the whole log so far
+    vmax = np.zeros(B)
+    histories = [[] for _ in range(B)]
+    results = [None] * B
+    tau0 = chain.tau
+    extra_T = 2.0 * T
 
-    history = []
-    while True:
-        lam_lo, lam_hi = lambda_pm(log, T)
-        width = lam_hi - lam_lo
-        certified = ledger.C2 / T
-        slack = log.max_velocity() * sample_dt / T
-        history.append({"T": T, "lambda_minus": lam_lo, "lambda_plus": lam_hi,
-                        "certified_halfwidth": certified, "slack": slack})
-        if min(width, certified) <= 2.0 * tol:
-            converged = True
-            break
-        if 2.0 * T > T_cap:
-            converged = False
-            break
+    while rows.size:
+        S = 0 if extra_T <= 0 else math.ceil(extra_T / sample_dt - 1e-12)
+        H = hist.shape[2]
+        series = np.empty((rows.size, 2 * n, H + S))
+        series[:, :, :H] = hist
+        del hist
+        k = 0
+        while k < S and rows.size:
+            # series[:, :, H - 1 + k] is sample k of this stage
+            U, Xi, k, errors = _march(model, U, Xi, chain.Q, tau0, k, S,
+                                      sample_dt, n_sub, dt_eff, c, beta,
+                                      series[:, :, H - 1:], drive=drive)
+            for b, exc in errors.items():
+                results[rows[b]] = exc
+            if errors:
+                keep = [b for b in range(rows.size) if b not in errors]
+                rows, U, Xi, drive, vmax, series = (
+                    a[keep] for a in (rows, U, Xi, drive, vmax, series))
+        tau0 = tau0 + sample_dt * S
+        span = tau0 - chain.tau
+
+        keep = []
+        for b, r in enumerate(rows):
+            inc = np.abs(np.diff(series[b, :, H - 1:], axis=1)).max()
+            vmax[b] = max(vmax[b], inc)
+            lam_lo, lam_hi = _window_rates(series[b], sample_dt, T)
+            width = lam_hi - lam_lo
+            certified = ledgers[r].C2 / T
+            slack = float(vmax[b] / sample_dt) * sample_dt / T
+            histories[r].append({"T": T, "lambda_minus": lam_lo,
+                                 "lambda_plus": lam_hi,
+                                 "certified_halfwidth": certified,
+                                 "slack": slack})
+            converged = min(width, certified) <= 2.0 * tol
+            if converged or 2.0 * T > T_cap:
+                results[r] = RotationEstimate(
+                    lambda_minus=lam_lo, lambda_plus=lam_hi,
+                    lambda_hat=0.5 * (lam_lo + lam_hi), T=T,
+                    certified_halfwidth=certified, empirical_width=width,
+                    slack=slack, converged=converged, ledger=ledgers[r], p=p,
+                    history=tuple(histories[r]))
+            else:
+                keep.append(b)
+        if len(keep) < rows.size:
+            rows, U, Xi, drive, vmax, series = (
+                a[keep] for a in (rows, U, Xi, drive, vmax, series))
+        hist = series
+        del series
         T = 2.0 * T
-        log = extend(log, 2.0 * T - log.span)
-
-    return RotationEstimate(
-        lambda_minus=lam_lo, lambda_plus=lam_hi,
-        lambda_hat=0.5 * (lam_lo + lam_hi), T=T,
-        certified_halfwidth=certified, empirical_width=width, slack=slack,
-        converged=converged, ledger=ledger, p=p, history=tuple(history))
+        extra_T = 2.0 * T - span
+    return results
 
 
 def effective_hamiltonian(model: ForceModel, p, L: float = 0.0,
@@ -233,31 +303,26 @@ def _table_diagnostics(table: EffectiveTable) -> dict:
 
 
 def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
-          T_cap: float = 2000.0, threads: int = 1, **kw) -> EffectiveTable:
-    """Fill the (L, p) table; entries are independent runs, collected in a
-    fixed order so output bytes do not depend on the thread count."""
+          T_cap: float = 2000.0, **kw) -> EffectiveTable:
+    """Fill the (L, p) table.
+
+    Each p-column is one ensemble: every L at that p shares the ring, so the
+    column solver steps all of them together and retires each entry on its
+    own bracket test.  Entries equal those of per-entry :func:`rotation_number`
+    calls bit for bit; an entry that blows up becomes NaN and is listed in
+    ``failures``, the rest of its column is unaffected.
+
+    The structural assumptions are checked once, on ``model``: a constant
+    drive L leaves (A1)-(A5) unchanged exactly.  (For a tabulated model the
+    sampled finite differences of ``with_extra_drive(model, L)`` would differ
+    from the base model's only by rounding, ~1e-15 against SAMPLING_TOL.)
+    """
     p_grid = [Fraction(p) for p in p_grid]
     L_grid = np.asarray(list(L_grid), dtype=float)
     if not p_grid or L_grid.size == 0:
         raise ValueError("p_grid and L_grid must be nonempty")
-    jobs = [(i, j, float(L), p) for i, L in enumerate(L_grid)
-            for j, p in enumerate(p_grid)]
-
-    def solve(job):
-        i, j, L, p = job
-        try:
-            est = rotation_number(model, p, L_extra=L, tol=tol, T_cap=T_cap, **kw)
-            return (i, j, est.lambda_hat, est.halfwidth_best, est.converged,
-                    {"C2": est.ledger.C2, "C4": est.ledger.C4,
-                     "K1": est.ledger.K1, "T": est.T}, None)
-        except NumericalError as exc:
-            return (i, j, float("nan"), float("nan"), False, {}, str(exc))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(solve, jobs))
-    else:
-        results = [solve(job) for job in jobs]
+    require_monotone(model)
+    columns = [_solve_column(model, p, L_grid, tol, T_cap, **kw) for p in p_grid]
 
     nL, nP = L_grid.size, len(p_grid)
     lam = np.full((nL, nP), np.nan)
@@ -265,11 +330,17 @@ def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
     conv = np.zeros((nL, nP), dtype=bool)
     refs = [{} for _ in range(nL * nP)]
     failures = []
-    for i, j, lv, hv, cv, ref, err in results:
-        lam[i, j], hw[i, j], conv[i, j] = lv, hv, cv
-        refs[i * nP + j] = ref
-        if err is not None:
-            failures.append({"L": float(L_grid[i]), "p": str(p_grid[j]), "error": err})
+    for i in range(nL):
+        for j in range(nP):
+            est = columns[j][i]
+            if isinstance(est, NumericalError):
+                failures.append({"L": float(L_grid[i]), "p": str(p_grid[j]),
+                                 "error": str(est)})
+                continue
+            lam[i, j], hw[i, j], conv[i, j] = (est.lambda_hat, est.halfwidth_best,
+                                               est.converged)
+            refs[i * nP + j] = {"C2": est.ledger.C2, "C4": est.ledger.C4,
+                                "K1": est.ledger.K1, "T": est.T}
 
     table = EffectiveTable(p_grid=p_grid, L_grid=L_grid, lam=lam, halfwidths=hw,
                            converged=conv, ledger_refs=refs, failures=failures)

@@ -221,6 +221,31 @@ def test_homogenize_rejects_nan_table_entry(tmp_path, capsys):
     assert not (out / "macro.csv").exists()
 
 
+def test_converge_flat_chord_exits_validation(tmp_path, capsys):
+    u0 = Profile(x=np.array([-5.0, 0.0, 1.0, 5.0]), u=np.array([-5.0, 0.0, 0.0, 4.0]))
+    cfg = _pipeline_cfg(tmp_path)
+    (tmp_path / "u0.csv").write_text(u0.to_csv())
+    del cfg["effham"], cfg["homogenize"]
+    cfg["converge"]["table_file"] = str(tmp_path / "table.csv")
+    (tmp_path / "table.csv").write_text("L,p,lambda,halfwidth,converged\n"
+                                        "0.5,1/2,0.5,0.001,1\n0.5,2/1,0.5,0.001,1\n")
+    rc, out = run_cli(tmp_path, cfg, "converge")
+    assert rc == cli.EXIT_VALIDATION
+    assert "nonpositive chord" in capsys.readouterr().err
+    assert not (out / "convergence.json").exists()
+
+
+def test_unsorted_p_grid_homogenize_agrees_with_pipeline(tmp_path):
+    cfg = _pipeline_cfg(tmp_path)
+    cfg["effham"]["p_grid"] = [[5, 4], [1, 1], [4, 5]]
+    rc_h, out = run_cli(tmp_path, cfg, "homogenize")
+    macro_h = (out / "macro.csv").read_text()
+    # pipeline reads its table back through the (sorted) CSV cache
+    rc_p, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc_h == rc_p == 0
+    assert (out / "macro.csv").read_text() == macro_h
+
+
 @pytest.mark.parametrize("stage,cut", [("effham", "mid_row"), ("effham", "row_boundary"),
                                        ("converge", "half")])
 def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fkhomog as fk
+from fkhomog.chain import NumericalError
 from fkhomog.rotation import (EffectiveTable, LogTooShort, depinning_threshold,
                               monotone_in_L_violation, table_to_json)
 
@@ -166,13 +167,119 @@ def test_sweep_single_entry_matches_scalar():
 
 
 def test_sweep_monotone_in_L_and_threads_deterministic():
+    # determinism: the sweep equals per-entry runs bit for bit
     m = fkmodel(L=0.0, margin=1.2)
     Ls = [0.0, 1.0, 2.0]
-    t1 = fk.sweep(m, [Fraction(1)], Ls, tol=2e-3, threads=1)
-    t4 = fk.sweep(m, [Fraction(1)], Ls, tol=2e-3, threads=4)
-    assert t1.to_csv() == t4.to_csv()
+    t1 = _assert_sweep_equals_entries(m, [Fraction(1)], Ls, tol=2e-3)
     assert monotone_in_L_violation(t1) <= 0.0
     assert "max_downward_jump_in_L" in t1.diagnostics
+
+
+def _assert_sweep_equals_entries(model, p_grid, L_grid, **kw):
+    """sweep (one batched ensemble per p) against one rotation_number call
+    per entry: tables, half-widths, flags, ledger refs and failure messages
+    must agree bit for bit."""
+    table = fk.sweep(model, p_grid, L_grid, **kw)
+    nL, nP = len(L_grid), len(p_grid)
+    lam, hw = np.full((nL, nP), np.nan), np.full((nL, nP), np.nan)
+    conv = np.zeros((nL, nP), dtype=bool)
+    refs, failures = [], []
+    for i, L in enumerate(L_grid):
+        for j, p in enumerate(p_grid):
+            try:
+                est = fk.rotation_number(model, p, L_extra=float(L), **kw)
+            except NumericalError as exc:
+                refs.append({})
+                failures.append({"L": float(L), "p": str(Fraction(p)),
+                                 "error": str(exc)})
+                continue
+            lam[i, j], hw[i, j], conv[i, j] = (est.lambda_hat, est.halfwidth_best,
+                                               est.converged)
+            refs.append({"C2": est.ledger.C2, "C4": est.ledger.C4,
+                         "K1": est.ledger.K1, "T": est.T})
+    assert table.lam.tobytes() == lam.tobytes()
+    assert table.halfwidths.tobytes() == hw.tobytes()
+    assert np.array_equal(table.converged, conv)
+    assert table.ledger_refs == refs
+    assert table.failures == failures
+    return table
+
+
+def test_sweep_equals_entries_depinning_grid():
+    m = fkmodel(L=0.0, margin=1.15)
+    table = _assert_sweep_equals_entries(m, [Fraction(1)], [0.25 * k for k in range(13)],
+                                         tol=2e-3, T_cap=800.0, cells=2)
+    assert table.converged.all()
+    # the entries retire at different doublings
+    assert len({ref["T"] for ref in table.ledger_refs}) > 1
+
+
+def test_sweep_equals_entries_two_types_mixed_rings():
+    m = fkmodel((1.0, 1.6), A=0.8, L=0.3, margin=1.2)
+    p_grid = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    _assert_sweep_equals_entries(m, p_grid, [-1.0, 0.0, 2.5], tol=2e-3, T_cap=200.0)
+    # one L: every p-group is a single row
+    _assert_sweep_equals_entries(m, p_grid, [1.5], tol=2e-3, T_cap=200.0)
+
+
+_THETA2 = np.array([1.0, 0.6])
+
+
+def _two_type_m2_force(j, tau, w):
+    """n = 2, m = 2 batch force with a tau-periodic drive."""
+    w = np.asarray(w, dtype=float)
+    j = np.asarray(j)
+    c = w[..., 2]
+    return (_THETA2[j % 2] * (w[..., 3] - c) - _THETA2[(j - 1) % 2] * (c - w[..., 1])
+            + 0.2 * (w[..., 4] - c) - 0.2 * (c - w[..., 0])
+            + 0.8 * np.sin(2 * math.pi * c) + 0.3 * np.sin(2 * math.pi * tau))
+
+
+def test_sweep_equals_entries_tabulated_batch_tau_periodic():
+    lip = 2.0 * (_THETA2.sum() + 0.4) + 2 * math.pi * 0.8
+    m = fk.build_tabulated(_two_type_m2_force, n=2, m=2, m0=0.03, lip_V=lip,
+                           f_at_zero_sup=0.3, batch=True)
+    _assert_sweep_equals_entries(m, [Fraction(1), Fraction(3, 2)], [0.0, 2.0],
+                                 tol=2e-3, T_cap=200.0)
+
+
+def test_sweep_equals_entries_per_window_callable():
+    def fn(j, tau, w):
+        return (0.9 * (w[2] - 2 * w[1] + w[0]) + 0.5 * math.sin(2 * math.pi * w[1])
+                + 0.2 * math.cos(2 * math.pi * tau))
+
+    m = fk.build_tabulated(fn, n=1, m=1, m0=0.01, lip_V=3.6 + math.pi,
+                           f_at_zero_sup=0.2, batch=False)
+    _assert_sweep_equals_entries(m, [Fraction(1), Fraction(1, 2)], [0.0, 0.7, 1.5],
+                                 tol=5e-3, T_cap=100.0)
+
+
+def test_sweep_isolates_rows_that_blow_up():
+    def fn(j, tau, w):
+        # a flat ring below U = 3, an exploding force above it
+        w = np.asarray(w, dtype=float)
+        c = w[..., 1]
+        return 0.5 * (w[..., 2] - 2 * c + w[..., 0]) + np.where(c > 3.0, 1e300 * c, 0.0)
+
+    m = fk.build_tabulated(fn, n=1, m=1, m0=0.05, lip_V=2.0, f_at_zero_sup=0.0,
+                           batch=True)
+    Ls = [-0.5, 0.0, 0.5, 40.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _assert_sweep_equals_entries(m, [Fraction(1)], Ls, tol=1e-3,
+                                             T_cap=100.0)
+        with pytest.raises(NumericalError, match="blew up at tau") as ei:
+            fk.rotation_number(m, 1, L_extra=0.5, tol=1e-3, T_cap=100.0)
+    # the rows that climb past U = 3 fail (L = 0.5 in the second check block,
+    # L = 40 in the first); the others run on untouched
+    assert np.isnan(table.lam[2:, 0]).all() and not table.converged[2:, 0].any()
+    assert table.ledger_refs[2:] == [{}, {}]
+    assert [f["L"] for f in table.failures] == [0.5, 40.0]
+    assert table.failures[0]["error"] == str(ei.value)
+    assert table.lam[0, 0] == pytest.approx(-0.5, abs=1e-3)
+    assert table.lam[1, 0] == 0.0 and table.converged[:2, 0].all()
+    # the error carries the last finite sampled state
+    U, Xi = ei.value.snapshot
+    assert np.isfinite(U).all() and np.isfinite(Xi).all()
 
 
 def test_drive_shift_symmetry_linear_chain_table():
