@@ -183,6 +183,15 @@ def validate_config(cfg: dict):
         for p in ps:
             if p[1] == 0 or Fraction(p[0], p[1]) <= 0:
                 raise ConfigError(f"config.{key}: slope p must be a positive rational")
+    eff = cfg.get("effham")
+    if eff:
+        # a repeated node would write a table that cannot be read back
+        for name, value in (("p_grid", _frac), ("L_grid", float)):
+            seen = set()
+            for v in map(value, eff[name]):
+                if v in seen:
+                    raise ConfigError(f"config.effham.{name}: repeated value {v}")
+                seen.add(v)
     conv = cfg.get("converge")
     if conv:
         eps = conv["eps_list"]

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import ForceModel, with_extra_drive, require_monotone
-from .chain import NumericalError, force_profile, _euler_coeff, _euler_update
+from .model import (ClassicalFK, ForceModel, with_extra_drive, require_monotone,
+                    _classical_force, _tabulated_force)
+from .chain import NumericalError, _euler_coeff, _euler_update, _type_patterns
 
 
 class MacroError(ValueError):
@@ -361,9 +363,15 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     """Simulate U_i(0) = u0(i eps)/eps on a padded window and return
     u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times.
 
-    The pad is m (n_steps + 1) particles per side: influence travels at most
-    m indices per Euler step, so values on the observation window are exactly
-    those of the infinite chain (frozen ghost cells never reach it).
+    Influence travels at most m indices per Euler step, so the update of a
+    particle more than m k from the window, at a step with k steps after it,
+    never reaches the window.  Each step advances only the particles within
+    m k, a slice that shrinks by m per side per step and reads m neighbours
+    beyond itself; the pad of m (n_steps + 1) particles per side holds it.
+    Particles outside the slice keep stale values that never reach the
+    window, so values on the window are exactly those of the infinite chain.
+    meta records the particles actually stepped, summed over steps, as
+    particle_steps.
     """
     if eps <= 0:
         raise MacroError("eps must be positive")
@@ -392,8 +400,8 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     total_steps = sum(n_sub for _, n_sub, _, _ in plan)
 
     pad = m * (total_steps + 1)
-    # widen the pad so the array starts on a type boundary: force_profile
-    # assigns types by array position, which must match the absolute index
+    # widen the pad so the array starts on a type boundary: array position k
+    # then holds a particle of type k mod n
     pad += (i_lo - pad) % model2.n
     N_tot = n_obs + 2 * pad
     if N_tot > max_particles:
@@ -405,18 +413,40 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     U = u0.value(idx * eps) / eps
     Xi = U.copy() if xi0 is None else xi0.value(idx * eps) / eps
 
+    # the force on U[lo:hi] of the open array, read from U[lo - m:hi + m]
+    if isinstance(model2.kind, ClassicalFK):
+        th_self, th_next = _type_patterns(model2.kind.theta, model2.n, N_tot)
+
+        def force(tau, lo, hi):
+            return _classical_force(model2.kind, U[lo - 1:hi - 1], U[lo:hi],
+                                    U[lo + 1:hi + 1], th_self[lo:hi],
+                                    th_next[lo:hi])
+    else:
+        jj = np.arange(N_tot) % model2.n + 1
+        # the shift row of the ring gather at twist 0: +0.0 off the centre,
+        # -0.0 at it, so signed zeros come out as on a ring
+        shift = np.zeros(2 * m + 1)
+        shift[m] = -0.0
+
+        def force(tau, lo, hi):
+            windows = sliding_window_view(U[lo - m:hi + m], 2 * m + 1) + shift
+            return _tabulated_force(model2.kind, jj[lo:hi], tau, windows)
+
     obs = slice(pad, pad + n_obs)
-    interior = slice(m, N_tot - m) if m > 0 else slice(0, N_tot)
+    reach = m * (total_steps - 1)
+    particle_steps = 0
     t_out = []
     vals = []
     for w, n_sub, dt, start in plan:
         if n_sub:
             c, beta = _euler_coeff(model2, dt)
             for k in range(n_sub):
-                F = force_profile(model2, start + k * dt, U, 0)[interior]
-                # the m ghost particles at each end stay frozen
-                U[interior], Xi[interior] = _euler_update(U[interior], Xi[interior],
-                                                          F, c, beta, dt)
+                lo, hi = pad - reach, pad + n_obs + reach
+                U[lo:hi], Xi[lo:hi] = _euler_update(
+                    U[lo:hi], Xi[lo:hi], force(start + k * dt, lo, hi),
+                    c, beta, dt)
+                particle_steps += hi - lo
+                reach -= m
         if not np.all(np.isfinite(U[obs])):
             raise NumericalError(f"microscopic state blew up before t = {w}",
                                  tau=w / eps)
@@ -426,7 +456,8 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     return MicroField(eps=eps, t_grid=np.array(t_out), i_lo=i_lo,
                       values=np.array(vals),
                       meta={"pad": pad, "n_steps": total_steps, "dt": dt_max,
-                            "N_total": N_tot, "K0": K0, "L": L})
+                            "N_total": N_tot, "K0": K0, "L": L,
+                            "particle_steps": particle_steps})
 
 
 def gradient_sandwich_probe(field: MicroField, K0: float, n_type: int,

@@ -246,6 +246,22 @@ def test_unsorted_p_grid_homogenize_agrees_with_pipeline(tmp_path):
     assert (out / "macro.csv").read_text() == macro_h
 
 
+@pytest.mark.parametrize("command", ["effham", "pipeline"])
+@pytest.mark.parametrize("field,grid,needle", [
+    ("p_grid", [[4, 5], [1, 1], [2, 2], [5, 4]], "repeated value 1"),
+    ("L_grid", [0.5, 1.0, 0.5], "repeated value 0.5")])
+def test_repeated_grid_value_exits_validation(tmp_path, capsys, command, field,
+                                              grid, needle):
+    cfg = _pipeline_cfg(tmp_path)
+    cfg["effham"][field] = grid
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"config.effham.{field}" in err and needle in err
+    assert not (out / "effective_table.csv").exists()
+    assert not list(out.glob("cache/*"))
+
+
 @pytest.mark.parametrize("stage,cut", [("effham", "mid_row"), ("effham", "row_boundary"),
                                        ("converge", "half")])
 def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):

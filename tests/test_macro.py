@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import fkhomog as fk
-from fkhomog.chain import NumericalError
+from fkhomog.chain import (NumericalError, _euler_coeff, _euler_update,
+                           _type_patterns, _window_gather, force_profile)
 from fkhomog.macro import (A0Report, HamiltonianInterp, MacroError, Profile,
-                           gradient_sandwich_probe)
+                           _march_plan, gradient_sandwich_probe)
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -249,6 +250,145 @@ def test_rescale_micro_integer_lift_commutes():
     f1 = fk.rescale_micro(m, 0.0, eps, u0, T=0.3, window=(-5.0, 5.0), t_record=[0.3])
     f2 = fk.rescale_micro(m, 0.0, eps, shifted, T=0.3, window=(-5.0, 5.0), t_record=[0.3])
     assert np.allclose(f2.values, f1.values + eps * k, atol=1e-12)
+
+
+def _rescale_micro_full(model, L, eps, u0, T, window, *, xi0=None,
+                        t_record=None, safety=0.5):
+    """Reference march for rescale_micro: every Euler step advances the whole
+    padded array through the ring force (twist 0), the m particles at each
+    end frozen.  Returns (t_grid, values, meta)."""
+    model2 = fk.with_extra_drive(model, L)
+    m = model2.m
+    i_lo = math.floor(window[0] / eps)
+    n_obs = math.floor(window[1] / eps) - i_lo + 1
+    dt_max = safety / model2.alpha0
+    plan = _march_plan(t_record if t_record is not None else [T], T, dt_max, eps)
+    total = sum(n_sub for _, n_sub, _, _ in plan)
+    pad = m * (total + 1)
+    pad += (i_lo - pad) % model2.n
+    N = n_obs + 2 * pad
+    x = eps * np.arange(i_lo - pad, i_lo + n_obs + pad)
+    U = u0.value(x) / eps
+    Xi = U.copy() if xi0 is None else xi0.value(x) / eps
+    inner = slice(m, N - m)
+    vals = []
+    for _, n_sub, dt, start in plan:
+        if n_sub:
+            c, beta = _euler_coeff(model2, dt)
+            for k in range(n_sub):
+                F = force_profile(model2, start + k * dt, U, 0)[inner]
+                U[inner], Xi[inner] = _euler_update(U[inner], Xi[inner], F,
+                                                    c, beta, dt)
+        vals.append(eps * U[pad:pad + n_obs].copy())
+    meta = {"pad": pad, "n_steps": total, "dt": dt_max, "N_total": N,
+            "K0": u0.slope_frame(), "L": L}
+    return np.array([t for t, *_ in plan]), np.array(vals), meta
+
+
+def _window_force(j, tau, w):
+    """Nearest-neighbour springs theta = 1 plus a pinning sine, one window
+    per call."""
+    return (w[2] - w[1]) - (w[1] - w[0]) + 0.5 * math.sin(2 * math.pi * w[1])
+
+
+def _window_model():
+    return fk.build_tabulated(_window_force, n=1, m=1, m0=1.0 / (2.0 * 12.0),
+                              lip_V=4.0 + math.pi, f_at_zero_sup=0.0)
+
+
+def _two_type_batch_model():
+    """n = 2, m = 2 batch force with a tau-periodic drive."""
+    theta = np.array([1.0, 0.6])
+
+    def fn(j, tau, w):
+        j = np.asarray(j)
+        c = w[..., 2]
+        return (theta[j % 2] * (w[..., 3] - c) - theta[(j - 1) % 2] * (c - w[..., 1])
+                + 0.2 * (w[..., 4] - c) - 0.2 * (c - w[..., 0])
+                + 0.8 * np.sin(2 * math.pi * c) + 0.3 * np.sin(2 * math.pi * tau))
+
+    return fk.build_tabulated(fn, n=2, m=2, m0=0.03,
+                              lip_V=2.0 * (1.6 + 0.4) + 2 * math.pi * 0.8,
+                              f_at_zero_sup=0.3, batch=True)
+
+
+TRIM_CASES = {
+    "classical_n1": lambda: (fkmodel(L=1.0, margin=1.2), 0.5, 0.05,
+                             wavy_profile(amp=0.15), 0.3, (-5.0, 5.0), None),
+    # i_lo = -99 is not a multiple of n = 2
+    "classical_n2_drive": lambda: (fkmodel(theta=(1.0, 0.6), L=0.7, margin=1.2),
+                                   1.1, 0.05, wavy_profile(amp=0.15), 0.3,
+                                   (-4.93, 4.0), None),
+    "tabulated_m2_batch": lambda: (_two_type_batch_model(), 0.4, 0.1,
+                                   wavy_profile(amp=0.15), 0.2, (-5.0, 5.0), None),
+    "per_window": lambda: (_window_model(), 0.3, 0.1, wavy_profile(amp=0.15),
+                           0.1, (-5.0, 5.0), None),
+    "record_times": lambda: (fkmodel(L=1.0, margin=1.2), 0.5, 0.05,
+                             wavy_profile(amp=0.15), 0.3, (-5.0, 5.0),
+                             [0.0, 0.1, 0.1, 0.25, 0.3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIM_CASES))
+def test_rescale_micro_trimmed_equals_full_window_march(case):
+    """Stepping only the shrinking light cone of the window leaves every
+    recorded value bitwise that of stepping the whole padded array."""
+    model, L, eps, u0, T, window, t_record = TRIM_CASES[case]()
+    field = fk.rescale_micro(model, L, eps, u0, T, window, t_record=t_record)
+    t_ref, v_ref, meta_ref = _rescale_micro_full(model, L, eps, u0, T, window,
+                                                 t_record=t_record)
+    if case == "classical_n2_drive":
+        assert field.i_lo % 2 == 1
+    assert field.t_grid.tobytes() == t_ref.tobytes()
+    assert field.values.shape == v_ref.shape
+    assert field.values.tobytes() == v_ref.tobytes()
+    meta = dict(field.meta)
+    meta.pop("particle_steps")
+    assert meta == meta_ref
+
+
+def test_rescale_micro_counts_particle_steps():
+    m = fkmodel(L=1.0, margin=1.2)
+    field = fk.rescale_micro(m, 0.5, 0.05, wavy_profile(amp=0.15), T=0.3,
+                             window=(-5.0, 5.0))
+    meta = field.meta
+    S, n_obs = meta["n_steps"], field.values.shape[1]
+    assert meta["particle_steps"] < meta["N_total"] * S
+    # a step with k steps after it advances n_obs + 2 m k particles
+    assert meta["particle_steps"] == S * n_obs + m.m * S * (S - 1)
+
+
+def test_rescale_micro_never_builds_wrap_around_windows():
+    """The open array is never closed into a ring: a per-window force that
+    refuses windows with a backward jump (a drop of more than 2, far beyond
+    the unit-cell windows the assumption check samples) is never called on
+    one."""
+    def fn(j, tau, w):
+        if np.any(np.diff(w) < -2.0):
+            raise ValueError(f"window with a backward jump: {w}")
+        return _window_force(j, tau, w)
+
+    model = fk.build_tabulated(fn, n=1, m=1, m0=1.0 / (2.0 * 12.0),
+                               lip_V=4.0 + math.pi, f_at_zero_sup=0.0)
+    field = fk.rescale_micro(model, 0.0, 0.1, wavy_profile(amp=0.15), T=0.2,
+                             window=(-5.0, 5.0))
+    assert np.all(np.isfinite(field.values))
+
+
+def test_rescale_micro_adds_at_most_one_cache_entry_per_call():
+    """Active slices of every length must not each key the N-keyed caches
+    of the ring force."""
+    cases = [(fkmodel(L=1.0, margin=1.2), 0.1), (fkmodel(L=1.0, margin=1.2), 0.05),
+             (fkmodel(theta=(1.0, 0.6), margin=1.2), 0.05),
+             (_two_type_batch_model(), 0.1)]
+    for model, eps in cases:
+        before = [f.cache_info() for f in (_type_patterns, _window_gather)]
+        fk.rescale_micro(model, 0.5, eps, wavy_profile(amp=0.15), T=0.2,
+                         window=(-5.0, 5.0))
+        after = [f.cache_info() for f in (_type_patterns, _window_gather)]
+        for b, a in zip(before, after):
+            assert a.misses - b.misses <= 1
+            assert a.currsize - b.currsize <= 1
 
 
 # ---------------------------------------------------------------------------
