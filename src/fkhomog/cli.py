@@ -375,11 +375,12 @@ def cmd_hull(cfg: dict, args) -> int:
     return EXIT_OK if axioms.all_ok else EXIT_PARTIAL
 
 
-def _load_profile(path: str) -> mac.Profile:
+def _load_profile(blk: dict, key: str) -> mac.Profile:
+    path = blk[key]
     try:
         return mac.Profile.from_csv(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"u0_file: cannot read {path}: {exc}")
+    except (OSError, mac.MacroError) as exc:
+        raise ConfigError(f"{key}: cannot read {path}: {exc}")
 
 
 def _interp_for(cfg, args, blk, cache) -> mac.HamiltonianInterp:
@@ -399,7 +400,7 @@ def cmd_homogenize(cfg: dict, args, cache: Cache | None = None) -> int:
     if not blk:
         raise ConfigError("config.homogenize: block required")
     model = mdl.model_from_config(cfg["model"])
-    u0 = _load_profile(blk["u0_file"])
+    u0 = _load_profile(blk, "u0_file")
     if u0.slopes().min() <= 0:
         raise ConfigError("config.homogenize.u0_file: profile violates the slope "
                           "frame (nonpositive chord); see check_A0")
@@ -422,13 +423,13 @@ def cmd_converge(cfg: dict, args, cache: Cache | None = None) -> int:
     if not blk:
         raise ConfigError("config.converge: block required")
     model = mdl.model_from_config(cfg["model"])
-    u0 = _load_profile(blk["u0_file"])
+    u0 = _load_profile(blk, "u0_file")
+    xi0 = _load_profile(blk, "xi0_file") if "xi0_file" in blk else None
     H = _interp_for(cfg, args, blk, cache)
-    # key on profile contents, not paths, so edited files never stale-hit
-    digests = {"u0": hashlib.sha256(u0.to_csv().encode()).hexdigest()}
-    if "xi0_file" in blk:
-        digests["xi0"] = hashlib.sha256(
-            _load_profile(blk["xi0_file"]).to_csv().encode()).hexdigest()
+    # key on the profiles that are solved, not paths, so edited files never
+    # stale-hit
+    digests = {name: hashlib.sha256(prof.to_csv().encode()).hexdigest()
+               for name, prof in (("u0", u0), ("xi0", xi0)) if prof is not None}
     payload = {"model": cfg["model"], "converge": blk, "seed": cfg.get("seed", 0),
                "profiles": digests}
     if cache is not None:
@@ -442,7 +443,6 @@ def cmd_converge(cfg: dict, args, cache: Cache | None = None) -> int:
             (out / "convergence.json").write_text(text)
             print("convergence report served from cache")
             return EXIT_OK
-    xi0 = _load_profile(blk["xi0_file"]) if "xi0_file" in blk else None
     report = mac.convergence_study(model, blk["L"], u0, blk["eps_list"], blk["T"],
                                    tuple(blk["window"]), H,
                                    xi0=xi0, M0=blk.get("M0", 0.0))

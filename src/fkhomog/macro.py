@@ -97,10 +97,16 @@ class Profile:
 
     @classmethod
     def from_csv(cls, text: str) -> "Profile":
-        rows = [ln.split(",") for ln in text.strip().splitlines()[1:] if ln]
-        x = np.array([float(r[0]) for r in rows])
-        u = np.array([float(r[1]) for r in rows])
-        return cls(x=x, u=u)
+        """Rows x,u after a header line; any other row is a MacroError."""
+        x, u = [], []
+        for ln in filter(None, text.strip().splitlines()[1:]):
+            try:
+                xv, uv = map(float, ln.split(","))
+            except ValueError:
+                raise MacroError(f"row {ln!r} is not two numbers x,u") from None
+            x.append(xv)
+            u.append(uv)
+        return cls(x=np.array(x), u=np.array(u))
 
 
 @dataclass(frozen=True)
@@ -355,11 +361,7 @@ class MicroField:
 
 
 def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
-                  T: float, window: tuple[float, float], *,
-                  xi0: Optional[Profile] = None, M0: float = 0.0,
-                  K0: Optional[float] = None,
-                  safety: float = 0.5, t_record: Optional[Sequence[float]] = None,
-                  max_particles: int = 5_000_000) -> MicroField:
+                  T: float, window: tuple[float, float], **kw) -> MicroField:
     """Simulate U_i(0) = u0(i eps)/eps on a padded window and return
     u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times.
 
@@ -371,8 +373,19 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     Particles outside the slice keep stale values that never reach the
     window, so values on the window are exactly those of the infinite chain.
     meta records the particles actually stepped, summed over steps, as
-    particle_steps.
+    particle_steps.  Keyword options are those of ``_rescale_micro``, the
+    body without the structural check (see ``require_monotone``).
     """
+    require_monotone(model)
+    return _rescale_micro(model, L, eps, u0, T, window, **kw)
+
+
+def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
+                   T: float, window: tuple[float, float], *,
+                   xi0: Optional[Profile] = None, M0: float = 0.0,
+                   K0: Optional[float] = None,
+                   safety: float = 0.5, t_record: Optional[Sequence[float]] = None,
+                   max_particles: int = 5_000_000) -> MicroField:
     if eps <= 0:
         raise MacroError("eps must be positive")
     x_lo, x_hi = float(window[0]), float(window[1])
@@ -391,7 +404,6 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
         raise MacroError(f"initial profile violates the slope frame: {rep}")
 
     model2 = with_extra_drive(model, L)
-    require_monotone(model2)
     a0 = model2.alpha0
     dt_max = safety / a0
     m = model2.m
@@ -527,6 +539,7 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise MacroError("eps_list must be strictly decreasing")
+    require_monotone(model)
     t_samples = np.linspace(T / 2.0, T, n_times)
     x_lo, x_hi = float(window[0]), float(window[1])
     quarter = 0.25 * (x_hi - x_lo)
@@ -537,8 +550,8 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     errors = []
     floor_err = math.inf
     for eps in eps_list:
-        micro = rescale_micro(model, L, eps, u0, T, window, xi0=xi0, M0=M0,
-                              safety=safety, t_record=t_samples)
+        micro = _rescale_micro(model, L, eps, u0, T, window, xi0=xi0, M0=M0,
+                               safety=safety, t_record=t_samples)
         macro = solve_hj(H_eff, u0, T, dx=eps, record_times=t_samples)
         xs = micro.x_cells
         sel = (xs >= cx_lo) & (xs <= cx_hi)

@@ -99,7 +99,7 @@ def rotation_number(model: ForceModel, p, L_extra: float = 0.0,
     carries the bracket, the certified half-width C2/T and a converged flag.
     This is the one-row case of the column solver behind :func:`sweep`.
     """
-    require_monotone(with_extra_drive(model, L_extra))
+    require_monotone(model)
     est, = _solve_column(model, p, [L_extra], tol, T_cap, cells=cells,
                          safety=safety, sample_dt=sample_dt, T0=T0,
                          perturbation=perturbation)
@@ -311,11 +311,6 @@ def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
     own bracket test.  Entries equal those of per-entry :func:`rotation_number`
     calls bit for bit; an entry that blows up becomes NaN and is listed in
     ``failures``, the rest of its column is unaffected.
-
-    The structural assumptions are checked once, on ``model``: a constant
-    drive L leaves (A1)-(A5) unchanged exactly.  (For a tabulated model the
-    sampled finite differences of ``with_extra_drive(model, L)`` would differ
-    from the base model's only by rounding, ~1e-15 against SAMPLING_TOL.)
     """
     p_grid = [Fraction(p) for p in p_grid]
     L_grid = np.asarray(list(L_grid), dtype=float)

@@ -235,6 +235,46 @@ def test_converge_flat_chord_exits_validation(tmp_path, capsys):
     assert not (out / "convergence.json").exists()
 
 
+@pytest.mark.parametrize("command,key", [("homogenize", "u0_file"),
+                                         ("converge", "u0_file"),
+                                         ("converge", "xi0_file")])
+@pytest.mark.parametrize("row", ["0.5,abc", "0.5", "0.5,1.0,2.0"])
+def test_malformed_profile_file_exits_validation(tmp_path, capsys, command, key, row):
+    """A profile row that is not two numbers exits 2 naming the file."""
+    cfg = _pipeline_cfg(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"x,u0\n-5.0,-5.0\n{row}\n5.0,5.0\n")
+    cfg[command][key] = str(bad)
+    cfg[command]["table_file"] = str(tmp_path / "table.csv")
+    (tmp_path / "table.csv").write_text("L,p,lambda,halfwidth,converged\n"
+                                        "0.5,1/2,0.5,0.001,1\n0.5,2/1,0.5,0.001,1\n")
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert key in err and str(bad) in err and repr(row) in err
+    assert not any(out.iterdir())
+
+
+def test_converge_reads_each_profile_once(tmp_path, monkeypatch):
+    """The cache key digests the very profiles that are solved."""
+    texts = []
+    parse = Profile.from_csv.__func__
+
+    def counting(cls, text):
+        texts.append(text)
+        return parse(cls, text)
+
+    monkeypatch.setattr(Profile, "from_csv", classmethod(counting))
+    cfg = _pipeline_cfg(tmp_path)
+    cfg["converge"].update(xi0_file=cfg["converge"]["u0_file"], eps_list=[0.1],
+                           table_file=str(tmp_path / "table.csv"))
+    (tmp_path / "table.csv").write_text("L,p,lambda,halfwidth,converged\n"
+                                        "0.5,1/2,0.5,0.001,1\n0.5,2/1,0.5,0.001,1\n")
+    rc, out = run_cli(tmp_path, cfg, "converge")
+    assert rc == 0
+    assert len(texts) == 2
+
+
 def test_unsorted_p_grid_homogenize_agrees_with_pipeline(tmp_path):
     cfg = _pipeline_cfg(tmp_path)
     cfg["effham"]["p_grid"] = [[5, 4], [1, 1], [4, 5]]

@@ -11,6 +11,7 @@ from fkhomog.chain import (NumericalError, _euler_coeff, _euler_update,
                            _type_patterns, _window_gather, force_profile)
 from fkhomog.macro import (A0Report, HamiltonianInterp, MacroError, Profile,
                            _march_plan, gradient_sandwich_probe)
+from fkhomog.model import ModelError
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -417,6 +418,45 @@ def test_convergence_errors_nonnegative_and_rates_reported():
     import json
     d = json.loads(rep.to_json())
     assert d["eps"] == [0.1, 0.05]
+
+
+def _non_periodic_model():
+    """A tabulated force that is not 1-periodic in the window: fails (A4)."""
+    return fk.build_tabulated(lambda j, tau, w: 0.1 * np.asarray(w)[..., 1], n=1, m=1,
+                              m0=0.05, lip_V=0.1, f_at_zero_sup=0.0, batch=True)
+
+
+def test_failing_tabulated_model_refused_by_every_entry_point():
+    model = _non_periodic_model()
+    u0 = Profile.linear(1.0, -5.0, 5.0)
+    H = HamiltonianInterp.from_points([0.5, 2.0], [0.0, 0.0])
+    with pytest.raises(ModelError, match="a4"):
+        fk.rotation_number(model, 1, L_extra=0.5)
+    with pytest.raises(ModelError, match="a4"):
+        fk.sweep(model, [1], [0.0, 0.5])
+    with pytest.raises(ModelError, match="a4"):
+        fk.rescale_micro(model, 0.5, 0.1, u0, 0.2, (-5.0, 5.0))
+    with pytest.raises(ModelError, match="a4"):
+        fk.convergence_study(model, 0.5, u0, [0.1, 0.05], 0.2, (-5.0, 5.0), H)
+
+
+def test_convergence_study_checks_the_model_once(monkeypatch):
+    """One sampled check per study, not one per eps level."""
+    calls = []
+    check = fk.model.check_assumptions
+
+    def counting(model, *args, **kw):
+        calls.append(model)
+        return check(model, *args, **kw)
+
+    monkeypatch.setattr(fk.model, "check_assumptions", counting)
+    model = fk.build_constant_force(0.5, m0=0.05)
+    u0 = Profile.linear(1.0, -5.0, 5.0)
+    H = HamiltonianInterp.from_points([0.5, 2.0], [0.5, 0.5])
+    rep = fk.convergence_study(model, 0.25, u0, [0.1, 0.05, 0.025], 0.2,
+                               (-5.0, 5.0), H)
+    assert len(rep.errors) == 3
+    assert calls == [model]
 
 
 def test_convergence_rejects_nondecreasing_eps():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fkhomog as fk
 from fkhomog.model import (ModelError, build_tabulated, model_from_config,
                            model_to_config, report_to_json)
+from test_chain import _wavy_force
 
 
 def test_build_zero_potential_linear_chain():
@@ -195,6 +196,152 @@ def test_tabulated_sampled_a3_margin():
     # centered FD underestimates the sine derivative by sinc(pi h): ~1.3% at h=1/16
     assert rep.a3.margin == pytest.approx(1.0, abs=0.1)
     assert rep.critical_mass == pytest.approx(1 / (8 * math.pi), rel=0.02)
+
+
+def _window_force(j, tau, w):
+    """One window per call: springs, a pinning sine and a tau drive."""
+    return ((w[2] - w[1]) - (w[1] - w[0]) + 0.5 * math.sin(2 * math.pi * w[1])
+            + 0.1 * math.cos(2 * math.pi * tau))
+
+
+def _quantized_force(j, tau, w):
+    """Piecewise constant in every variable: ties everywhere, so the
+    witnesses pin which sample is reported first."""
+    w = np.asarray(w, dtype=float)
+    return (np.floor(4 * w[..., 1]) / 4 + 0.25 * np.asarray(j)
+            - 0.5 * np.floor(2 * w[..., 0]) + np.floor(3 * tau) / 3)
+
+
+def _in_place_force(j, tau, w):
+    """Recentres its windows in place, as a user force may: every call must
+    get windows of its own."""
+    w = np.asarray(w)
+    c = w[..., 1].copy()
+    w -= c[..., None]
+    return ((w[..., 2] - w[..., 1]) - (w[..., 1] - w[..., 0])
+            + 0.5 * np.sin(2 * math.pi * c) + 0.1 * np.cos(2 * math.pi * tau))
+
+
+def _failing_force(j, tau, w):
+    """Breaks a1-a6: negative coupling, no periodicity in the window or in
+    j, and a steep onsite term for a heavy mass."""
+    w = np.asarray(w, dtype=float)
+    return (-0.3 * (w[..., 2] - w[..., 1]) + 0.05 * np.asarray(j) * w[..., 0]
+            + 2.0 * np.sin(2 * math.pi * w[..., 1]) + 0.1 * tau)
+
+
+GOLDEN_MODELS = {
+    "wavy_d4": (lambda: build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                                        f_at_zero_sup=0.3, batch=True), 4),
+    "wavy_d8": (lambda: build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                                        f_at_zero_sup=0.3, batch=True), 8),
+    "per_window_d8": (lambda: build_tabulated(_window_force, n=1, m=1, m0=1 / 24,
+                                              lip_V=4 + math.pi, f_at_zero_sup=0.1), 8),
+    "constant_d16": (lambda: fk.build_constant_force(1.5, m0=0.05), 16),
+    "in_place_d8": (lambda: build_tabulated(_in_place_force, n=1, m=1, m0=1 / 24,
+                                            lip_V=4 + math.pi, f_at_zero_sup=0.1,
+                                            batch=True), 8),
+    "quantized_d4": (lambda: build_tabulated(_quantized_force, n=2, m=1, m0=0.02,
+                                             lip_V=1.0, f_at_zero_sup=1.0,
+                                             batch=True), 4),
+    "failing_d8": (lambda: build_tabulated(_failing_force, n=2, m=1, m0=0.2,
+                                           lip_V=0.5, f_at_zero_sup=0.0,
+                                           batch=True), 8),
+}
+
+# reports of the sampled check, pinned bit for bit (floats by repr)
+GOLDEN_REPORTS = {
+    "wavy_d4": (
+        'AssumptionReport(a1=AssumptionCheck(holds=True, margin=1.4745166104060932, '
+        "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+        "margin=0.1999999999999993, witness=None, note=''), "
+        'a3=AssumptionCheck(holds=True, margin=11.949033200812188, witness=None, '
+        "note=''), a4=AssumptionCheck(holds=True, margin=9.999999777955395e-09, "
+        "witness=None, note=''), a5=AssumptionCheck(holds=True, margin=1e-08, "
+        "witness=None, note=''), a6=AssumptionCheck(holds=True, "
+        "margin=0.9175783007000078, witness=None, note=''), "
+        'critical_mass=0.038311337979276446)'
+    ),
+    "wavy_d8": (
+        'AssumptionReport(a1=AssumptionCheck(holds=True, margin=1.101652075726843, '
+        "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+        "margin=0.19999999999999574, witness=None, note=''), "
+        'a3=AssumptionCheck(holds=True, margin=11.203304131453699, witness=None, '
+        "note=''), a4=AssumptionCheck(holds=True, margin=9.99999911182158e-09, "
+        "witness=None, note=''), a5=AssumptionCheck(holds=True, margin=1e-08, "
+        "witness=None, note=''), a6=AssumptionCheck(holds=True, "
+        "margin=0.45734067054786287, witness=None, note=''), "
+        'critical_mass=0.036240561128835176)'
+    ),
+    "per_window_d8": (
+        'AssumptionReport(a1=AssumptionCheck(holds=True, margin=0.0801252046690708, '
+        "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+        "margin=0.9999999999999982, witness=None, note=''), "
+        'a3=AssumptionCheck(holds=True, margin=1.8770650821585608, witness=None, '
+        "note=''), a4=AssumptionCheck(holds=True, margin=9.99999955591079e-09, "
+        "witness=None, note=''), a5=AssumptionCheck(holds=True, margin=1e-08, "
+        "witness=None, note=''), a6=AssumptionCheck(holds=True, "
+        "margin=0.5412768626320981, witness=None, note=''), "
+        'critical_mass=0.04939279014021532)'
+    ),
+    "constant_d16": (
+        'AssumptionReport(a1=AssumptionCheck(holds=True, margin=1e-08, witness=None, '
+        "note=''), a2=AssumptionCheck(holds=True, margin=0.0, witness=None, note=''), "
+        "a3=AssumptionCheck(holds=True, margin=10.0, witness=None, note=''), "
+        "a4=AssumptionCheck(holds=True, margin=1e-08, witness=None, note=''), "
+        "a5=AssumptionCheck(holds=True, margin=1e-08, witness=None, note=''), "
+        'a6=AssumptionCheck(holds=True, margin=0.0013112626735427568, witness=None, '
+        "note=''), critical_mass=inf)"
+    ),
+    "in_place_d8": (
+        'AssumptionReport(a1=AssumptionCheck(holds=True, margin=0.0801252046690708, '
+        "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+        "margin=0.9999999999999982, witness=None, note=''), "
+        'a3=AssumptionCheck(holds=True, margin=1.8770650821585608, witness=None, '
+        "note=''), a4=AssumptionCheck(holds=True, margin=9.99999955591079e-09, "
+        "witness=None, note=''), a5=AssumptionCheck(holds=True, margin=1e-08, "
+        "witness=None, note=''), a6=AssumptionCheck(holds=True, "
+        "margin=0.5412768626320981, witness=None, note=''), "
+        'critical_mass=0.04939279014021532)'
+    ),
+    "quantized_d4": (
+        'AssumptionReport(a1=AssumptionCheck(holds=False, margin=-1.999999990000001, '
+        'witness=(2, 0.5, np.float64(0.0), np.float64(0.75), np.float64(0.0)), '
+        "note=''), a2=AssumptionCheck(holds=False, margin=-2.000000000000001, "
+        'witness=(2, 0.5, np.float64(0.0), np.float64(0.75), np.float64(0.0)), '
+        "note=''), a3=AssumptionCheck(holds=True, margin=27.0, witness=None, note=''), "
+        'a4=AssumptionCheck(holds=False, margin=-0.9999999900000004, witness=(1, 0.75, '
+        "np.float64(0.0), np.float64(0.25), np.float64(0.0)), note=''), "
+        'a5=AssumptionCheck(holds=False, margin=-0.4999999900000002, witness=(2, 0.5, '
+        "np.float64(0.0), np.float64(0.75), np.float64(0.0)), note=''), "
+        'a6=AssumptionCheck(holds=False, margin=-1.4543953716341917, witness=(1, '
+        '0.1465001560206799, np.float64(0.44490679198272054), '
+        'np.float64(1.1136709801079805), np.float64(1.1154951652426128), '
+        "np.float64(1.5784950965053526)), note=''), critical_mass=inf)"
+    ),
+    "failing_d8": (
+        'AssumptionReport(a1=AssumptionCheck(holds=False, margin=-12.445869825682873, '
+        'witness=(2, 0.0, np.float64(0.0), np.float64(0.0), np.float64(0.0)), '
+        "note=''), a2=AssumptionCheck(holds=False, margin=-0.3000000000000025, "
+        'witness=(1, 0.125, np.float64(0.375), np.float64(0.25), np.float64(0.375)), '
+        "note=''), a3=AssumptionCheck(holds=False, margin=-21.391739671365748, "
+        'witness=(1, 0.0, np.float64(0.0), np.float64(0.5), np.float64(0.0)), '
+        "note=''), a4=AssumptionCheck(holds=False, margin=-0.09999999000000165, "
+        'witness=(2, 0.0, np.float64(0.0), np.float64(0.375), np.float64(0.125)), '
+        "note=''), a5=AssumptionCheck(holds=False, margin=-0.08749999000000036, "
+        'witness=(1, 0.0, np.float64(0.875), np.float64(0.25), np.float64(0.125)), '
+        "note=''), a6=AssumptionCheck(holds=False, margin=-6.779641788154445, "
+        'witness=(1, 0.4706226206098999, np.float64(0.1171360696103887), '
+        'np.float64(0.30055893378967813), np.float64(0.6722341210913207), '
+        "np.float64(1.7529684616214076)), note=''), critical_mass=0.020927735145182837)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_sampled_check_reports_are_pinned(name):
+    build, d = GOLDEN_MODELS[name]
+    assert repr(fk.check_assumptions(build(), sample_density=d)) == GOLDEN_REPORTS[name]
 
 
 # ---------------------------------------------------------------------------
