@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (ClassicalFK, ForceModel, ModelError, ConstantsLedger,
-                    require_monotone, _classical_force, _tabulated_force)
+from .model import (ForceModel, ModelError, ConstantsLedger, check_assumptions,
+                    require_monotone, _force)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -126,24 +126,18 @@ def cfl_dt(model: ForceModel, safety: float = 1.0, check: bool = True,
     return safety / (model.alpha0 + delta * max(a0, 0.0))
 
 
-@lru_cache(maxsize=64)
-def _type_patterns(theta: tuple, n: int, N: int):
-    th = np.asarray(theta, dtype=float)
-    t = np.arange(N) % n
-    return th[t], th[(t + 1) % n]
-
-
 @lru_cache(maxsize=16)
-def _window_gather(N: int, Q: int, m: int):
-    """Index and twist shift of the windows (U_{i-m}, ..., U_{i+m}) of a ring:
-    window[i, k] = U[idx[i, k]] + shift[i, k].  The centre column adds -0.0,
-    which leaves every value (signed zeros included) as it is."""
+def _window_gather(N: int, Q: int, m: int, n: int):
+    """Index, twist shift and 0-based type of the ring windows (U_{i-m}, ...,
+    U_{i+m}): window[i, k] = U[idx[i, k]] + shift[i, k].  A neighbour across
+    the seam adds its multiple of Q, any other adds -0.0, a no-op."""
     pos = np.arange(N)[:, None] + np.arange(-m, m + 1)
     idx = pos % N
-    shift = (Q * (pos // N)).astype(float)
-    shift[:, m] = -0.0
-    idx.flags.writeable = shift.flags.writeable = False
-    return idx, shift
+    shift = float(Q) * (pos // N)
+    shift[pos // N == 0] = -0.0
+    types = np.arange(N) % n
+    idx.flags.writeable = shift.flags.writeable = types.flags.writeable = False
+    return idx, shift, types
 
 
 def _neighbor(U: np.ndarray, Q: int, k: int) -> np.ndarray:
@@ -156,41 +150,16 @@ def _neighbor(U: np.ndarray, Q: int, k: int) -> np.ndarray:
     return U[..., idx % N] + Q * (idx // N)
 
 
-def _drive_column(model: ForceModel, L) -> np.ndarray:
-    """Per-row drives for :func:`force_profile` as a (B, 1) column: the total
-    drive kind.drive + L of a classical model, the extra drive L of a
-    tabulated one.  Zero drives are stored as -0.0, whose addition changes no
-    value, so every row matches ``with_extra_drive(model, L)`` bit for bit."""
-    d = np.asarray(L, dtype=float).reshape(-1, 1)
-    if isinstance(model.kind, ClassicalFK):
-        d = model.kind.drive + d
-    return np.where(d == 0.0, -0.0, d)
-
-
 def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int,
                   drive: Optional[np.ndarray] = None) -> np.ndarray:
     """F_i(tau, window) for every particle of the ring, twist-aware.
 
     U has shape (N,) or (B, N) (B rings with the same twist Q).  drive, a
-    (B, 1) column from :func:`_drive_column`, gives each ring its own drive:
-    it replaces a classical model's drive and is added to a tabulated
-    model's value, as :func:`fkhomog.model.with_extra_drive` does.
+    (B, 1) column from :func:`fkhomog.model._drive_column`, gives each ring
+    its own drive, as :func:`fkhomog.model.with_extra_drive` does.
     """
-    N = U.shape[-1]
-    if isinstance(model.kind, ClassicalFK):
-        th_self, th_next = _type_patterns(model.kind.theta, model.n, N)
-        up = np.empty_like(U)
-        up[..., :-1] = U[..., 1:]
-        up[..., -1] = U[..., 0] + Q
-        dn = np.empty_like(U)
-        dn[..., 1:] = U[..., :-1]
-        dn[..., 0] = U[..., -1] - Q
-        return _classical_force(model.kind, dn, U, up, th_self, th_next, drive)
-    idx, shift = _window_gather(N, Q, model.m)
-    windows = (U[..., idx] + shift).reshape(-1, 2 * model.m + 1)
-    jj = np.tile(np.arange(N) % model.n + 1, windows.shape[0] // N)
-    F = _tabulated_force(model.kind, jj, tau, windows).reshape(U.shape)
-    return F if drive is None else F + drive
+    idx, shift, types = _window_gather(U.shape[-1], Q, model.m, model.n)
+    return _force(model, tau, U[..., idx] + shift, types, drive)
 
 
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
@@ -353,7 +322,6 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
     if sample_dt <= 0:
         raise ModelError("sample_dt must be positive")
     if check:
-        from .model import check_assumptions
         rep = check_assumptions(model)
         if not rep.core_holds:
             # exploration of the non-monotone regime is allowed, just never

@@ -297,7 +297,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _effham_table(cfg: dict, args, cache: Cache | None):
+def _effham_table(cfg: dict, cache: Cache | None):
     blk = cfg.get("effham")
     if not blk:
         raise ConfigError("config.effham: block required")
@@ -330,7 +330,7 @@ def _cached_table(path: Path, text: str, blk: dict) -> rot.EffectiveTable:
 
 def cmd_effham(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    table, text, _ = _effham_table(cfg, args, None)
+    table, text, _ = _effham_table(cfg, None)
     (out / "effective_table.csv").write_text(text)
     (out / "effective_table.json").write_text(rot.table_to_json(table))
     worst = rot.monotone_in_L_violation(table)
@@ -383,15 +383,25 @@ def _load_profile(blk: dict, key: str) -> mac.Profile:
         raise ConfigError(f"{key}: cannot read {path}: {exc}")
 
 
-def _interp_for(cfg, args, blk, cache) -> mac.HamiltonianInterp:
-    if "table_file" in blk:
-        try:
-            table = rot.EffectiveTable.from_csv(Path(blk["table_file"]).read_text())
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"table_file: cannot read {blk['table_file']}: {exc}")
-    else:
-        table, _, _ = _effham_table(cfg, args, cache)
-    return mac.HamiltonianInterp.from_table(table, blk["L"])
+def _table_for(cfg, blk, cache) -> rot.EffectiveTable:
+    """The table in blk["table_file"], else the effham table."""
+    if "table_file" not in blk:
+        return _effham_table(cfg, cache)[0]
+    try:
+        return rot.EffectiveTable.from_csv(Path(blk["table_file"]).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"table_file: cannot read {blk['table_file']}: {exc}")
+
+
+def _unconverged_nodes(table: rot.EffectiveTable, L: float, n: int, K0: float) -> list:
+    """The p of every unconverged entry at drive L that H(n q) reads on the
+    slopes q in [1/K0, K0]: the nodes in that range and the nearest node
+    beyond each end."""
+    q = np.sort([float(p) for p in table.p_grid]) / n
+    lo = q[max(np.searchsorted(q, 1.0 / K0, side="right") - 1, 0)]
+    hi = q[min(np.searchsorted(q, K0), q.size - 1)]
+    conv = table.converged[int(np.argmin(np.abs(table.L_grid - L)))]
+    return [p for p, ok in zip(table.p_grid, conv) if not ok and lo <= float(p) / n <= hi]
 
 
 def cmd_homogenize(cfg: dict, args, cache: Cache | None = None) -> int:
@@ -409,12 +419,17 @@ def cmd_homogenize(cfg: dict, args, cache: Cache | None = None) -> int:
     if not rep.ok:
         raise ConfigError(f"config.homogenize.u0_file: profile fails (A0): {rep}")
     # table slopes count cells of n particles, profile slopes count particles
-    H = _interp_for(cfg, args, blk, cache).scaled(model.n)
+    table = _table_for(cfg, blk, cache)
+    H = mac.HamiltonianInterp.from_table(table, blk["L"]).scaled(model.n)
     times = blk.get("record_times", [blk["T"]])
     state = mac.solve_hj(H, u0, blk["T"], blk["dx"], K0=K0, record_times=times)
     (out / "macro.csv").write_text(state.to_csv())
     print(f"solved to t = {state.t:.6g}; slope range seen {state.slope_range_seen}")
-    return EXIT_OK
+    stale = _unconverged_nodes(table, blk["L"], model.n, K0)
+    if stale:
+        print(f"table entries read on the slopes [{1 / K0:.6g}, {K0:.6g}] that "
+              f"hit T_cap before tol: L = {blk['L']}, p = {', '.join(map(str, stale))}")
+    return EXIT_PARTIAL if stale else EXIT_OK
 
 
 def cmd_converge(cfg: dict, args, cache: Cache | None = None) -> int:
@@ -425,7 +440,7 @@ def cmd_converge(cfg: dict, args, cache: Cache | None = None) -> int:
     model = mdl.model_from_config(cfg["model"])
     u0 = _load_profile(blk, "u0_file")
     xi0 = _load_profile(blk, "xi0_file") if "xi0_file" in blk else None
-    H = _interp_for(cfg, args, blk, cache)
+    H = mac.HamiltonianInterp.from_table(_table_for(cfg, blk, cache), blk["L"])
     # key on the profiles that are solved, not paths, so edited files never
     # stale-hit
     digests = {name: hashlib.sha256(prof.to_csv().encode()).hexdigest()
@@ -467,23 +482,18 @@ def cmd_pipeline(cfg: dict, args) -> int:
             print(f"pipeline halted at stage {stage}")
             return EXIT_VALIDATION
         stage = "effham"
-        table, text, _ = _effham_table(cfg, args, cache)
+        table, text, _ = _effham_table(cfg, cache)
         (out / "effective_table.csv").write_text(text)
         stage = "homogenize"
+        # a partial result (unconverged table entries read) runs on
         rc = cmd_homogenize(cfg, args, cache)
-        if rc != EXIT_OK:
-            print(f"pipeline halted at stage {stage}")
-            return rc
         stage = "converge"
-        rc = cmd_converge(cfg, args, cache)
-        if rc != EXIT_OK:
-            print(f"pipeline halted at stage {stage}")
-            return rc
+        cmd_converge(cfg, args, cache)
     except (chn.NumericalError, mac.MacroError, hl.HullExtractionError) as exc:
         print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
         print(f"artifacts so far are under {out}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return EXIT_OK
+    return rc
 
 
 COMMANDS = {

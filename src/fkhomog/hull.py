@@ -29,9 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (ClassicalFK, ForceModel, ConstantsLedger, _classical_force,
-                    _tabulated_force)
-from .chain import TrajectoryLog, TRANSIENT_RELAXATION_MULTIPLE, _type_patterns
+from .model import ForceModel, ConstantsLedger, _force
+from .chain import TrajectoryLog, TRANSIENT_RELAXATION_MULTIPLE
 
 
 class HullExtractionError(ValueError):
@@ -330,18 +329,6 @@ def _resample(z: np.ndarray, v: np.ndarray, w: np.ndarray, Z: int,
 # Residuals and axioms
 # ---------------------------------------------------------------------------
 
-def _neighbor_window(hull: HullFunction, model: ForceModel) -> np.ndarray:
-    """[h]_{j,m}(z) on the grid: values h_{j+s}(z) for s in -m..m via the
-    type-shift convention.  Shape (n, Z, 2m+1)."""
-    n, Z, m = hull.n, hull.Z, model.m
-    out = np.empty((n, Z, 2 * m + 1))
-    for t in range(n):
-        j = t + 1
-        for s in range(-m, m + 1):
-            out[t, :, s + m] = hull_value(hull, j + s, hull.z_grid, "h")
-    return out
-
-
 def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
     """Sup-norm defects of the stationary hull equations on the grid.
 
@@ -366,15 +353,12 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
 
     r_h = float(np.abs(lam * d_z(hull.h) - a0 * (hull.g - hull.h)).max())
 
-    win = _neighbor_window(hull, model)
-    n, Z, m = hull.n, hull.Z, model.m
-    if isinstance(model.kind, ClassicalFK):
-        th_self, th_next = _type_patterns(model.kind.theta, n, n)
-        F = _classical_force(model.kind, win[..., m - 1], win[..., m],
-                             win[..., m + 1], th_self[:, None], th_next[:, None])
-    else:
-        F = np.array([_tabulated_force(model.kind, np.full(Z, t + 1), 0.0, win[t])
-                      for t in range(n)])
+    # [h]_{j,m}(z) on the grid, shape (n, Z, 2m+1): the values h_{j+s}(z) for
+    # s in -m..m via the type-shift convention
+    m = model.m
+    win = np.array([[hull_value(hull, j + s, hull.z_grid, "h") for s in range(-m, m + 1)]
+                    for j in range(1, hull.n + 1)]).transpose(0, 2, 1)
+    F = _force(model, 0.0, win, np.arange(hull.n)[:, None])
     r_g = float(np.abs(lam * d_z(hull.g) - (2.0 * F + a0 * (hull.h - hull.g))).max())
     return {"r_h": r_h, "r_g": r_g}
 

@@ -22,9 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import (ClassicalFK, ForceModel, with_extra_drive, require_monotone,
-                    _classical_force, _tabulated_force)
-from .chain import NumericalError, _euler_coeff, _euler_update, _type_patterns
+from .model import ForceModel, with_extra_drive, require_monotone, _force
+from .chain import NumericalError, _euler_coeff, _euler_update
 
 
 class MacroError(ValueError):
@@ -425,24 +424,10 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     U = u0.value(idx * eps) / eps
     Xi = U.copy() if xi0 is None else xi0.value(idx * eps) / eps
 
-    # the force on U[lo:hi] of the open array, read from U[lo - m:hi + m]
-    if isinstance(model2.kind, ClassicalFK):
-        th_self, th_next = _type_patterns(model2.kind.theta, model2.n, N_tot)
-
-        def force(tau, lo, hi):
-            return _classical_force(model2.kind, U[lo - 1:hi - 1], U[lo:hi],
-                                    U[lo + 1:hi + 1], th_self[lo:hi],
-                                    th_next[lo:hi])
-    else:
-        jj = np.arange(N_tot) % model2.n + 1
-        # the shift row of the ring gather at twist 0: +0.0 off the centre,
-        # -0.0 at it, so signed zeros come out as on a ring
-        shift = np.zeros(2 * m + 1)
-        shift[m] = -0.0
-
-        def force(tau, lo, hi):
-            windows = sliding_window_view(U[lo - m:hi + m], 2 * m + 1) + shift
-            return _tabulated_force(model2.kind, jj[lo:hi], tau, windows)
+    # V[k] is the window centred on U[k + m], so the force on U[lo:hi] reads
+    # V[lo - m:hi - m]; U is only ever written in place, so V stays current
+    V = sliding_window_view(U, 2 * m + 1)
+    types = np.arange(N_tot) % model2.n
 
     obs = slice(pad, pad + n_obs)
     reach = m * (total_steps - 1)
@@ -454,9 +439,8 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
             c, beta = _euler_coeff(model2, dt)
             for k in range(n_sub):
                 lo, hi = pad - reach, pad + n_obs + reach
-                U[lo:hi], Xi[lo:hi] = _euler_update(
-                    U[lo:hi], Xi[lo:hi], force(start + k * dt, lo, hi),
-                    c, beta, dt)
+                F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi])
+                U[lo:hi], Xi[lo:hi] = _euler_update(U[lo:hi], Xi[lo:hi], F, c, beta, dt)
                 particle_steps += hi - lo
                 reach -= m
         if not np.all(np.isfinite(U[obs])):

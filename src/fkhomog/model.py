@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,9 +50,11 @@ class TabulatedForce:
     """User-supplied force callable.
 
     ``fn(j, tau, window)`` returns F_j for a 1-based type index j and a window
-    of 2m+1 positions.  With ``batch=True`` the callable must also accept an
-    integer array j of shape (N,) and a window array of shape (N, 2m+1) and
-    return shape (N,).
+    of 2m+1 positions.  With ``batch=True`` it is called instead with an
+    integer array j of shape (K,) and a window array of shape (K, 2m+1), and
+    returns shape (K,); a 0-d result is broadcast to (K,), and any other
+    shape raises ModelError.  A window's off-centre entries never arrive as
+    -0.0 (see ``_force``).
     """
 
     fn: Callable
@@ -137,10 +140,7 @@ def build_constant_force(value: float, n: int = 1, m: int = 1, m0: float = 0.05)
     v = float(value)
 
     def fn(j, tau, window):
-        w = np.asarray(window, dtype=float)
-        if w.ndim == 2:
-            return np.full(w.shape[0], v)
-        return v
+        return v            # broadcast to every window
 
     return build_tabulated(fn, n=n, m=m, m0=m0, lip_V=0.0,
                            f_at_zero_sup=abs(v), batch=True)
@@ -163,28 +163,73 @@ def with_extra_drive(model: ForceModel, L: float) -> ForceModel:
                    f_at_zero_sup=model.f_at_zero_sup + abs(float(L)))
 
 
-def _classical_force(kind: ClassicalFK, dn, c, up, th_self, th_next, drive=None):
-    """The classical F on neighbour values V_{-1} = dn, V_0 = c, V_1 = up with
-    spring constants theta_j = th_self, theta_{j+1} = th_next (scalars or
-    broadcastable arrays); zero amplitude and drive terms are skipped.  An
-    array ``drive`` (per-row drives of a batch) replaces kind.drive."""
-    F = th_next * (up - c) - th_self * (c - dn)
-    if kind.amplitude != 0.0:
-        F += kind.amplitude * np.sin(TWO_PI * c)
-    if drive is not None:
-        F += drive
-    elif kind.drive != 0.0:
-        F += kind.drive
-    return F
+@lru_cache(maxsize=8)
+def _shift_row(m: int) -> np.ndarray:
+    """+0.0 off the centre of a window, -0.0 at it."""
+    row = np.zeros(2 * m + 1)
+    row[m] = -0.0
+    row.flags.writeable = False
+    return row
+
+
+def _drive_column(model: ForceModel, L) -> np.ndarray:
+    """Per-row drives for :func:`_force` as a (B, 1) column: the total drive
+    kind.drive + L of a classical model, the extra drive L of a tabulated
+    one.  Zero drives are stored as -0.0, whose addition changes no value, so
+    every row matches ``with_extra_drive(model, L)`` bit for bit."""
+    d = np.asarray(L, dtype=float).reshape(-1, 1)
+    if isinstance(model.kind, ClassicalFK):
+        d = model.kind.drive + d
+    return np.where(d == 0.0, -0.0, d)
 
 
 def _tabulated_force(kind: TabulatedForce, jj, tau: float, windows) -> np.ndarray:
     """F_j for 1-based types jj (shape (K,)) and windows (shape (K, 2m+1)) at
-    one time tau: one call of a batch callable, else one call per window."""
+    one time tau: one call of a batch callable, else one call per window;
+    the result shape follows :class:`TabulatedForce`."""
+    K = len(windows)
     if kind.batch:
-        return np.asarray(kind.fn(jj, float(tau), windows), dtype=float)
-    return np.array([kind.fn(int(j), float(tau), w) for j, w in zip(jj, windows)],
-                    dtype=float)
+        F = np.asarray(kind.fn(jj, float(tau), windows), dtype=float)
+    else:
+        F = np.array([kind.fn(int(j), float(tau), w) for j, w in zip(jj, windows)],
+                     dtype=float)
+    if F.ndim == 0:
+        F = np.broadcast_to(F, (K,))
+    if F.shape != (K,):
+        raise ModelError(f"force callable returned shape {F.shape} for {K} "
+                         f"windows; expected ({K},)")
+    return F
+
+
+def _force(model: ForceModel, tau: float, V, types, drive=None):
+    """F_j(tau, V), shape V.shape[:-1], on windows V of shape (..., 2m+1)
+    for 0-based types j that broadcast to V.shape[:-1]: the one force
+    evaluation every layer uses.  drive, a column from :func:`_drive_column`,
+    replaces a classical model's drive and is added to a tabulated value.
+    A tabulated force gets a copy of the windows with +0.0 added off the
+    centre and -0.0 at it, so an off-centre -0.0 always arrives as +0.0."""
+    kind, m = model.kind, model.m
+    if isinstance(kind, ClassicalFK):
+        if model.n == 1:
+            th_self = th_next = kind.theta[0]
+        else:
+            # types + 1 - n lies in [1 - n, 0]: theta_{j+1}, indexed from the end
+            th = np.asarray(kind.theta)
+            th_self, th_next = th[types], th[types + (1 - model.n)]
+        c = V[..., m]
+        F = th_next * (V[..., m + 1] - c) - th_self * (c - V[..., m - 1])
+        if kind.amplitude != 0.0:
+            F += kind.amplitude * np.sin(TWO_PI * c)
+        if drive is not None:
+            F += drive
+        elif kind.drive != 0.0:
+            F += kind.drive
+        return F
+    shape = V.shape[:-1]
+    windows = (V + _shift_row(m)).reshape(-1, 2 * m + 1)
+    jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
+    F = _tabulated_force(kind, jj, tau, windows).reshape(shape)
+    return F if drive is None else F + drive
 
 
 def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
@@ -192,11 +237,7 @@ def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
     w = np.asarray(window, dtype=float)
     if w.shape != (2 * model.m + 1,):
         raise ModelError(f"window must have exactly {2 * model.m + 1} entries, got {w.shape}")
-    if isinstance(model.kind, ClassicalFK):
-        th, t, m = model.kind.theta, (int(j) - 1) % model.n, model.m
-        return float(_classical_force(model.kind, w[m - 1], w[m], w[m + 1],
-                                      th[t], th[(t + 1) % model.n]))
-    return float(model.kind.fn(int(j), float(tau), w))
+    return float(_force(model, tau, w, (int(j) - 1) % model.n))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +325,7 @@ def _check_classical(model: ForceModel) -> AssumptionReport:
 def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
     """Centered finite differences with step 1/d on [0,1)^{2m+2}; periodicity
     reduces every check to one cell."""
-    n, m, kind = model.n, model.m, model.kind
+    n, m = model.n, model.m
     w = 2 * m + 1
     h = 1.0 / d
     axis = np.arange(d) * h
@@ -294,12 +335,19 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
                     axis=-1)
     blk = wins.shape[0]
 
+    bad = []     # the first non-finite sample, as (j, tau, *window)
+
     def f(j, pieces):
-        # F_j on consecutive (tau, windows) pieces, one call per piece; each
-        # call gets its own copy, since a callable may write to its windows
-        return np.concatenate([np.broadcast_to(
-            _tabulated_force(kind, np.full(len(v), j, dtype=int), t, v.copy()), len(v))
-            for t, v in pieces])
+        # F_j on consecutive (tau, windows) pieces, one call per piece; _force
+        # hands each call its own copy, since a callable may write to its
+        # windows (the mesh holds no -0.0, so its shift row changes no value)
+        out = []
+        for t, v in pieces:
+            F = _force(model, t, v, j - 1)
+            if not bad and not np.isfinite(F).all():
+                bad.append((j, float(t), *v[np.argmin(np.isfinite(F))]))
+            out.append(F)
+        return np.concatenate(out)
 
     def f_mesh(j, shifted, dtau=0.0):
         return f(j, ((t + dtau, shifted) for t in axis))
@@ -359,10 +407,12 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
         mval, wit = worst[key]
         return AssumptionCheck(mval >= floor, mval, wit if mval < floor else None)
 
+    # a non-finite value loses every comparison above, so it fails a4 here
+    a4 = chk("a4", floor=0.0) if not bad else AssumptionCheck(
+        False, -math.inf, bad[0], note="non-finite force value at the witness")
     critical = 1.0 / (4.0 * sup_neg_d0) if sup_neg_d0 > 0 else math.inf
-    return AssumptionReport(a1=chk("a1"), a2=chk("a2"), a3=chk("a3"),
-                            a4=chk("a4", floor=0.0), a5=chk("a5"), a6=chk("a6"),
-                            critical_mass=critical)
+    return AssumptionReport(a1=chk("a1"), a2=chk("a2"), a3=chk("a3"), a4=a4,
+                            a5=chk("a5"), a6=chk("a6"), critical_mass=critical)
 
 
 def check_assumptions(model: ForceModel, sample_density: int = 8,

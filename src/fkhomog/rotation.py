@@ -29,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from .model import (ForceModel, ConstantsLedger, constants_ledger,
-                    require_monotone, with_extra_drive)
+                    require_monotone, with_extra_drive, _drive_column)
 from .chain import (TrajectoryLog, cfl_dt, init_linear, NumericalError,
-                    _drive_column, _euler_coeff, _march)
+                    _euler_coeff, _march)
 
 
 class LogTooShort(ValueError):

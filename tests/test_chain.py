@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import fkhomog as fk
 from fkhomog.chain import (NumericalError, TwistedChain, force_profile,
                            snapshot_to_csv, trajectory_to_csv, _euler_coeff)
-from fkhomog.model import ModelError
+from fkhomog.model import ClassicalFK, ModelError, _drive_column
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -246,6 +246,103 @@ def test_eval_force_matches_force_profile_tabulated(batch):
     F = force_profile(m, tau, U, ch.Q)
     wins = _ring_windows(U, ch.Q, m.m)
     assert [fk.eval_force(m, i + 1, tau, w) for i, w in enumerate(wins)] == F.tolist()
+
+
+def _force_profile_ref(model, tau, U, Q, drive=None):
+    """Reference ring force, as it was computed before every layer shared one
+    force evaluation: up/dn neighbour arrays and per-particle spring
+    patterns for a classical model; for a tabulated one the ring gather with
+    +0.0 off the centre (the twist across the seam) and -0.0 at it."""
+    N = U.shape[-1]
+    kind = model.kind
+    if isinstance(kind, ClassicalFK):
+        th = np.asarray(kind.theta, dtype=float)
+        t = np.arange(N) % model.n
+        th_self, th_next = th[t], th[(t + 1) % model.n]
+        up = np.empty_like(U)
+        up[..., :-1] = U[..., 1:]
+        up[..., -1] = U[..., 0] + Q
+        dn = np.empty_like(U)
+        dn[..., 1:] = U[..., :-1]
+        dn[..., 0] = U[..., -1] - Q
+        F = th_next * (up - U) - th_self * (U - dn)
+        if kind.amplitude != 0.0:
+            F += kind.amplitude * np.sin(2.0 * math.pi * U)
+        if drive is not None:
+            F += drive
+        elif kind.drive != 0.0:
+            F += kind.drive
+        return F
+    m = model.m
+    pos = np.arange(N)[:, None] + np.arange(-m, m + 1)
+    shift = (Q * (pos // N)).astype(float)
+    shift[:, m] = -0.0
+    windows = (U[..., pos % N] + shift).reshape(-1, 2 * m + 1)
+    jj = np.tile(np.arange(N) % model.n + 1, windows.shape[0] // N)
+    if kind.batch:
+        F = np.asarray(kind.fn(jj, float(tau), windows), dtype=float)
+    else:
+        F = np.array([kind.fn(int(j), float(tau), w) for j, w in zip(jj, windows)])
+    F = F.reshape(U.shape)
+    return F if drive is None else F + drive
+
+
+def _signed_zero_force(j, tau, w):
+    """A batch or per-window force that tells -0.0 from +0.0 in every slot."""
+    w = np.asarray(w, dtype=float)
+    sign = np.copysign(1.0, w) @ (0.1 * (1.0 + np.arange(w.shape[-1])))
+    return _wavy_force(j, tau, w) + 1e-3 * sign + np.asarray(j) * 1e-4
+
+
+def _states_with_signed_zeros(rng, B, N, Q):
+    """B states on a ring of N: random values with -0.0 and +0.0 entries,
+    at both ends (the seam) and inside."""
+    U = rng.uniform(-0.5, 0.5, (B, N)) + Q * np.arange(N) / N
+    U[:, 0] = -0.0
+    U[0, -1] = -0.0
+    U[1 % B, -1] = 0.0
+    if N > 2:
+        U[:, N // 2] = -0.0
+    return U
+
+
+FORCE_PROFILE_CASES = {
+    # classical n = 1, 2, 3 with per-row drives; one row's total drive is 0
+    "classical_n1": lambda: (fkmodel(A=0.7, L=0.4), 0.0, 3, [0.0, -0.4, 1.25]),
+    "classical_n2": lambda: (fkmodel((1.0, 2.0), A=0.7, L=0.0), 0.0, 4,
+                             [0.0, 0.3, -2.0]),
+    "classical_n3": lambda: (fkmodel((0.5, 1.5, 1.0), A=0.0, L=-0.2), 0.0, 2,
+                             [0.2, 0.0, 0.7, 1.1]),
+    "classical_n1_Q0": lambda: (fkmodel(A=0.7), 0.0, 0, [0.0, 0.5]),
+    "tabulated_batch_tau": lambda: (
+        fk.build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                           f_at_zero_sup=0.3, batch=True), 0.37, 3, [0.0, 0.6]),
+    "tabulated_per_window": lambda: (
+        fk.build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                           f_at_zero_sup=0.3), 0.81, 2, [0.0, -0.3]),
+    "signed_zero_batch": lambda: (
+        fk.build_tabulated(_signed_zero_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                           f_at_zero_sup=0.3, batch=True), 0.25, 0, [0.0, 1.0]),
+    "signed_zero_per_window": lambda: (
+        fk.build_tabulated(_signed_zero_force, n=1, m=2, m0=0.02, lip_V=10.0,
+                           f_at_zero_sup=0.3), 0.5, 1, [0.0, 0.2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORCE_PROFILE_CASES))
+def test_force_profile_bytes_match_reference(case):
+    """force_profile on one ring and on (B, N) batches with per-row drives,
+    on states holding -0.0 and +0.0 entries, is bitwise the reference."""
+    model, tau, Q, Ls = FORCE_PROFILE_CASES[case]()
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for N in (model.n, 2 * model.n, 6 * model.n):
+        U = _states_with_signed_zeros(rng, len(Ls), N, Q)
+        drive = _drive_column(model, Ls)
+        got = force_profile(model, tau, U, Q, drive)
+        want = _force_profile_ref(model, tau, U, Q, drive)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = force_profile(model, tau, U[0], Q)
+        assert got.tobytes() == _force_profile_ref(model, tau, U[0], Q).tobytes()
 
 
 # ---------------------------------------------------------------------------

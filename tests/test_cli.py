@@ -221,6 +221,43 @@ def test_homogenize_rejects_nan_table_entry(tmp_path, capsys):
     assert not (out / "macro.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["homogenize", "pipeline"])
+def test_unconverged_table_nodes_read_exit_partial(tmp_path, capsys, command):
+    """Entries that hit T_cap and that H(n q) reads on [1/K0, K0] (the nodes
+    inside and the nearest node beyond each end) are named, macro.csv is
+    still written and the exit is 4; pipeline runs on to converge."""
+    u0 = Profile.from_callable(lambda x: x + 0.18 * (10 / (2 * math.pi))
+                               * math.sin(2 * math.pi * x / 10), -5.0, 5.0, 101)
+    u0_path = tmp_path / "u0.csv"
+    u0_path.write_text(u0.to_csv())
+    cfg = {
+        "model": base_model(),
+        "effham": {"p_grid": [[4, 5], [1, 1], [5, 4], [2, 1]], "L_grid": [2.0],
+                   "tol": 2e-3, "T_cap": 4.0},
+        "homogenize": {"u0_file": str(u0_path), "T": 0.5, "dx": 0.1, "L": 2.0},
+        "converge": {"u0_file": str(u0_path), "eps_list": [0.1], "T": 0.2,
+                     "window": [-5.0, 5.0], "L": 2.0},
+    }
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == cli.EXIT_PARTIAL
+    assert (out / "macro.csv").read_text().startswith("t,x,u")
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if "T_cap" in ln)
+    # slopes [0.82, 1.22]: 4/5 and 5/4 are the nearest nodes beyond, 2 is unread
+    assert line.endswith("hit T_cap before tol: L = 2.0, p = 4/5, 1, 5/4")
+    if command == "pipeline":
+        assert (out / "convergence.json").exists()
+
+
+def test_unconverged_node_off_a_straight_profile_is_not_read(tmp_path, capsys):
+    """A straight unit-slope profile reads only the p = 1 node."""
+    cfg = _pipeline_cfg(tmp_path)
+    cfg["effham"].update(tol=2e-3, T_cap=4.0)
+    rc, out = run_cli(tmp_path, cfg, "homogenize")
+    assert rc == cli.EXIT_PARTIAL
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "hit T_cap before tol: L = 0.5, p = 1")
+
+
 def test_converge_flat_chord_exits_validation(tmp_path, capsys):
     u0 = Profile(x=np.array([-5.0, 0.0, 1.0, 5.0]), u=np.array([-5.0, 0.0, 0.0, 4.0]))
     cfg = _pipeline_cfg(tmp_path)

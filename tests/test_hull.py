@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
+from fkhomog.model import ClassicalFK
 from fkhomog.hull import (HullExtractionError, HullFunction, extract_hull,
                           hull_residual, hull_to_csv, hull_value, isotonic_fit,
                           reconstruct_traveling_wave, verify_hull_axioms)
@@ -136,6 +137,67 @@ def test_depinned_hull_axioms_and_residual_refinement():
             for key in ("r_h", "r_g"):
                 assert 1.5 <= res_prev[key] / res[key] <= 2.5
         res_prev = res
+
+
+def _hull_residual_ref(hull, model):
+    """Reference hull residuals, as computed before every layer shared one
+    force evaluation: spring constants per type row for a classical model,
+    one call per type on its raw neighbour windows for a tabulated one."""
+    n, Z, m = hull.n, hull.Z, model.m
+    win = np.empty((n, Z, 2 * m + 1))
+    for t in range(n):
+        for s in range(-m, m + 1):
+            win[t, :, s + m] = hull_value(hull, t + 1 + s, hull.z_grid, "h")
+    kind = model.kind
+    if isinstance(kind, ClassicalFK):
+        th = np.asarray(kind.theta)
+        th_self = th[np.arange(n)][:, None]
+        th_next = th[(np.arange(n) + 1) % n][:, None]
+        c = win[..., m]
+        F = th_next * (win[..., m + 1] - c) - th_self * (c - win[..., m - 1])
+        if kind.amplitude != 0.0:
+            F += kind.amplitude * np.sin(2.0 * math.pi * c)
+        if kind.drive != 0.0:
+            F += kind.drive
+    else:
+        F = np.array([np.asarray(kind.fn(np.full(Z, t + 1), 0.0, win[t]), dtype=float)
+                      for t in range(n)])
+    lam, a0, dz = hull.lam, model.alpha0, 1.0 / hull.Z
+
+    def d_z(rows):
+        prev = np.roll(rows, 1, axis=1)
+        prev[:, 0] -= 1.0
+        return (rows - prev) / dz
+
+    assert lam >= 0
+    return {"r_h": float(np.abs(lam * d_z(hull.h) - a0 * (hull.g - hull.h)).max()),
+            "r_g": float(np.abs(lam * d_z(hull.g)
+                                - (2.0 * F + a0 * (hull.h - hull.g))).max())}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hull_residual_bytes_match_reference(n):
+    """hull_residual is bitwise the reference on a wavy n-type hull, for a
+    classical model and for an elementwise batch force."""
+    Z = 24
+    zg = (np.arange(Z) + 0.5) / Z
+    h = np.array([zg + 0.05 * np.sin(2 * math.pi * zg) + 0.1 * t for t in range(n)])
+    hull = HullFunction(p=Fraction(2, 3), lam=0.37, Z=Z, z_grid=zg, h=h,
+                        g=h + 0.01 * np.cos(2 * math.pi * zg))
+    theta = (1.0, 2.0, 0.5)[:n]
+
+    def fn(j, tau, w):
+        th = np.asarray(theta)[(np.asarray(j) - 1) % n]
+        c = w[..., 1]
+        return th * (w[..., 2] - 2.0 * c + w[..., 0]) + 0.3 * np.sin(2 * math.pi * c)
+
+    for model in (fkmodel(theta, A=0.8, L=0.6),
+                  fk.build_tabulated(fn, n=n, m=1, m0=0.01, lip_V=10.0,
+                                     f_at_zero_sup=0.0, batch=True)):
+        got = hull_residual(hull, model)
+        want = _hull_residual_ref(hull, model)
+        assert {k: float(v).hex() for k, v in got.items()} == \
+            {k: v.hex() for k, v in want.items()}
 
 
 def test_isotonic_residual_shrinks_with_more_snapshots():

@@ -8,10 +8,10 @@ import pytest
 
 import fkhomog as fk
 from fkhomog.chain import (NumericalError, _euler_coeff, _euler_update,
-                           _type_patterns, _window_gather, force_profile)
+                           _window_gather, force_profile)
 from fkhomog.macro import (A0Report, HamiltonianInterp, MacroError, Profile,
                            _march_plan, gradient_sandwich_probe)
-from fkhomog.model import ModelError
+from fkhomog.model import ModelError, _shift_row
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -377,16 +377,17 @@ def test_rescale_micro_never_builds_wrap_around_windows():
 
 
 def test_rescale_micro_adds_at_most_one_cache_entry_per_call():
-    """Active slices of every length must not each key the N-keyed caches
-    of the ring force."""
+    """Active slices of every length must not each key the caches of the
+    force (the N-keyed ring gather, the window shift row)."""
     cases = [(fkmodel(L=1.0, margin=1.2), 0.1), (fkmodel(L=1.0, margin=1.2), 0.05),
              (fkmodel(theta=(1.0, 0.6), margin=1.2), 0.05),
              (_two_type_batch_model(), 0.1)]
+    caches = (_window_gather, _shift_row)
     for model, eps in cases:
-        before = [f.cache_info() for f in (_type_patterns, _window_gather)]
+        before = [f.cache_info() for f in caches]
         fk.rescale_micro(model, 0.5, eps, wavy_profile(amp=0.15), T=0.2,
                          window=(-5.0, 5.0))
-        after = [f.cache_info() for f in (_type_patterns, _window_gather)]
+        after = [f.cache_info() for f in caches]
         for b, a in zip(before, after):
             assert a.misses - b.misses <= 1
             assert a.currsize - b.currsize <= 1

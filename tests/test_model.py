@@ -1,5 +1,6 @@
 """Force families, assumption checks, and the constants ledger."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
+from fkhomog.chain import force_profile
 from fkhomog.model import (ModelError, build_tabulated, model_from_config,
                            model_to_config, report_to_json)
 from test_chain import _wavy_force
@@ -342,6 +344,52 @@ GOLDEN_REPORTS = {
 def test_sampled_check_reports_are_pinned(name):
     build, d = GOLDEN_MODELS[name]
     assert repr(fk.check_assumptions(build(), sample_density=d)) == GOLDEN_REPORTS[name]
+
+
+def _nan_force(j, tau, w):
+    """Springs and a pinning sine, but NaN wherever V_0 mod 1 > 0.7."""
+    w = np.asarray(w, dtype=float)
+    c = w[..., 1]
+    F = (w[..., 2] - c) - (c - w[..., 0]) + 0.5 * np.sin(2 * math.pi * c)
+    return np.where(c % 1.0 > 0.7, np.nan, F)
+
+
+def test_sampled_check_fails_non_finite_force_with_witness():
+    """A NaN sample loses every comparison of the worst-case search, so it
+    must fail a4 outright, with the first non-finite sample as witness."""
+    m = build_tabulated(_nan_force, n=1, m=1, m0=1 / 24, lip_V=4 + math.pi,
+                        f_at_zero_sup=0.0, batch=True)
+    rep = fk.check_assumptions(m, sample_density=8)
+    assert not rep.core_holds and not rep.a4.holds
+    assert rep.a4.margin == -math.inf
+    # j = 1 on the tau = 0 block, windows in mesh order: V_0 = 0.75 comes first
+    assert rep.a4.witness == (1, 0.0, 0.0, 0.75, 0.0)
+    assert json.loads(report_to_json(rep))["a4"]["margin"] is None
+    with pytest.raises(ModelError, match="a4"):
+        fk.rotation_number(m, 1, T_cap=4.0)
+
+
+def test_batch_force_result_shape_rule():
+    """A batch force's 0-d result is broadcast to (K,) on every path; any
+    other shape but (K,) is a ModelError that names (K,)."""
+    m = build_tabulated(lambda j, tau, w: 0.5, n=1, m=1, m0=0.05, lip_V=0.0,
+                        f_at_zero_sup=0.5, batch=True)
+    assert fk.check_assumptions(m, sample_density=4).core_holds
+    assert fk.eval_force(m, 1, 0.0, (0.0, 0.0, 0.0)) == 0.5
+    est = fk.rotation_number(m, 1, tol=1e-3, T_cap=64.0)
+    assert est.lambda_hat == pytest.approx(0.5, abs=2e-3)
+    table = fk.sweep(m, [1, Fraction(1, 2)], [0.0, 0.25], tol=1e-3, T_cap=64.0)
+    assert np.allclose(table.lam, [[0.5, 0.5], [0.75, 0.75]], atol=2e-3)
+    field = fk.rescale_micro(m, 0.0, 0.1, fk.Profile.linear(1.0, -5.0, 5.0),
+                             T=0.1, window=(-5.0, 5.0))
+    assert np.all(np.isfinite(field.values))
+
+    bad = build_tabulated(lambda j, tau, w: np.zeros((len(w), 1)), n=1, m=1,
+                          m0=0.05, lip_V=0.0, f_at_zero_sup=0.0, batch=True)
+    with pytest.raises(ModelError, match=r"expected \(\d+,\)"):
+        fk.check_assumptions(bad, sample_density=4)
+    with pytest.raises(ModelError, match=r"shape \(6, 1\) for 6 windows; expected \(6,\)"):
+        force_profile(bad, 0.0, np.arange(6.0), 6)
 
 
 # ---------------------------------------------------------------------------
