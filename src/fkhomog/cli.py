@@ -5,8 +5,8 @@ Subcommands cover the whole chain: ``check`` (structural assumptions),
 tables), ``hull`` (hull extraction), ``homogenize`` (macroscopic solve),
 ``converge`` (eps study) and ``pipeline`` (all stages with content-hash
 caching).  Identical config + seed gives byte-identical outputs; --threads
-is accepted and has no effect.  Exit codes: 0 success, 2 validation,
-3 numerical failure, 4 partial success.
+is accepted and has no effect.  Exit codes, which only :func:`main` maps
+from errors: 0 success, 2 validation, 3 numerical failure, 4 partial success.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 from jsonschema import Draft202012Validator
 
+from . import __version__
 from . import model as mdl
 from . import chain as chn
 from . import rotation as rot
@@ -216,8 +217,8 @@ class Cache:
         root.mkdir(parents=True, exist_ok=True)
 
     def key(self, stage: str, payload: dict) -> str:
-        blob = json.dumps({"v": CACHE_VERSION, "stage": stage, "payload": payload},
-                          sort_keys=True)
+        blob = json.dumps({"v": CACHE_VERSION, "version": __version__, "stage": stage,
+                           "payload": payload}, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def path(self, stage: str, key: str) -> Path:
@@ -239,6 +240,22 @@ class Cache:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         tmp.write_text(text)
         os.replace(tmp, path)
+
+
+def _get_or_compute(cache: Cache | None, stage: str, payload: dict, compute, parse):
+    """(value, text) of a stage: parse(text) on a cache hit, else compute()
+    with the text stored.  A hit that does not parse exits 2 naming the file."""
+    if cache is None:
+        return compute()
+    key, text = cache.get_text(stage, payload)
+    if text is None:
+        value, text = compute()
+        cache.put_text(stage, key, text)
+        return value, text
+    try:
+        return parse(text), text
+    except ValueError as exc:
+        raise ConfigError(f"cache file {cache.path(stage, key)} is corrupt: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,40 +314,32 @@ def cmd_simulate(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _effham_table(cfg: dict, cache: Cache | None):
+def _effham(cfg: dict, model: mdl.ForceModel, cache: Cache | None):
+    """The effham table and its CSV text, from one sweep or one cache read."""
     blk = cfg.get("effham")
     if not blk:
         raise ConfigError("config.effham: block required")
-    model = mdl.model_from_config(cfg["model"])
-    payload = {"model": cfg["model"], "effham": blk, "seed": cfg.get("seed", 0)}
-    if cache is not None:
-        key, text = cache.get_text("effham", payload)
-        if text is not None:
-            return _cached_table(cache.path("effham", key), text, blk), text, True
-    table = rot.sweep(model, [_frac(p) for p in blk["p_grid"]], blk["L_grid"],
-                      tol=blk.get("tol", 1e-3), T_cap=blk.get("T_cap", 2000.0),
-                      cells=blk.get("cells", 1))
-    text = table.to_csv()
-    if cache is not None:
-        cache.put_text("effham", key, text)
-    return table, text, False
+    p_grid = [_frac(p) for p in blk["p_grid"]]
 
+    def compute():
+        table = rot.sweep(model, p_grid, blk["L_grid"], tol=blk.get("tol", 1e-3),
+                          T_cap=blk.get("T_cap", 2000.0), cells=blk.get("cells", 1))
+        return table, table.to_csv()
 
-def _cached_table(path: Path, text: str, blk: dict) -> rot.EffectiveTable:
-    """Parse a cached table and insist it holds the requested (L, p) grid."""
-    try:
+    def parse(text):
         table = rot.EffectiveTable.from_csv(text)
         if (set(table.L_grid.tolist()) != {float(L) for L in blk["L_grid"]}
-                or set(table.p_grid) != {_frac(p) for p in blk["p_grid"]}):
+                or set(table.p_grid) != set(p_grid)):
             raise ValueError("it does not hold the requested (L, p) grid")
-    except ValueError as exc:
-        raise ConfigError(f"cache file {path} is corrupt: {exc}")
-    return table
+        return table
+
+    payload = {"model": cfg["model"], "effham": blk, "seed": cfg.get("seed", 0)}
+    return _get_or_compute(cache, "effham", payload, compute, parse)
 
 
 def cmd_effham(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    table, text, _ = _effham_table(cfg, None)
+    table, text = _effham(cfg, mdl.model_from_config(cfg["model"]), None)
     (out / "effective_table.csv").write_text(text)
     (out / "effective_table.json").write_text(rot.table_to_json(table))
     worst = rot.monotone_in_L_violation(table)
@@ -356,12 +365,14 @@ def cmd_hull(cfg: dict, args) -> int:
     Z = blk.get("Z", 64)
     est = rot.rotation_number(model, p, L_extra=L, tol=blk.get("tol", 1e-3),
                               T_cap=blk.get("T_cap", 2000.0))
+    # rotation_number checked the base model; the drive L leaves (A1)-(A5) as is
     model2 = mdl.with_extra_drive(model, L)
     chain = chn.init_linear(model2, p, cells=1)
     n_snap = blk.get("snapshots", 256)
-    sample_dt = chn.cfl_dt(model2, 0.5)
+    sample_dt = chn.cfl_dt(model2, 0.5, check=False)
     warmup = 10.0 / model2.alpha0 + est.T
-    log = chn.run(chain, warmup + n_snap * sample_dt, sample_dt, snapshot_stride=1)
+    log = chn.run(chain, warmup + n_snap * sample_dt, sample_dt, snapshot_stride=1,
+                  check=False)
     hull = hl.extract_hull(log, est.lambda_hat, p, Z=Z,
                            lambda_halfwidth=est.halfwidth_best)
     res = hl.hull_residual(hull, model2) if model2.is_autonomous else {}
@@ -383,92 +394,84 @@ def _load_profile(blk: dict, key: str) -> mac.Profile:
         raise ConfigError(f"{key}: cannot read {path}: {exc}")
 
 
-def _table_for(cfg, blk, cache) -> rot.EffectiveTable:
-    """The table in blk["table_file"], else the effham table."""
+def _table_for(cfg, blk, model, table) -> rot.EffectiveTable:
+    """The table in blk["table_file"], else the given table, else one sweep."""
     if "table_file" not in blk:
-        return _effham_table(cfg, cache)[0]
+        return table if table is not None else _effham(cfg, model, None)[0]
     try:
         return rot.EffectiveTable.from_csv(Path(blk["table_file"]).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"table_file: cannot read {blk['table_file']}: {exc}")
 
 
-def _unconverged_nodes(table: rot.EffectiveTable, L: float, n: int, K0: float) -> list:
-    """The p of every unconverged entry at drive L that H(n q) reads on the
-    slopes q in [1/K0, K0]: the nodes in that range and the nearest node
-    beyond each end."""
+def _report_unconverged(table: rot.EffectiveTable, L: float, n: int, K0: float) -> int:
+    """Name every unconverged entry at drive L that H(n q) reads on the slopes
+    q in [1/K0, K0] (the nodes in that range and the nearest node beyond each
+    end); EXIT_PARTIAL if there is one."""
     q = np.sort([float(p) for p in table.p_grid]) / n
     lo = q[max(np.searchsorted(q, 1.0 / K0, side="right") - 1, 0)]
     hi = q[min(np.searchsorted(q, K0), q.size - 1)]
     conv = table.converged[int(np.argmin(np.abs(table.L_grid - L)))]
-    return [p for p, ok in zip(table.p_grid, conv) if not ok and lo <= float(p) / n <= hi]
+    stale = sorted(p for p, ok in zip(table.p_grid, conv)
+                   if not ok and lo <= float(p) / n <= hi)
+    if stale:
+        print(f"table entries read on the slopes [{1 / K0:.6g}, {K0:.6g}] that "
+              f"hit T_cap before tol: L = {L}, p = {', '.join(map(str, stale))}")
+    return EXIT_PARTIAL if stale else EXIT_OK
 
 
-def cmd_homogenize(cfg: dict, args, cache: Cache | None = None) -> int:
-    out = _out_dir(cfg, args)
+def _homogenize(cfg: dict, out: Path, model: mdl.ForceModel, table=None) -> int:
     blk = cfg.get("homogenize")
     if not blk:
         raise ConfigError("config.homogenize: block required")
-    model = mdl.model_from_config(cfg["model"])
     u0 = _load_profile(blk, "u0_file")
-    if u0.slopes().min() <= 0:
-        raise ConfigError("config.homogenize.u0_file: profile violates the slope "
-                          "frame (nonpositive chord); see check_A0")
     K0 = u0.slope_frame()
-    rep = mac.check_A0(u0, K0)
-    if not rep.ok:
-        raise ConfigError(f"config.homogenize.u0_file: profile fails (A0): {rep}")
+    table = _table_for(cfg, blk, model, table)
     # table slopes count cells of n particles, profile slopes count particles
-    table = _table_for(cfg, blk, cache)
     H = mac.HamiltonianInterp.from_table(table, blk["L"]).scaled(model.n)
     times = blk.get("record_times", [blk["T"]])
     state = mac.solve_hj(H, u0, blk["T"], blk["dx"], K0=K0, record_times=times)
     (out / "macro.csv").write_text(state.to_csv())
     print(f"solved to t = {state.t:.6g}; slope range seen {state.slope_range_seen}")
-    stale = _unconverged_nodes(table, blk["L"], model.n, K0)
-    if stale:
-        print(f"table entries read on the slopes [{1 / K0:.6g}, {K0:.6g}] that "
-              f"hit T_cap before tol: L = {blk['L']}, p = {', '.join(map(str, stale))}")
-    return EXIT_PARTIAL if stale else EXIT_OK
+    return _report_unconverged(table, blk["L"], model.n, K0)
 
 
-def cmd_converge(cfg: dict, args, cache: Cache | None = None) -> int:
-    out = _out_dir(cfg, args)
+def cmd_homogenize(cfg: dict, args) -> int:
+    return _homogenize(cfg, _out_dir(cfg, args), mdl.model_from_config(cfg["model"]))
+
+
+def _converge(cfg: dict, out: Path, model: mdl.ForceModel, table=None,
+              cache: Cache | None = None) -> int:
     blk = cfg.get("converge")
     if not blk:
         raise ConfigError("config.converge: block required")
-    model = mdl.model_from_config(cfg["model"])
     u0 = _load_profile(blk, "u0_file")
     xi0 = _load_profile(blk, "xi0_file") if "xi0_file" in blk else None
-    H = mac.HamiltonianInterp.from_table(_table_for(cfg, blk, cache), blk["L"])
-    # key on the profiles that are solved, not paths, so edited files never
-    # stale-hit
+    K0 = u0.slope_frame()
+    table = _table_for(cfg, blk, model, table)
+    H = mac.HamiltonianInterp.from_table(table, blk["L"])
+    # key on what is solved, not on paths or table order: no stale hit, no spurious miss
     digests = {name: hashlib.sha256(prof.to_csv().encode()).hexdigest()
                for name, prof in (("u0", u0), ("xi0", xi0)) if prof is not None}
     payload = {"model": cfg["model"], "converge": blk, "seed": cfg.get("seed", 0),
-               "profiles": digests}
-    if cache is not None:
-        key, text = cache.get_text("converge", payload)
-        if text is not None:
-            try:
-                json.loads(text)
-            except ValueError as exc:
-                raise ConfigError(f"cache file {cache.path('converge', key)} "
-                                  f"is corrupt: {exc}")
-            (out / "convergence.json").write_text(text)
-            print("convergence report served from cache")
-            return EXIT_OK
-    report = mac.convergence_study(model, blk["L"], u0, blk["eps_list"], blk["T"],
-                                   tuple(blk["window"]), H,
-                                   xi0=xi0, M0=blk.get("M0", 0.0))
-    text = report.to_json()
-    if cache is not None:
-        cache.put_text("converge", key, text)
+               "profiles": digests, "H": [H.p_nodes.tolist(), H.values.tolist()]}
+
+    def compute():
+        report = mac.convergence_study(model, blk["L"], u0, blk["eps_list"], blk["T"],
+                                       tuple(blk["window"]), H,
+                                       xi0=xi0, M0=blk.get("M0", 0.0))
+        return report.to_json_dict(), report.to_json()
+
+    report, text = _get_or_compute(cache, "converge", payload, compute, json.loads)
     (out / "convergence.json").write_text(text)
-    decreasing = all(a > b for a, b in zip(report.errors, report.errors[1:]))
-    print(f"errors: {list(report.errors)}")
-    print(f"rates: {list(report.rates)} (decreasing={decreasing})")
-    return EXIT_OK
+    decreasing = all(a > b for a, b in zip(report["error"], report["error"][1:]))
+    print(f"errors: {report['error']}")
+    print(f"rates: {report['rate']} (decreasing={decreasing})")
+    return _report_unconverged(table, blk["L"], model.n, K0)
+
+
+def cmd_converge(cfg: dict, args) -> int:
+    return _converge(cfg, _out_dir(cfg, args), mdl.model_from_config(cfg["model"]))
 
 
 def cmd_pipeline(cfg: dict, args) -> int:
@@ -482,18 +485,16 @@ def cmd_pipeline(cfg: dict, args) -> int:
             print(f"pipeline halted at stage {stage}")
             return EXIT_VALIDATION
         stage = "effham"
-        table, text, _ = _effham_table(cfg, cache)
+        table, text = _effham(cfg, model, cache)
         (out / "effective_table.csv").write_text(text)
         stage = "homogenize"
         # a partial result (unconverged table entries read) runs on
-        rc = cmd_homogenize(cfg, args, cache)
+        rc = _homogenize(cfg, out, model, table)
         stage = "converge"
-        cmd_converge(cfg, args, cache)
-    except (chn.NumericalError, mac.MacroError, hl.HullExtractionError) as exc:
-        print(f"pipeline failed at stage {stage}: {exc}", file=sys.stderr)
-        print(f"artifacts so far are under {out}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return rc
+        return max(rc, _converge(cfg, out, model, table, cache))
+    except Exception:
+        print(f"pipeline failed at stage {stage}; artifacts are under {out}", file=sys.stderr)
+        raise
 
 
 COMMANDS = {

@@ -221,16 +221,14 @@ def test_homogenize_rejects_nan_table_entry(tmp_path, capsys):
     assert not (out / "macro.csv").exists()
 
 
-@pytest.mark.parametrize("command", ["homogenize", "pipeline"])
-def test_unconverged_table_nodes_read_exit_partial(tmp_path, capsys, command):
-    """Entries that hit T_cap and that H(n q) reads on [1/K0, K0] (the nodes
-    inside and the nearest node beyond each end) are named, macro.csv is
-    still written and the exit is 4; pipeline runs on to converge."""
+def _rippled_cfg(tmp_path):
+    """A pinned chain and a profile with slopes in [0.82, 1.18], so H reads
+    several nodes; T_cap 4 leaves every table entry unconverged."""
     u0 = Profile.from_callable(lambda x: x + 0.18 * (10 / (2 * math.pi))
                                * math.sin(2 * math.pi * x / 10), -5.0, 5.0, 101)
     u0_path = tmp_path / "u0.csv"
     u0_path.write_text(u0.to_csv())
-    cfg = {
+    return {
         "model": base_model(),
         "effham": {"p_grid": [[4, 5], [1, 1], [5, 4], [2, 1]], "L_grid": [2.0],
                    "tol": 2e-3, "T_cap": 4.0},
@@ -238,14 +236,31 @@ def test_unconverged_table_nodes_read_exit_partial(tmp_path, capsys, command):
         "converge": {"u0_file": str(u0_path), "eps_list": [0.1], "T": 0.2,
                      "window": [-5.0, 5.0], "L": 2.0},
     }
+
+
+@pytest.mark.parametrize("command", ["homogenize", "converge", "pipeline"])
+def test_unconverged_table_nodes_read_exit_partial(tmp_path, capsys, command):
+    """Entries that hit T_cap and that H(n q) reads on [1/K0, K0] (the nodes
+    inside and the nearest node beyond each end) are named, the output is
+    still written and the exit is 4, from a cache hit too; pipeline runs on
+    to converge."""
+    cfg = _rippled_cfg(tmp_path)
     rc, out = run_cli(tmp_path, cfg, command)
     assert rc == cli.EXIT_PARTIAL
-    assert (out / "macro.csv").read_text().startswith("t,x,u")
-    line = next(ln for ln in capsys.readouterr().out.splitlines() if "T_cap" in ln)
+    written = {"homogenize": ["macro.csv"], "converge": ["convergence.json"],
+               "pipeline": ["macro.csv", "convergence.json"]}[command]
+    assert all((out / name).stat().st_size > 0 for name in written)
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if "T_cap" in ln]
     # slopes [0.82, 1.22]: 4/5 and 5/4 are the nearest nodes beyond, 2 is unread
-    assert line.endswith("hit T_cap before tol: L = 2.0, p = 4/5, 1, 5/4")
+    assert len(lines) == len(written)
+    assert all(ln.endswith("hit T_cap before tol: L = 2.0, p = 4/5, 1, 5/4")
+               for ln in lines)
     if command == "pipeline":
-        assert (out / "convergence.json").exists()
+        rc, out = run_cli(tmp_path, cfg, command)
+        log = capsys.readouterr().out
+        assert rc == cli.EXIT_PARTIAL
+        assert "[cache] hit converge" in log
+        assert log.splitlines()[-1] == lines[-1]
 
 
 def test_unconverged_node_off_a_straight_profile_is_not_read(tmp_path, capsys):
@@ -317,7 +332,7 @@ def test_unsorted_p_grid_homogenize_agrees_with_pipeline(tmp_path):
     cfg["effham"]["p_grid"] = [[5, 4], [1, 1], [4, 5]]
     rc_h, out = run_cli(tmp_path, cfg, "homogenize")
     macro_h = (out / "macro.csv").read_text()
-    # pipeline reads its table back through the (sorted) CSV cache
+    # both solve on the swept table in config order; H sorts its nodes
     rc_p, out = run_cli(tmp_path, cfg, "pipeline")
     assert rc_h == rc_p == 0
     assert (out / "macro.csv").read_text() == macro_h
@@ -354,6 +369,123 @@ def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):
     rc, out = run_cli(tmp_path, cfg, "pipeline")
     assert rc == cli.EXIT_VALIDATION
     assert str(cached) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,stale", [
+    ([[4, 5], [1, 1], [3, 2], [2, 1]], True),
+    ([[2, 1], [5, 4], [1, 1], [4, 5]], False)], ids=["edited", "reordered"])
+def test_pipeline_converge_cache_keys_on_the_table(tmp_path, capsys, edit, stale):
+    """An edited p_grid changes H, so converge misses and reports afresh; a
+    reordered one does not, so the warm call hits like the miss that wrote it."""
+    cfg = _rippled_cfg(tmp_path)
+    run_cli(tmp_path, cfg, "pipeline")
+    before = (tmp_path / "out" / "convergence.json").read_text()
+    cfg["effham"]["p_grid"] = edit
+    capsys.readouterr()
+    run_cli(tmp_path, cfg, "pipeline")
+    log = capsys.readouterr().out
+    assert ("[cache] miss converge" in log) == stale
+    assert ("[cache] hit converge" in log) != stale
+    rerun = (tmp_path / "out" / "convergence.json").read_text()
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    run_cli(fresh, cfg, "pipeline")
+    assert rerun == (fresh / "out" / "convergence.json").read_text()
+    assert (rerun != before) == stale
+
+
+def test_pipeline_runs_each_stage_once(tmp_path, monkeypatch):
+    """A cold pipeline sweeps once and never reads back the cache it wrote; a
+    warm one parses the cached table once; each looks up each cached stage
+    once."""
+    from fkhomog import rotation
+    calls = []
+    sweep, get_text = rotation.sweep, cli.Cache.get_text
+    parse = rotation.EffectiveTable.from_csv.__func__
+
+    def counting_sweep(*args, **kw):
+        calls.append("sweep")
+        return sweep(*args, **kw)
+
+    def counting_parse(cls, text):
+        calls.append("from_csv")
+        return parse(cls, text)
+
+    def counting_get(self, stage, payload):
+        calls.append(f"get_text {stage}")
+        return get_text(self, stage, payload)
+
+    monkeypatch.setattr(rotation, "sweep", counting_sweep)
+    monkeypatch.setattr(rotation.EffectiveTable, "from_csv", classmethod(counting_parse))
+    monkeypatch.setattr(cli.Cache, "get_text", counting_get)
+    cfg = _pipeline_cfg(tmp_path)
+    assert run_cli(tmp_path, cfg, "pipeline")[0] == 0
+    assert calls == ["get_text effham", "sweep", "get_text converge"]
+    calls.clear()
+    assert run_cli(tmp_path, cfg, "pipeline")[0] == 0
+    assert calls == ["get_text effham", "from_csv", "get_text converge"]
+
+
+WRONG_INPUTS = {
+    "window too narrow for eps": ("converge", lambda c, t: c["converge"].update(
+        window=[0.0, 1.0]), "window holds only"),
+    "nan table_file entry": ("homogenize", lambda c, t: c["homogenize"].update(
+        table_file=str(t)), "finite"),
+    "L missing from the table": ("homogenize", lambda c, t: c["homogenize"].update(
+        L=0.7), "no L = 0.7 slice"),
+    "record time past T": ("homogenize", lambda c, t: c["homogenize"].update(
+        record_times=[0.5, 1.5]), "record times"),
+}
+
+
+@pytest.mark.parametrize("pipeline", [False, True])
+@pytest.mark.parametrize("case", sorted(WRONG_INPUTS))
+def test_pipeline_exit_code_matches_standalone(tmp_path, capsys, case, pipeline):
+    """A bad input exits 2 from pipeline as from its own command; pipeline
+    also names the stage."""
+    stage, edit, needle = WRONG_INPUTS[case]
+    table = tmp_path / "table.csv"
+    table.write_text("L,p,lambda,halfwidth,converged\n"
+                     "0.5,4/5,0.4,0.001,1\n0.5,1/1,nan,nan,0\n0.5,5/4,0.6,0.001,1\n")
+    cfg = _pipeline_cfg(tmp_path)
+    edit(cfg, table)
+    rc, _ = run_cli(tmp_path, cfg, "pipeline" if pipeline else stage)
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_VALIDATION
+    assert needle in err
+    assert (f"pipeline failed at stage {stage}" in err) == pipeline
+
+
+def test_pipeline_numerical_failure_exits_numerical(tmp_path, capsys, monkeypatch):
+    from fkhomog import chain, macro
+
+    def blow_up(*args, **kw):
+        raise chain.NumericalError("non-finite state")
+
+    monkeypatch.setattr(macro, "convergence_study", blow_up)
+    rc, _ = run_cli(tmp_path, _pipeline_cfg(tmp_path), "pipeline")
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_NUMERICAL
+    assert "pipeline failed at stage converge" in err and "non-finite state" in err
+
+
+def test_hull_checks_the_model_once(tmp_path, monkeypatch):
+    """rotation_number checks the base model; the driven run does not again."""
+    from fkhomog import chain, model
+    calls = []
+    check = model.check_assumptions
+
+    def counting(m, *args, **kw):
+        calls.append(m)
+        return check(m, *args, **kw)
+
+    monkeypatch.setattr(model, "check_assumptions", counting)
+    monkeypatch.setattr(chain, "check_assumptions", counting)
+    cfg = {"model": base_model(),
+           "hull": {"p": [1, 1], "L": 2.0, "Z": 16, "snapshots": 64, "tol": 2e-3}}
+    rc, _ = run_cli(tmp_path, cfg, "hull")
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
