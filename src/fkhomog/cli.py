@@ -451,10 +451,9 @@ def _converge(cfg: dict, out: Path, model: mdl.ForceModel, table=None,
     table = _table_for(cfg, blk, model, table)
     H = mac.HamiltonianInterp.from_table(table, blk["L"])
     # key on what is solved, not on paths or table order: no stale hit, no spurious miss
-    digests = {name: hashlib.sha256(prof.to_csv().encode()).hexdigest()
-               for name, prof in (("u0", u0), ("xi0", xi0)) if prof is not None}
     payload = {"model": cfg["model"], "converge": blk, "seed": cfg.get("seed", 0),
-               "profiles": digests, "H": [H.p_nodes.tolist(), H.values.tolist()]}
+               "profiles": [u0.to_csv(), None if xi0 is None else xi0.to_csv()],
+               "H": [H.p_nodes.tolist(), H.values.tolist()]}
 
     def compute():
         report = mac.convergence_study(model, blk["L"], u0, blk["eps_list"], blk["T"],
@@ -462,7 +461,15 @@ def _converge(cfg: dict, out: Path, model: mdl.ForceModel, table=None,
                                        xi0=xi0, M0=blk.get("M0", 0.0))
         return report.to_json_dict(), report.to_json()
 
-    report, text = _get_or_compute(cache, "converge", payload, compute, json.loads)
+    def parse(text):
+        report = json.loads(text)
+        lists = [report.get(k) if isinstance(report, dict) else None for k in ("error", "rate")]
+        if not all(isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
+                   for v in lists):
+            raise ValueError("it does not hold the error and rate lists")
+        return report
+
+    report, text = _get_or_compute(cache, "converge", payload, compute, parse)
     (out / "convergence.json").write_text(text)
     decreasing = all(a > b for a, b in zip(report["error"], report["error"][1:]))
     print(f"errors: {report['error']}")

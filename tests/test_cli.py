@@ -249,7 +249,11 @@ def test_unconverged_table_nodes_read_exit_partial(tmp_path, capsys, command):
     assert rc == cli.EXIT_PARTIAL
     written = {"homogenize": ["macro.csv"], "converge": ["convergence.json"],
                "pipeline": ["macro.csv", "convergence.json"]}[command]
-    assert all((out / name).stat().st_size > 0 for name in written)
+    if "macro.csv" in written:
+        assert (out / "macro.csv").read_text().startswith("t,x,u")
+    if "convergence.json" in written:
+        report = json.loads((out / "convergence.json").read_text())
+        assert report["error"] and len(report["rate"]) == len(report["error"]) - 1
     lines = [ln for ln in capsys.readouterr().out.splitlines() if "T_cap" in ln]
     # slopes [0.82, 1.22]: 4/5 and 5/4 are the nearest nodes beyond, 2 is unread
     assert len(lines) == len(written)
@@ -327,15 +331,22 @@ def test_converge_reads_each_profile_once(tmp_path, monkeypatch):
     assert len(texts) == 2
 
 
-def test_unsorted_p_grid_homogenize_agrees_with_pipeline(tmp_path):
+def test_unsorted_p_grid_homogenize_agrees_with_pipeline(tmp_path, capsys):
     cfg = _pipeline_cfg(tmp_path)
     cfg["effham"]["p_grid"] = [[5, 4], [1, 1], [4, 5]]
     rc_h, out = run_cli(tmp_path, cfg, "homogenize")
     macro_h = (out / "macro.csv").read_text()
-    # both solve on the swept table in config order; H sorts its nodes
+    # a cold pipeline solves on the swept table in config order, a warm one
+    # on the table parsed from the sorted cache; H sorts its nodes
     rc_p, out = run_cli(tmp_path, cfg, "pipeline")
     assert rc_h == rc_p == 0
     assert (out / "macro.csv").read_text() == macro_h
+    cold = {name: (out / name).read_bytes() for name in ("macro.csv", "convergence.json")}
+    capsys.readouterr()
+    rc_w, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc_w == 0
+    assert "[cache] hit effham" in capsys.readouterr().out
+    assert {name: (out / name).read_bytes() for name in cold} == cold
 
 
 @pytest.mark.parametrize("command", ["effham", "pipeline"])
@@ -355,16 +366,21 @@ def test_repeated_grid_value_exits_validation(tmp_path, capsys, command, field,
 
 
 @pytest.mark.parametrize("stage,cut", [("effham", "mid_row"), ("effham", "row_boundary"),
-                                       ("converge", "half")])
+                                       ("converge", "half"), ("converge", "empty_object"),
+                                       ("converge", "text_errors")])
 def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):
+    """A cache file that does not parse, or parses to the wrong shape, exits 2
+    naming the file."""
     cfg = _pipeline_cfg(tmp_path)
     rc, out = run_cli(tmp_path, cfg, "pipeline")
     assert rc == 0
     (cached,) = (out / "cache").glob(f"{stage}-*.txt")
     text = cached.read_text()
     last = text.rstrip("\n").rfind("\n") + 1
-    keep = {"mid_row": last + 8, "row_boundary": last, "half": len(text) // 2}[cut]
-    cached.write_text(text[:keep])
+    cached.write_text({"mid_row": text[:last + 8], "row_boundary": text[:last],
+                       "half": text[:len(text) // 2], "empty_object": "{}",
+                       "text_errors": text.replace('"error": [', '"error": ["0.1", '),
+                       }[cut])
     capsys.readouterr()
     rc, out = run_cli(tmp_path, cfg, "pipeline")
     assert rc == cli.EXIT_VALIDATION
