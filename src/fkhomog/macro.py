@@ -189,11 +189,7 @@ class HamiltonianInterp:
         i = int(np.argmin(np.abs(table.L_grid - L)))
         if abs(table.L_grid[i] - L) > 1e-12:
             raise MacroError(f"table has no L = {L} slice")
-        # a table computed from a config keeps the config's p order; one read
-        # back from CSV is sorted.  Both give the same interpolant.
-        p_nodes = np.array([float(p) for p in table.p_grid])
-        order = np.argsort(p_nodes, kind="stable")
-        return cls(p_nodes=p_nodes[order], values=table.lam[i, order])
+        return cls.from_points([float(p) for p in table.p_grid], table.lam[i])
 
     def scaled(self, factor: float) -> "HamiltonianInterp":
         """q -> H(factor q), used to express the table slope (per type period)

@@ -231,7 +231,31 @@ class EffectiveTable:
     converged: np.ndarray             # bool (nL, nP)
     ledger_refs: list                 # per-entry dicts, row major
     failures: list = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+
+    @classmethod
+    def _from_entries(cls, pairs, failures=()) -> "EffectiveTable":
+        """The one table layout: ((L, p), (lambda, halfwidth, converged,
+        ledger_ref)) pairs on the ascending distinct L and p values;
+        ValueError unless every L is finite and the pairs fill the L x p grid
+        exactly once."""
+        entries = dict(pairs)
+        L_grid = sorted({L for L, _ in entries})
+        p_grid = sorted({p for _, p in entries})
+        nL, nP = len(L_grid), len(p_grid)
+        if not all(math.isfinite(L) for L in L_grid):
+            raise ValueError(f"drive values {L_grid} are not all finite")
+        if not entries or len(entries) != len(pairs) or len(entries) != nL * nP:
+            raise ValueError(f"{len(pairs)} rows do not fill the {nL} x {nP} "
+                             "(L, p) grid exactly once")
+        lam, hw, conv, refs = zip(*(entries[L, p] for L in L_grid for p in p_grid))
+        return cls(p_grid=p_grid, L_grid=np.array(L_grid),
+                   lam=np.reshape(lam, (nL, nP)), halfwidths=np.reshape(hw, (nL, nP)),
+                   converged=np.reshape(conv, (nL, nP)), ledger_refs=list(refs),
+                   failures=list(failures))
+
+    @property
+    def diagnostics(self) -> dict:
+        return _table_diagnostics(self)
 
     def column(self, p) -> np.ndarray:
         j = self.p_grid.index(Fraction(p))
@@ -250,27 +274,18 @@ class EffectiveTable:
     @classmethod
     def from_csv(cls, text: str) -> "EffectiveTable":
         """Parse :meth:`to_csv` output; ValueError unless every row has the 5
-        fields and the rows fill the L x p grid exactly once."""
+        fields and a slope with a nonzero denominator, and the rows meet
+        :meth:`_from_entries`."""
         lines = [ln for ln in text.strip().splitlines()[1:] if ln]
-        rows = []
+        pairs = []
         for ln in lines:
             Ls, ps, lam, hw, conv = ln.split(",")
-            rows.append((float(Ls), Fraction(ps), float(lam), float(hw), bool(int(conv))))
-        L_grid = sorted({r[0] for r in rows})
-        p_grid = sorted({r[1] for r in rows})
-        nL, nP = len(L_grid), len(p_grid)
-        if not rows or len({r[:2] for r in rows}) != len(rows) or len(rows) != nL * nP:
-            raise ValueError(f"{len(rows)} rows do not fill the {nL} x {nP} "
-                             "(L, p) grid exactly once")
-        lam = np.full((nL, nP), np.nan)
-        hw = np.full((nL, nP), np.nan)
-        conv = np.zeros((nL, nP), dtype=bool)
-        for Lv, pv, lv, hv, cv in rows:
-            i, j = L_grid.index(Lv), p_grid.index(pv)
-            lam[i, j], hw[i, j], conv[i, j] = lv, hv, cv
-        return cls(p_grid=p_grid, L_grid=np.array(L_grid), lam=lam,
-                   halfwidths=hw, converged=conv,
-                   ledger_refs=[{} for _ in range(nL * nP)])
+            try:
+                p = Fraction(ps)
+            except ZeroDivisionError:
+                raise ValueError(f"row {ln!r}: slope {ps} has a zero denominator")
+            pairs.append(((float(Ls), p), (float(lam), float(hw), bool(int(conv)), {})))
+        return cls._from_entries(pairs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,7 +319,7 @@ def _table_diagnostics(table: EffectiveTable) -> dict:
 
 def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
           T_cap: float = 2000.0, **kw) -> EffectiveTable:
-    """Fill the (L, p) table.
+    """Fill the (L, p) table on the distinct grid values, in ascending order.
 
     Each p-column is one ensemble: every L at that p shares the ring, so the
     column solver steps all of them together and retires each entry on its
@@ -312,35 +327,25 @@ def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
     calls bit for bit; an entry that blows up becomes NaN and is listed in
     ``failures``, the rest of its column is unaffected.
     """
-    p_grid = [Fraction(p) for p in p_grid]
-    L_grid = np.asarray(list(L_grid), dtype=float)
+    p_grid = sorted({Fraction(p) for p in p_grid})
+    L_grid = np.array(sorted({float(L) for L in L_grid}))
     if not p_grid or L_grid.size == 0:
         raise ValueError("p_grid and L_grid must be nonempty")
     require_monotone(model)
     columns = [_solve_column(model, p, L_grid, tol, T_cap, **kw) for p in p_grid]
 
-    nL, nP = L_grid.size, len(p_grid)
-    lam = np.full((nL, nP), np.nan)
-    hw = np.full((nL, nP), np.nan)
-    conv = np.zeros((nL, nP), dtype=bool)
-    refs = [{} for _ in range(nL * nP)]
-    failures = []
-    for i in range(nL):
-        for j in range(nP):
+    pairs, failures = [], []
+    for i, L in enumerate(L_grid.tolist()):
+        for j, p in enumerate(p_grid):
             est = columns[j][i]
             if isinstance(est, NumericalError):
-                failures.append({"L": float(L_grid[i]), "p": str(p_grid[j]),
-                                 "error": str(est)})
-                continue
-            lam[i, j], hw[i, j], conv[i, j] = (est.lambda_hat, est.halfwidth_best,
-                                               est.converged)
-            refs[i * nP + j] = {"C2": est.ledger.C2, "C4": est.ledger.C4,
-                                "K1": est.ledger.K1, "T": est.T}
-
-    table = EffectiveTable(p_grid=p_grid, L_grid=L_grid, lam=lam, halfwidths=hw,
-                           converged=conv, ledger_refs=refs, failures=failures)
-    table.diagnostics = _table_diagnostics(table)
-    return table
+                failures.append({"L": L, "p": str(p), "error": str(est)})
+                pairs.append(((L, p), (np.nan, np.nan, False, {})))
+            else:
+                pairs.append(((L, p), (est.lambda_hat, est.halfwidth_best, est.converged,
+                                       {"C2": est.ledger.C2, "C4": est.ledger.C4,
+                                        "K1": est.ledger.K1, "T": est.T})))
+    return EffectiveTable._from_entries(pairs, failures)
 
 
 def monotone_in_L_violation(table: EffectiveTable, j: Optional[int] = None) -> float:

@@ -267,6 +267,41 @@ def test_unconverged_table_nodes_read_exit_partial(tmp_path, capsys, command):
         assert log.splitlines()[-1] == lines[-1]
 
 
+@pytest.mark.parametrize("edit", [("2.0,", "nan,"), (",1/1,", ",1/0,")],
+                         ids=["nan_L", "zero_denominator"])
+def test_table_file_with_bad_row_exits_validation(tmp_path, capsys, edit):
+    """A table at a non-finite drive, or with a zero denominator, exits 2
+    naming the file; a NaN drive is never picked as the nearest slice."""
+    cfg = _pipeline_cfg(tmp_path)
+    table = tmp_path / "table.csv"
+    # one column: each NaN parses as a drive of its own, so one NaN row fills it
+    table.write_text("L,p,lambda,halfwidth,converged\n"
+                     "0.5,1/1,0.5,0.001,1\n2.0,1/1,2.0,0.001,1\n".replace(*edit))
+    cfg["homogenize"].update(table_file=str(table), L=2.0)
+    rc, out = run_cli(tmp_path, cfg, "homogenize")
+    assert rc == cli.EXIT_VALIDATION
+    assert str(table) in capsys.readouterr().err
+    assert not (out / "macro.csv").exists()
+
+
+def test_effham_permuted_L_grid_matches_sorted(tmp_path, capsys):
+    """A table is written on ascending grids whatever the config order, so the
+    monotonicity report reads neighbouring drives."""
+    cfg = {"model": base_model(),
+           "effham": {"p_grid": [[1, 1]], "L_grid": [0.0, 1.0, 2.0, 3.0],
+                      "tol": 2e-3, "T_cap": 200.0}}
+    outputs = []
+    for grid in ([0.0, 1.0, 2.0, 3.0], [2.0, 0.0, 3.0, 1.0]):
+        cfg["effham"]["L_grid"] = grid
+        capsys.readouterr()
+        run_cli(tmp_path, cfg, "effham")
+        assert capsys.readouterr().out.splitlines()[0].endswith("(ok)")
+        out = tmp_path / "out"
+        outputs.append([(out / name).read_bytes()
+                        for name in ("effective_table.csv", "effective_table.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_unconverged_node_off_a_straight_profile_is_not_read(tmp_path, capsys):
     """A straight unit-slope profile reads only the p = 1 node."""
     cfg = _pipeline_cfg(tmp_path)
@@ -336,8 +371,8 @@ def test_unsorted_p_grid_homogenize_agrees_with_pipeline(tmp_path, capsys):
     cfg["effham"]["p_grid"] = [[5, 4], [1, 1], [4, 5]]
     rc_h, out = run_cli(tmp_path, cfg, "homogenize")
     macro_h = (out / "macro.csv").read_text()
-    # a cold pipeline solves on the swept table in config order, a warm one
-    # on the table parsed from the sorted cache; H sorts its nodes
+    # a cold pipeline solves on the swept table, a warm one on the table
+    # parsed from the cache; both hold the p nodes ascending
     rc_p, out = run_cli(tmp_path, cfg, "pipeline")
     assert rc_h == rc_p == 0
     assert (out / "macro.csv").read_text() == macro_h
@@ -366,6 +401,7 @@ def test_repeated_grid_value_exits_validation(tmp_path, capsys, command, field,
 
 
 @pytest.mark.parametrize("stage,cut", [("effham", "mid_row"), ("effham", "row_boundary"),
+                                       ("effham", "zero_denominator"),
                                        ("converge", "half"), ("converge", "empty_object"),
                                        ("converge", "text_errors")])
 def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):
@@ -380,6 +416,7 @@ def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):
     cached.write_text({"mid_row": text[:last + 8], "row_boundary": text[:last],
                        "half": text[:len(text) // 2], "empty_object": "{}",
                        "text_errors": text.replace('"error": [', '"error": ["0.1", '),
+                       "zero_denominator": text.replace(",1/1,", ",1/0,"),
                        }[cut])
     capsys.readouterr()
     rc, out = run_cli(tmp_path, cfg, "pipeline")
@@ -485,6 +522,40 @@ def test_pipeline_numerical_failure_exits_numerical(tmp_path, capsys, monkeypatc
     assert "pipeline failed at stage converge" in err and "non-finite state" in err
 
 
+def test_pipeline_failing_model_exits_from_effham(tmp_path, capsys):
+    """The structural check runs inside the effham stage: a heavy mass exits 2
+    as the standalone effham does, and no table is written."""
+    cfg = _pipeline_cfg(tmp_path)
+    cfg["model"] = base_model(m0=0.05)
+    for command in ("effham", "pipeline"):
+        rc, out = run_cli(tmp_path, cfg, command)
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_VALIDATION
+        assert "monotonicity assumptions ['a3'" in err and "critical mass" in err
+        assert ("pipeline failed at stage effham" in err) == (command == "pipeline")
+        assert not (out / "effective_table.csv").exists()
+
+
+def test_pipeline_checks_the_model_in_its_stages_only(tmp_path, monkeypatch):
+    """sweep and convergence_study each check the model on a cold run; a warm
+    run whose stages both hit the cache checks nothing."""
+    from fkhomog import model
+    calls = []
+    check = model.check_assumptions
+
+    def counting(m, *args, **kw):
+        calls.append(m)
+        return check(m, *args, **kw)
+
+    monkeypatch.setattr(model, "check_assumptions", counting)
+    cfg = _pipeline_cfg(tmp_path)
+    assert run_cli(tmp_path, cfg, "pipeline")[0] == 0
+    assert len(calls) == 2
+    calls.clear()
+    assert run_cli(tmp_path, cfg, "pipeline")[0] == 0
+    assert calls == []
+
+
 def test_hull_checks_the_model_once(tmp_path, monkeypatch):
     """rotation_number checks the base model; the driven run does not again."""
     from fkhomog import chain, model
@@ -563,6 +634,27 @@ def test_fuzzed_configs_never_crash(garbage):
         path.write_text(json.dumps(garbage))
         rc = cli.main(["check", "--config", str(path), "--out", str(Path(tmp) / "o")])
     assert rc in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_constant_exits_validation(tmp_path, capsys, constant):
+    """json reads NaN and +-Infinity, which no schema bound rejects."""
+    cfg = _pipeline_cfg(tmp_path)
+    cfg["homogenize"]["T"] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"@"', constant))
+    rc = cli.main(["homogenize", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"{constant} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_not_utf8_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc = cli.main(["check", "--config", str(path)])
+    assert rc == cli.EXIT_VALIDATION
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_config_file_missing_is_validation_error(tmp_path, capsys):

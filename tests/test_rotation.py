@@ -180,6 +180,8 @@ def _assert_sweep_equals_entries(model, p_grid, L_grid, **kw):
     per entry: tables, half-widths, flags, ledger refs and failure messages
     must agree bit for bit."""
     table = fk.sweep(model, p_grid, L_grid, **kw)
+    # sweep tabulates the distinct grid values in ascending order
+    p_grid, L_grid = sorted(set(map(Fraction, p_grid))), sorted(set(map(float, L_grid)))
     nL, nP = len(L_grid), len(p_grid)
     lam, hw = np.full((nL, nP), np.nan), np.full((nL, nP), np.nan)
     conv = np.zeros((nL, nP), dtype=bool)
@@ -254,15 +256,19 @@ def test_sweep_equals_entries_per_window_callable():
                                  tol=5e-3, T_cap=100.0)
 
 
-def test_sweep_isolates_rows_that_blow_up():
+def _blow_up_model():
     def fn(j, tau, w):
         # a flat ring below U = 3, an exploding force above it
         w = np.asarray(w, dtype=float)
         c = w[..., 1]
         return 0.5 * (w[..., 2] - 2 * c + w[..., 0]) + np.where(c > 3.0, 1e300 * c, 0.0)
 
-    m = fk.build_tabulated(fn, n=1, m=1, m0=0.05, lip_V=2.0, f_at_zero_sup=0.0,
-                           batch=True)
+    return fk.build_tabulated(fn, n=1, m=1, m0=0.05, lip_V=2.0, f_at_zero_sup=0.0,
+                              batch=True)
+
+
+def test_sweep_isolates_rows_that_blow_up():
+    m = _blow_up_model()
     Ls = [-0.5, 0.0, 0.5, 40.0]
     with np.errstate(over="ignore", invalid="ignore"):
         table = _assert_sweep_equals_entries(m, [Fraction(1)], Ls, tol=1e-3,
@@ -280,6 +286,50 @@ def test_sweep_isolates_rows_that_blow_up():
     # the error carries the last finite sampled state
     U, Xi = ei.value.snapshot
     assert np.isfinite(U).all() and np.isfinite(Xi).all()
+
+
+def test_sweep_on_permuted_grids_equals_sorted_sweep():
+    """One layout: a sweep tabulates its grids ascending whatever their order,
+    so the readers that assume ascending grids agree on both tables."""
+    m = fkmodel(L=0.0, margin=1.2)
+    kw = dict(tol=2e-3, T_cap=200.0)
+    ps = [Fraction(5, 4), Fraction(4, 5), Fraction(1)]
+    table = fk.sweep(m, ps, [2.0, 0.0, 3.0, 1.0], **kw)
+    ref = fk.sweep(m, sorted(ps), [0.0, 1.0, 2.0, 3.0], **kw)
+    _assert_same_table(table, ref)
+    assert monotone_in_L_violation(table) == monotone_in_L_violation(ref) <= 0.0
+    for p in ps:
+        assert depinning_threshold(table, p, tol=5e-3) == depinning_threshold(ref, p, tol=5e-3)
+    assert depinning_threshold(table, 1, tol=5e-3)[0] > -math.inf
+    assert table.diagnostics == ref.diagnostics
+    assert table.diagnostics["max_downward_jump_in_L"] == 0.0
+    assert table.diagnostics["min_p_spacing"] == pytest.approx(0.2)
+
+
+def test_sweep_lists_failures_in_ascending_order():
+    m = _blow_up_model()
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = fk.sweep(m, [1], [40.0, -0.5, 0.5, 0.0], tol=1e-3, T_cap=100.0)
+        ref = fk.sweep(m, [1], [-0.5, 0.0, 0.5, 40.0], tol=1e-3, T_cap=100.0)
+    _assert_same_table(table, ref)
+    assert [f["L"] for f in table.failures] == [0.5, 40.0]
+
+
+def test_sweep_tabulates_a_repeated_value_once():
+    m = fkmodel(A=0.0, margin=1.2)
+    table = fk.sweep(m, [Fraction(1), Fraction(2, 2)], [1.0, 0.0, 1.0], tol=1e-6,
+                     T_cap=100.0)
+    assert table.p_grid == [Fraction(1)] and table.L_grid.tolist() == [0.0, 1.0]
+    assert table.lam.shape == (2, 1) and len(table.ledger_refs) == 2
+
+
+def _assert_same_table(table, ref):
+    assert table.p_grid == ref.p_grid
+    assert table.L_grid.tobytes() == ref.L_grid.tobytes()
+    for name in ("lam", "halfwidths", "converged"):
+        assert getattr(table, name).tobytes() == getattr(ref, name).tobytes()
+    assert table.ledger_refs == ref.ledger_refs
+    assert table.failures == ref.failures
 
 
 def test_drive_shift_symmetry_linear_chain_table():
@@ -311,6 +361,10 @@ def test_table_csv_json_roundtrip():
     import json
     meta = json.loads(table_to_json(table))
     assert meta["p_grid"] == ["1/2", "1/1"]
+    # diagnostics follow from the entries, so a parsed table carries them too
+    assert back.diagnostics == table.diagnostics == meta["diagnostics"]
+    assert set(back.diagnostics) == {"max_downward_jump_in_L", "max_p_increment",
+                                     "min_p_spacing"}
 
 
 def test_table_from_csv_rejects_cut_tables():
@@ -324,3 +378,14 @@ def test_table_from_csv_rejects_cut_tables():
         EffectiveTable.from_csv(text[:text.rstrip().rfind("\n") + 1])
     with pytest.raises(ValueError, match="grid"):
         EffectiveTable.from_csv(text + "1.0,1/1,1.0,0.001,1\n")
+
+
+@pytest.mark.parametrize("row,needle", [("nan,1/1,1.0,0.001,1", "finite"),
+                                        ("inf,1/1,1.0,0.001,1", "finite"),
+                                        ("2.0,1/0,1.0,0.001,1", "'2.0,1/0,1.0,0.001,1'")])
+def test_table_from_csv_rejects_bad_keys(row, needle):
+    """A non-finite drive or a zero denominator is a ValueError naming it."""
+    text = ("L,p,lambda,halfwidth,converged\n"
+            "0.0,1/1,0.0,0.001,1\n1.0,1/1,0.5,0.001,1\n")
+    with pytest.raises(ValueError, match=needle):
+        EffectiveTable.from_csv(text + row + "\n")
