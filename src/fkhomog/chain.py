@@ -23,6 +23,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -140,14 +141,11 @@ def _window_gather(N: int, Q: int, m: int, n: int):
     return idx, shift, types
 
 
-def _neighbor(U: np.ndarray, Q: int, k: int) -> np.ndarray:
-    """Values U_{i+k} for all i (last axis), using the twist for indices off
-    the ring."""
-    N = U.shape[-1]
-    if k == 0:
-        return U
-    idx = np.arange(N) + k
-    return U[..., idx % N] + Q * (idx // N)
+def _neighbours(V: np.ndarray, Q: int, k: int):
+    """(V_{i+k}, V_{i-k}) for every i along the last axis of twisted rings,
+    read through the window gather of :func:`force_profile`."""
+    idx, shift, _ = _window_gather(V.shape[-1], Q, k, 1)
+    return V[..., idx[:, -1]] + shift[:, -1], V[..., idx[:, 0]] + shift[:, 0]
 
 
 def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int,
@@ -165,17 +163,53 @@ def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int,
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
                  a0: float = 0.0) -> tuple[float, float]:
     """Weights (1 - dt alpha0, dt alpha0) of the Euler map at step dt; warns
-    past the monotone bound of :func:`cfl_dt`, where order is not preserved."""
+    past the monotone bound of :func:`cfl_dt`, where order is not preserved,
+    at the caller of ``run`` (through :func:`_clock`) or ``rescale_micro``."""
     if delta < 0:
         raise ModelError("delta must be nonnegative")
     if dt * (model.alpha0 + delta * max(a0, 0.0)) > 1.0 + 1e-12:
         warnings.warn("dt exceeds the monotone CFL bound "
                       "1/(alpha0 + delta max(a0, 0)); comparison is no longer "
-                      "certified", stacklevel=3)
+                      "certified", stacklevel=4)
     # clamping the diagonal keeps the update weights nonnegative even when
     # dt*alpha0 rounds a hair above 1 at the CFL limit
     beta = dt * model.alpha0
     return max(0.0, 1.0 - beta), beta
+
+
+def _n_samples(T: float, h: float) -> int:
+    """Spacings of h that cover the duration T: the least k with k h >= T,
+    where a T that rounding put a hair (relative 1e-12) past k h counts as k;
+    0 for T <= 0."""
+    return 0 if T <= 0 else math.ceil(T / h - 1e-12)
+
+
+def _cut(span: float, dt: float) -> tuple[int, float]:
+    """(n_sub, span / n_sub): span > 0 in the fewest equal steps <= dt."""
+    n_sub = max(1, _n_samples(span, dt))
+    return n_sub, span / n_sub
+
+
+#: one sample spacing of a march: n_sub Euler steps of dt, with the weights
+#: (c, beta) of :func:`_euler_coeff`
+_Clock = namedtuple("_Clock", "sample_dt n_sub dt c beta")
+
+
+def _clock(model: ForceModel, sample_dt: float, dt: float, delta: float = 0.0,
+           a0: float = 0.0) -> _Clock:
+    """The clock of a march that records every sample_dt: sample_dt cut by
+    :func:`_cut` into Euler steps no longer than dt, with their weights."""
+    n_sub, dt_eff = _cut(sample_dt, dt)
+    return _Clock(sample_dt, n_sub, dt_eff, *_euler_coeff(model, dt_eff, delta, a0))
+
+
+def _transient_cut(model: ForceModel, t0: float,
+                   transient: Optional[float] = None) -> float:
+    """The time past which a march begun at t0 has relaxed: t0 + transient,
+    by default TRANSIENT_RELAXATION_MULTIPLE / alpha0."""
+    if transient is None:
+        transient = TRANSIENT_RELAXATION_MULTIPLE / model.alpha0
+    return t0 + transient
 
 
 def _euler_update(U: np.ndarray, Xi: np.ndarray, F: np.ndarray, c: float,
@@ -188,14 +222,6 @@ def _euler_update(U: np.ndarray, Xi: np.ndarray, F: np.ndarray, c: float,
     if extra is not None:
         Xi2 += dt * extra
     return U2, Xi2
-
-
-def _require_finite(U: np.ndarray, Xi: np.ndarray, tau: float, snapshot):
-    """Raise NumericalError at tau, carrying the state pair ``snapshot``,
-    unless U and Xi are finite."""
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(Xi))):
-        raise NumericalError(f"state blew up at tau = {tau}", tau=tau,
-                             snapshot=snapshot)
 
 
 def step(chain: TwistedChain, dt: float, delta: float = 0.0,
@@ -217,9 +243,8 @@ def _delta_term(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
     per_type_min = e.reshape(*e.shape[:-1], -1, n).min(axis=-2)
     a = per_type_min[..., np.arange(N) % n] - e
     speed = delta * (a0 + a)
-    q_f = _neighbor(Xi, Q, n) - Xi
-    q_b = Xi - _neighbor(Xi, Q, -n)
-    q = np.where(speed >= 0.0, q_f, q_b)
+    fwd, bwd = _neighbours(Xi, Q, n)
+    q = np.where(speed >= 0.0, fwd - Xi, Xi - bwd)
     return speed * np.maximum(q, 0.0)
 
 
@@ -249,17 +274,17 @@ CHECK_BLOCK = 64
 
 
 def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
-           tau0: float, s: int, S: int, sample_dt: float, n_sub: int,
-           dt_eff: float, c: float, beta: float, out: Optional[np.ndarray], *,
+           tau0: float, s: int, S: int, clock: _Clock,
+           out: Optional[np.ndarray], *,
            drive: Optional[np.ndarray] = None, delta: float = 0.0,
            a0: float = 0.0, p_float: float = 0.0, snaps: Optional[list] = None,
            snapshot_stride: int = 0, block: int = CHECK_BLOCK):
     """Advance B rings, U and Xi of shape (B, N), from sample s to sample S of
-    a march started at tau0 (sample k lands on tau0 + k sample_dt), n_sub
-    Euler steps of dt_eff per sample.  Sample k of the n reference particles
-    goes to out[:, :n, k] (U) and out[:, n:, k] (Xi); drive is the per-row
-    column of :func:`force_profile`.  snapshot_stride > 0 appends the first
-    ring's (tau, U, Xi) to snaps every that many samples.
+    a march started at tau0 (sample k lands on tau0 + k sample_dt) in the
+    Euler steps of clock (:func:`_clock`).  Sample k of the n reference
+    particles goes to out[:, :n, k] (U) and out[:, n:, k] (Xi); drive is the
+    per-row column of :func:`force_profile`.  snapshot_stride > 0 appends the
+    first ring's (tau, U, Xi) to snaps every that many samples.
 
     Finiteness is checked once per block of samples.  The march stops at the
     end of the first block in which a ring is not finite, and returns
@@ -269,6 +294,7 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
     alone one sample at a time.  errors is empty when the march reached S.
     """
     n = model.n
+    sample_dt, n_sub, dt_eff, c, beta = clock
     use_delta = delta > 0.0
     extra = None
     while s < S:
@@ -294,15 +320,10 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
                 return U, Xi, s_end, {
                     b: NumericalError(f"state blew up at tau = {tau}", tau=tau,
                                       snapshot=(U0[b], Xi0[b])) for b in bad}
-            errors = {}
-            for b in bad:
-                row = slice(b, b + 1)
-                errors[b] = _march(
-                    model, U0[row], Xi0[row], Q, tau0, s, s_end, sample_dt,
-                    n_sub, dt_eff, c, beta, None,
-                    drive=None if drive is None else drive[row], delta=delta,
-                    a0=a0, p_float=p_float, block=1)[3][0]
-            return U, Xi, s_end, errors
+            return U, Xi, s_end, {b: _march(
+                model, U0[b:b + 1], Xi0[b:b + 1], Q, tau0, s, s_end, clock, None,
+                drive=None if drive is None else drive[b:b + 1], delta=delta,
+                a0=a0, p_float=p_float, block=1)[3][0] for b in bad}
         s = s_end
     return U, Xi, s, {}
 
@@ -332,15 +353,13 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
                 stacklevel=2)
     if dt is None:
         dt = cfl_dt(model, safety=0.5, check=False, delta=delta, a0=a0)
-    n_sub = max(1, math.ceil(sample_dt / dt - 1e-12))
-    dt_eff = sample_dt / n_sub
-    S = 0 if T <= 0 else math.ceil(T / sample_dt - 1e-12)
+    clock = _clock(model, sample_dt, dt, delta, a0)
+    S = _n_samples(T, sample_dt)
 
     n = model.n
     U = chain.U.reshape(1, -1).copy()
     Xi = chain.Xi.reshape(1, -1).copy()
     tau0 = chain.tau
-    c, beta = _euler_coeff(model, dt_eff, delta, a0)
 
     times = tau0 + sample_dt * np.arange(S + 1)
     tracked = np.empty((1, 2 * n, S + 1))
@@ -350,9 +369,9 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
     if snapshot_stride > 0:
         snaps.append((float(times[0]), U[0].copy(), Xi[0].copy()))
 
-    U, Xi, _, errors = _march(model, U, Xi, chain.Q, tau0, 0, S, sample_dt,
-                              n_sub, dt_eff, c, beta, tracked, delta=delta,
-                              a0=a0, p_float=float(chain.p), snaps=snaps,
+    U, Xi, _, errors = _march(model, U, Xi, chain.Q, tau0, 0, S, clock,
+                              tracked, delta=delta, a0=a0,
+                              p_float=float(chain.p), snaps=snaps,
                               snapshot_stride=snapshot_stride)
     if errors:
         raise errors[0]
@@ -361,7 +380,7 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
                          chain.p, model)
     return TrajectoryLog(sample_times=times, tracked_u=tracked[0, :n],
                          tracked_xi=tracked[0, n:], snapshots=snaps,
-                         final_state=final, sample_dt=sample_dt, dt=dt_eff,
+                         final_state=final, sample_dt=sample_dt, dt=clock.dt,
                          p=chain.p, delta=delta, a0=a0)
 
 
@@ -404,12 +423,8 @@ class InvariantReport:
 
 
 def _state_ordering_violation(U, Xi, Q) -> float:
-    worst = 0.0
-    for v in (U, Xi):
-        if v.size > 1:
-            worst = max(worst, float(np.maximum(v[:-1] - v[1:], 0.0).max()))
-        worst = max(worst, max(0.0, float(v[-1] - (v[0] + Q))))
-    return worst
+    return max(0.0, *(float(np.maximum(v - _neighbours(v, Q, 1)[0], 0.0).max())
+                      for v in (U, Xi)))
 
 
 def _state_space_osc(U, n, p_float) -> float:
@@ -429,16 +444,13 @@ def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None,
     """
     if isinstance(obj, TwistedChain):
         states = [(obj.tau, obj.U, obj.Xi)]
-        model, p, Q = obj.model, obj.p, obj.Q
-        t0 = obj.tau
+        model, p, Q, t0 = obj.model, obj.p, obj.Q, obj.tau
     else:
         states = obj.snapshots if obj.snapshots else \
             [(obj.final_state.tau, obj.final_state.U, obj.final_state.Xi)]
         model, p, Q = obj.final_state.model, obj.p, obj.final_state.Q
         t0 = float(obj.sample_times[0])
-    if transient is None:
-        transient = TRANSIENT_RELAXATION_MULTIPLE / model.alpha0
-    cut = t0 + transient
+    cut = _transient_cut(model, t0, transient)
     p_float = float(p)
 
     ordering = 0.0
@@ -451,7 +463,7 @@ def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None,
             gap = max(gap, float(np.abs(U - Xi).max()))
             osc = max(osc, _state_space_osc(U, model.n, p_float),
                       _state_space_osc(Xi, model.n, p_float))
-            fwd = _neighbor(Xi, Q, model.n) - Xi
+            fwd = _neighbours(Xi, Q, model.n)[0] - Xi
             dgrad = max(dgrad, float(fwd.max()))
 
     gap_bound = None if ledger is None else ledger.C4 / model.alpha0
@@ -469,7 +481,8 @@ def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None,
 
 def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
                sample_dt: Optional[float] = None) -> TrajectoryLog:
-    """Classical RK4 on m0 U'' + U' = F in (U, W = U') variables.
+    """Classical RK4 on m0 U'' + U' = F in (U, W = U') variables, on the
+    sample grid and substep rule of :func:`run` (sample_dt defaults to dt).
 
     Xi is reconstructed as U + 2 m0 W = U + W/alpha0.  Used to cross-check
     the Euler path; it does not preserve comparison.
@@ -477,27 +490,17 @@ def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
     a0 = model.alpha0
     if sample_dt is None:
         sample_dt = dt
-    n_sub = max(1, round(sample_dt / dt))
-    dt = sample_dt / n_sub
-    S = 0 if T <= 0 else math.ceil(T / sample_dt - 1e-12)
-
+    n_sub, dt = _cut(sample_dt, dt)
+    S = _n_samples(T, sample_dt)
     U = chain0.U.copy()
     W = a0 * (chain0.Xi - chain0.U)
-    Q = chain0.Q
-    n = model.n
-    tau0 = chain0.tau
+    Q, n, tau0 = chain0.Q, model.n, chain0.tau
 
     def deriv(tau, u, w):
-        F = force_profile(model, tau, u, Q)
-        return w, 2.0 * a0 * (F - w)
+        return w, 2.0 * a0 * (force_profile(model, tau, u, Q) - w)
 
     times = tau0 + sample_dt * np.arange(S + 1)
-    tr_u = np.empty((n, S + 1))
-    tr_xi = np.empty((n, S + 1))
-    tr_u[:, 0] = U[:n]
-    tr_xi[:, 0] = (U + W / a0)[:n]
-    snaps = [(float(times[0]), U.copy(), (U + W / a0).copy())]
-
+    snaps = [(float(times[0]), U.copy(), U + W / a0)]
     for s in range(1, S + 1):
         for k in range(n_sub):
             tau = tau0 + (s - 1) * sample_dt + k * dt
@@ -507,16 +510,17 @@ def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
             k4u, k4w = deriv(tau + dt, U + dt * k3u, W + dt * k3w)
             U = U + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
             W = W + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        Xi = U + W / a0
-        _require_finite(U, Xi, float(times[s]), (U, Xi))
-        tr_u[:, s] = U[:n]
-        tr_xi[:, s] = Xi[:n]
-        snaps.append((float(times[s]), U.copy(), Xi.copy()))
+        t, Xi = float(times[s]), U + W / a0
+        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(Xi))):
+            raise NumericalError(f"state blew up at tau = {t}", tau=t,
+                                 snapshot=(U, Xi))
+        snaps.append((t, U.copy(), Xi))
 
+    tracked = np.array([(u[:n], xi[:n]) for _, u, xi in snaps]).transpose(1, 2, 0)
     final = TwistedChain(chain0.N, Q, U, U + W / a0, float(times[-1]),
                          chain0.p, model)
-    return TrajectoryLog(sample_times=times, tracked_u=tr_u, tracked_xi=tr_xi,
-                         snapshots=snaps, final_state=final,
+    return TrajectoryLog(sample_times=times, tracked_u=tracked[0],
+                         tracked_xi=tracked[1], snapshots=snaps, final_state=final,
                          sample_dt=sample_dt, dt=dt, p=chain0.p)
 
 

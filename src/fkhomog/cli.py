@@ -235,7 +235,10 @@ class Cache:
         p = self.path(stage, k)
         if p.exists():
             self.log(f"[cache] hit {stage} {k}")
-            return k, p.read_text()
+            try:
+                return k, p.read_text()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"cache file {p} is corrupt: {exc}")
         self.log(f"[cache] miss {stage} {k}")
         return k, None
 
@@ -396,7 +399,7 @@ def _load_profile(blk: dict, key: str) -> mac.Profile:
     path = blk[key]
     try:
         return mac.Profile.from_csv(Path(path).read_text())
-    except (OSError, mac.MacroError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: cannot read {path}: {exc}")
 
 

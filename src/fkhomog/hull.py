@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ForceModel, ConstantsLedger, _force
-from .chain import TrajectoryLog, TRANSIENT_RELAXATION_MULTIPLE
+from .chain import TrajectoryLog, _transient_cut
 
 
 class HullExtractionError(ValueError):
@@ -168,9 +168,8 @@ def _settled_snapshots(log: TrajectoryLog, transient: Optional[float]) -> list:
     if not log.snapshots:
         raise HullExtractionError("hull extraction needs full snapshots; "
                                   "rerun with snapshot_stride > 0")
-    if transient is None:
-        transient = TRANSIENT_RELAXATION_MULTIPLE / log.final_state.model.alpha0
-    cut = float(log.sample_times[0]) + transient
+    cut = _transient_cut(log.final_state.model, float(log.sample_times[0]),
+                         transient)
     snaps = [s for s in log.snapshots if s[0] >= cut]
     if not snaps:
         raise HullExtractionError("no snapshots past the relaxation transient")

@@ -23,11 +23,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ForceModel, with_extra_drive, require_monotone, _force
-from .chain import NumericalError, _euler_coeff, _euler_update
+from .chain import NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update
 
 
 class MacroError(ValueError):
     pass
+
+
+#: record times of the eps study, evenly spaced on [T/2, T]
+COMPACT_TIMES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +208,10 @@ class HamiltonianInterp:
 
 def _march_plan(times, T: float, dt_max: float, unit: float = 1.0) -> list:
     """Check the times against [0, T] and plan a march from 0 that lands on
-    each, sorted and deduplicated: (t, n_sub, dt, start) takes n_sub steps of
-    dt <= dt_max on the clock time / unit, from the clock value start (the
-    sum of the earlier segments) to t / unit.  Times <= 0 take no step."""
+    each, sorted and deduplicated: (t, n_sub, dt, start) takes the n_sub steps
+    of dt <= dt_max of ``chain._cut`` on the clock time / unit, from the clock
+    value start (the sum of the earlier segments) to t / unit.  Times <= 0
+    take no step."""
     want = sorted(set(float(t) for t in times))
     if want and (want[0] < -1e-12 or want[-1] > T + 1e-9):
         raise MacroError(f"record times must lie in [0, {T}]")
@@ -217,8 +222,8 @@ def _march_plan(times, T: float, dt_max: float, unit: float = 1.0) -> list:
         if seg <= 0:
             plan.append((t, 0, 0.0, start))
             continue
-        n_sub = max(1, math.ceil(seg / dt_max - 1e-12))
-        plan.append((t, n_sub, seg / n_sub, start))
+        n_sub, dt = _cut(seg, dt_max)
+        plan.append((t, n_sub, dt, start))
         at = t / unit
         start += seg
     return plan
@@ -368,8 +373,10 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     Particles outside the slice keep stale values that never reach the
     window, so values on the window are exactly those of the infinite chain.
     meta records the particles actually stepped, summed over steps, as
-    particle_steps.  Keyword options are those of ``_rescale_micro``, the
-    body without the structural check (see ``require_monotone``).
+    particle_steps.  Euler steps are at most cfl_dt(model + L, 0.5), cut by
+    ``_march_plan`` to land on each time of t_record (default [T]).  Keyword
+    options (xi0, M0, K0, t_record, max_particles) are those of
+    ``_rescale_micro``, the body without the structural check.
     """
     require_monotone(model)
     return _rescale_micro(model, L, eps, u0, T, window, **kw)
@@ -379,7 +386,7 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
                    T: float, window: tuple[float, float], *,
                    xi0: Optional[Profile] = None, M0: float = 0.0,
                    K0: Optional[float] = None,
-                   safety: float = 0.5, t_record: Optional[Sequence[float]] = None,
+                   t_record: Optional[Sequence[float]] = None,
                    max_particles: int = 5_000_000) -> MicroField:
     if eps <= 0:
         raise MacroError("eps must be positive")
@@ -399,8 +406,7 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
         raise MacroError(f"initial profile violates the slope frame: {rep}")
 
     model2 = with_extra_drive(model, L)
-    a0 = model2.alpha0
-    dt_max = safety / a0
+    dt_max = cfl_dt(model2, 0.5, check=False)
     m = model2.m
 
     plan = _march_plan(t_record if t_record is not None else [T], T, dt_max, eps)
@@ -428,24 +434,21 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     obs = slice(pad, pad + n_obs)
     reach = m * (total_steps - 1)
     particle_steps = 0
-    t_out = []
     vals = []
     for w, n_sub, dt, start in plan:
-        if n_sub:
-            c, beta = _euler_coeff(model2, dt)
-            for k in range(n_sub):
-                lo, hi = pad - reach, pad + n_obs + reach
-                F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi])
-                U[lo:hi], Xi[lo:hi] = _euler_update(U[lo:hi], Xi[lo:hi], F, c, beta, dt)
-                particle_steps += hi - lo
-                reach -= m
+        c, beta = _euler_coeff(model2, dt)
+        for k in range(n_sub):
+            lo, hi = pad - reach, pad + n_obs + reach
+            F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi])
+            U[lo:hi], Xi[lo:hi] = _euler_update(U[lo:hi], Xi[lo:hi], F, c, beta, dt)
+            particle_steps += hi - lo
+            reach -= m
         if not np.all(np.isfinite(U[obs])):
             raise NumericalError(f"microscopic state blew up before t = {w}",
                                  tau=w / eps)
-        t_out.append(w)
         vals.append(eps * U[obs].copy())
 
-    return MicroField(eps=eps, t_grid=np.array(t_out), i_lo=i_lo,
+    return MicroField(eps=eps, t_grid=np.array([t for t, *_ in plan]), i_lo=i_lo,
                       values=np.array(vals),
                       meta={"pad": pad, "n_steps": total_steps, "dt": dt_max,
                             "N_total": N_tot, "K0": K0, "L": L,
@@ -506,11 +509,12 @@ class ConvergenceReport:
 def convergence_study(model: ForceModel, L: float, u0: Profile,
                       eps_list: Sequence[float], T: float,
                       window: tuple[float, float], H: HamiltonianInterp, *,
-                      xi0: Optional[Profile] = None, M0: float = 0.0,
-                      n_times: int = 5, safety: float = 0.5) -> ConvergenceReport:
+                      xi0: Optional[Profile] = None,
+                      M0: float = 0.0) -> ConvergenceReport:
     """Sup-norm distance between the rescaled chain and the homogenized
     solution on the compact set t in [T/2, T] x central half of the window,
-    per eps, at matched resolution dx = eps.
+    per eps, at matched resolution dx = eps and COMPACT_TIMES evenly spaced
+    times; the chain marches on the clock of :func:`rescale_micro`.
 
     The table slope counts lattice cells (one per n particles) while the
     rescaled field's gradient counts particles, so the interpolant is
@@ -520,7 +524,7 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise MacroError("eps_list must be strictly decreasing")
     require_monotone(model)
-    t_samples = np.linspace(T / 2.0, T, n_times)
+    t_samples = np.linspace(T / 2.0, T, COMPACT_TIMES)
     x_lo, x_hi = float(window[0]), float(window[1])
     quarter = 0.25 * (x_hi - x_lo)
     cx_lo, cx_hi = x_lo + quarter, x_hi - quarter
@@ -531,7 +535,7 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     floor_err = math.inf
     for eps in eps_list:
         micro = _rescale_micro(model, L, eps, u0, T, window, xi0=xi0, M0=M0,
-                               safety=safety, t_record=t_samples)
+                               t_record=t_samples)
         macro = solve_hj(H_eff, u0, T, dx=eps, record_times=t_samples)
         xs = micro.x_cells
         sel = (xs >= cx_lo) & (xs <= cx_hi)

@@ -31,11 +31,16 @@ import numpy as np
 from .model import (ForceModel, ConstantsLedger, constants_ledger,
                     require_monotone, with_extra_drive, _drive_column)
 from .chain import (TrajectoryLog, cfl_dt, init_linear, NumericalError,
-                    _euler_coeff, _march)
+                    _clock, _march, _n_samples)
 
 
 class LogTooShort(ValueError):
     pass
+
+
+#: the first doubling window holds at least this many samples (one per Euler
+#: step) and at least one time unit
+FIRST_WINDOW_SAMPLES = 64.0
 
 
 def lambda_pm(log: TrajectoryLog, T: float) -> tuple[float, float]:
@@ -89,20 +94,19 @@ class RotationEstimate:
 def rotation_number(model: ForceModel, p, L_extra: float = 0.0,
                     tol: float = 1e-3, T_cap: float = 2000.0, *,
                     cells: int = 1, safety: float = 0.5,
-                    sample_dt: Optional[float] = None,
-                    T0: Optional[float] = None,
                     perturbation=None) -> RotationEstimate:
     """Certified rotation number for the family (L_extra + F_j) at slope p.
 
-    Doubles the window T (reusing one trajectory) until
-    min(empirical width, C2/T) <= 2 tol or T reaches T_cap; the estimate then
-    carries the bracket, the certified half-width C2/T and a converged flag.
-    This is the one-row case of the column solver behind :func:`sweep`.
+    Marches at dt = safety/alpha0, sampled every step, and doubles the window
+    T from FIRST_WINDOW_SAMPLES steps (at least one time unit), reusing one
+    trajectory, until min(empirical width, C2/T) <= 2 tol or T reaches T_cap;
+    the estimate then carries the bracket, the certified half-width C2/T and
+    a converged flag.  This is the one-row case of the column solver behind
+    :func:`sweep`.
     """
     require_monotone(model)
     est, = _solve_column(model, p, [L_extra], tol, T_cap, cells=cells,
-                         safety=safety, sample_dt=sample_dt, T0=T0,
-                         perturbation=perturbation)
+                         safety=safety, perturbation=perturbation)
     if isinstance(est, NumericalError):
         raise est
     return est
@@ -110,10 +114,10 @@ def rotation_number(model: ForceModel, p, L_extra: float = 0.0,
 
 def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
                   cells: int = 1, safety: float = 0.5,
-                  sample_dt: Optional[float] = None, T0: Optional[float] = None,
                   perturbation=None) -> list:
     """Rotation numbers of the families (L + F_j) at slope p for every L in
-    Ls, one RotationEstimate or NumericalError per L.
+    Ls, one RotationEstimate or NumericalError per L, on the clock and
+    doubling schedule of :func:`rotation_number`.
 
     Every L shares the ring, the step and the doubling schedule, so the rows
     advance as one (B, N) ensemble with a per-row drive.  After each doubling
@@ -124,21 +128,16 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     """
     p = Fraction(p)
     ledgers = [constants_ledger(with_extra_drive(model, L), p=float(p)) for L in Ls]
-    dt = cfl_dt(model, safety=safety, check=False)
-    if sample_dt is None:
-        sample_dt = dt
-    if T0 is None:
-        T0 = max(1.0, 64.0 * sample_dt)
+    # one sample per Euler step
+    sample_dt = cfl_dt(model, safety=safety, check=False)
+    clock = _clock(model, sample_dt, sample_dt)
     # windows are integer multiples of the sample spacing so that the T and 2T
     # sups run over aligned grids (exact bracket nesting)
-    K0 = max(1, int(math.ceil(T0 / sample_dt)))
-    T = K0 * sample_dt
+    T0 = max(1.0, FIRST_WINDOW_SAMPLES * sample_dt)
+    T = max(1, math.ceil(T0 / sample_dt)) * sample_dt
 
     chain = init_linear(model, p, cells=cells, perturbation=perturbation)
     n, B = model.n, len(Ls)
-    n_sub = max(1, math.ceil(sample_dt / dt - 1e-12))
-    dt_eff = sample_dt / n_sub
-    c, beta = _euler_coeff(model, dt_eff)
     drive = _drive_column(model, Ls)
     U = np.repeat(chain.U[None, :], B, axis=0)
     Xi = np.repeat(chain.Xi[None, :], B, axis=0)
@@ -154,7 +153,7 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     extra_T = 2.0 * T
 
     while rows.size:
-        S = 0 if extra_T <= 0 else math.ceil(extra_T / sample_dt - 1e-12)
+        S = _n_samples(extra_T, sample_dt)
         H = hist.shape[2]
         series = np.empty((rows.size, 2 * n, H + S))
         series[:, :, :H] = hist
@@ -162,8 +161,7 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
         k = 0
         while k < S and rows.size:
             # series[:, :, H - 1 + k] is sample k of this stage
-            U, Xi, k, errors = _march(model, U, Xi, chain.Q, tau0, k, S,
-                                      sample_dt, n_sub, dt_eff, c, beta,
+            U, Xi, k, errors = _march(model, U, Xi, chain.Q, tau0, k, S, clock,
                                       series[:, :, H - 1:], drive=drive)
             for b, exc in errors.items():
                 results[rows[b]] = exc

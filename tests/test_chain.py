@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
 from fkhomog.chain import (NumericalError, TwistedChain, force_profile,
-                           snapshot_to_csv, trajectory_to_csv, _euler_coeff)
+                           snapshot_to_csv, trajectory_to_csv, _euler_coeff,
+                           _neighbours, _state_ordering_violation)
+from fkhomog.macro import _march_plan
 from fkhomog.model import ClassicalFK, ModelError, _drive_column
 
 
@@ -119,6 +121,20 @@ def test_run_flags_super_cfl_dt():
     dt = 2.0 / m.alpha0
     with pytest.warns(UserWarning, match="CFL"):
         fk.run(ch, 5 * dt, dt, dt=dt, check=False)
+
+
+def test_run_flags_super_cfl_dt_at_zero_duration():
+    """The clock is cut, and its step checked, before any sample is taken;
+    the warning names the line that called run."""
+    m = fkmodel()
+    ch = fk.init_linear(m, 1, cells=4)
+    dt = 2.0 / m.alpha0
+    with pytest.warns(UserWarning, match="CFL") as rec:
+        log = fk.run(ch, 0.0, dt, dt=dt, check=False)
+    assert rec[0].filename == __file__
+    assert log.sample_times.size == 1
+    with pytest.raises(ModelError):
+        fk.run(ch, 0.0, dt, delta=-1.0, check=False)
 
 
 def test_delta_tightens_cfl_warning():
@@ -345,6 +361,41 @@ def test_force_profile_bytes_match_reference(case):
         assert got.tobytes() == _force_profile_ref(model, tau, U[0], Q).tobytes()
 
 
+def _neighbor_ref(U, Q, k):
+    """U_{i+k} along the last axis with the twist added as an integer (k != 0)."""
+    idx = np.arange(U.shape[-1]) + k
+    return U[..., idx % U.shape[-1]] + Q * (idx // U.shape[-1])
+
+
+def _ordering_violation_ref(U, Xi, Q):
+    worst = 0.0
+    for v in (U, Xi):
+        if v.size > 1:
+            worst = max(worst, float(np.maximum(v[:-1] - v[1:], 0.0).max()))
+        worst = max(worst, max(0.0, float(v[-1] - (v[0] + Q))))
+    return worst
+
+
+def test_neighbours_match_integer_twist_reference():
+    """The gathered U_{i+k}, U_{i-k} equal the integer-twist reference in value
+    (N = k included) and keep a -0.0 neighbour off the seam as -0.0, where
+    the integer 0 of the reference turns it into +0.0.  The ordering
+    violation read through them is bitwise the seam-special-cased one."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        k = int(rng.integers(1, 4))
+        N = k * int(rng.integers(1, 5))
+        Q = int(rng.integers(-3, 6))
+        U = _states_with_signed_zeros(rng, 2, N, Q)
+        fwd, bwd = _neighbours(U, Q, k)
+        assert np.array_equal(fwd, _neighbor_ref(U, Q, k))
+        assert np.array_equal(bwd, _neighbor_ref(U, Q, -k))
+        assert np.array_equal(np.signbit(fwd[:, :N - k]), np.signbit(U[:, k:]))
+        U[0] += np.sort(rng.uniform(-1.0, 1.0, N))
+        got = _state_ordering_violation(U[0], U[1], Q)
+        assert repr(got) == repr(_ordering_violation_ref(U[0], U[1], Q))
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity: comparison, ordering, gradient frame
 # ---------------------------------------------------------------------------
@@ -536,6 +587,32 @@ def test_rk4_euler_agreement_richardson():
     e1, e2 = sup_err(0.002), sup_err(0.001)
     assert e1 < 5 * 0.002
     assert 1.5 < e1 / e2 < 2.5
+
+
+@pytest.mark.parametrize("ratio,n_sub", [
+    (1.0, 1), (2.5, 3), (21.536, 22), (250.0, 250),
+    (np.nextafter(250.0, np.inf), 250), (np.nextafter(250.0, 0.0), 250)])
+def test_one_substep_rule(ratio, n_sub):
+    """run, the RK4 oracle and the macro march plan cut a sample spacing h
+    into the same n_sub steps of the same dt <= h / ratio: the ceiling of
+    the ratio, up to a relative 1e-12."""
+    m = fk.build_constant_force(0.5, m0=1.0)
+    ch = fk.init_linear(m, 1, cells=2)
+    h = 0.5
+    dt = h / ratio
+    (_, plan_n, plan_dt, _), = _march_plan([h], h, dt)
+    euler = fk.run(ch, h, h, dt=dt, check=False).dt
+    rk4 = fk.rk4_oracle(m, ch, h, dt, sample_dt=h).dt
+    assert plan_n == n_sub
+    assert repr(euler) == repr(rk4) == repr(plan_dt) == repr(h / n_sub)
+
+
+def test_rk4_never_steps_longer_than_asked():
+    m = fk.build_constant_force(0.5, m0=1.0)
+    ch = fk.init_linear(m, 1, cells=2)
+    log = fk.rk4_oracle(m, ch, 1.0, 0.1, sample_dt=0.25)
+    assert log.dt == 0.25 / 3
+    assert log.dt == fk.run(ch, 1.0, 0.25, dt=0.1, check=False).dt
 
 
 def test_rk4_xi_reconstruction_near_euler():

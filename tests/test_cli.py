@@ -346,6 +346,26 @@ def test_malformed_profile_file_exits_validation(tmp_path, capsys, command, key,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command,key", [("homogenize", "u0_file"),
+                                         ("converge", "u0_file"),
+                                         ("converge", "xi0_file")])
+def test_profile_file_not_utf8_exits_validation(tmp_path, capsys, command, key):
+    """A profile file holding a byte that is not UTF-8 exits 2 naming the
+    file, not with a UnicodeDecodeError traceback."""
+    cfg = _pipeline_cfg(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x,u0\n-5.0,-5.0\n0.5,\xff\n5.0,5.0\n")
+    cfg[command][key] = str(bad)
+    cfg[command]["table_file"] = str(tmp_path / "table.csv")
+    (tmp_path / "table.csv").write_text("L,p,lambda,halfwidth,converged\n"
+                                        "0.5,1/2,0.5,0.001,1\n0.5,2/1,0.5,0.001,1\n")
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert key in err and str(bad) in err
+    assert not any(out.iterdir())
+
+
 def test_converge_reads_each_profile_once(tmp_path, monkeypatch):
     """The cache key digests the very profiles that are solved."""
     texts = []
@@ -422,6 +442,23 @@ def test_pipeline_rejects_truncated_cache_file(tmp_path, capsys, stage, cut):
     rc, out = run_cli(tmp_path, cfg, "pipeline")
     assert rc == cli.EXIT_VALIDATION
     assert str(cached) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["effham", "converge"])
+def test_pipeline_rejects_cache_file_not_utf8(tmp_path, capsys, stage):
+    """A cache file holding a byte that is not UTF-8 is a hit that exits 2
+    naming the file."""
+    cfg = _pipeline_cfg(tmp_path)
+    rc, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == 0
+    (cached,) = (out / "cache").glob(f"{stage}-*.txt")
+    cached.write_bytes(cached.read_bytes().replace(b"1", b"\xff", 1))
+    capsys.readouterr()
+    rc, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"[cache] hit {stage} " in captured.out
+    assert str(cached) in captured.err
 
 
 @pytest.mark.parametrize("edit,stale", [
