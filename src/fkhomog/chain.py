@@ -251,18 +251,30 @@ def _delta_term(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
 @dataclass
 class TrajectoryLog:
     """Uniformly sampled series of the n reference particles plus optional
-    sparse full snapshots; final_state allows bitwise continuation."""
+    sparse full snapshots.  Sample k is taken at sample_times[0] + k sample_dt
+    and snapshot strides count from sample 0; :func:`extend` marches on from
+    final_state on the same count, so a continued log is the longer run."""
 
     sample_times: np.ndarray
-    tracked_u: np.ndarray          # (n, S+1)
-    tracked_xi: np.ndarray         # (n, S+1)
+    tracked: np.ndarray            # (2n, S+1): U rows, then Xi rows
     snapshots: list                # [(tau, U, Xi)]
     final_state: TwistedChain
     sample_dt: float
     dt: float
-    p: Fraction
     delta: float = 0.0
     a0: float = 0.0
+
+    @property
+    def tracked_u(self) -> np.ndarray:
+        return self.tracked[:self.tracked.shape[0] // 2]
+
+    @property
+    def tracked_xi(self) -> np.ndarray:
+        return self.tracked[self.tracked.shape[0] // 2:]
+
+    @property
+    def p(self) -> Fraction:
+        return self.final_state.p
 
     @property
     def span(self) -> float:
@@ -354,49 +366,46 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
     if dt is None:
         dt = cfl_dt(model, safety=0.5, check=False, delta=delta, a0=a0)
     clock = _clock(model, sample_dt, dt, delta, a0)
-    S = _n_samples(T, sample_dt)
-
-    n = model.n
-    U = chain.U.reshape(1, -1).copy()
-    Xi = chain.Xi.reshape(1, -1).copy()
-    tau0 = chain.tau
-
-    times = tau0 + sample_dt * np.arange(S + 1)
-    tracked = np.empty((1, 2 * n, S + 1))
-    tracked[0, :n, 0] = U[0, :n]
-    tracked[0, n:, 0] = Xi[0, :n]
-    snaps = []
-    if snapshot_stride > 0:
-        snaps.append((float(times[0]), U[0].copy(), Xi[0].copy()))
-
-    U, Xi, _, errors = _march(model, U, Xi, chain.Q, tau0, 0, S, clock,
-                              tracked, delta=delta, a0=a0,
-                              p_float=float(chain.p), snaps=snaps,
-                              snapshot_stride=snapshot_stride)
-    if errors:
-        raise errors[0]
-
-    final = TwistedChain(chain.N, chain.Q, U[0], Xi[0], float(times[-1]),
-                         chain.p, model)
-    return TrajectoryLog(sample_times=times, tracked_u=tracked[0, :n],
-                         tracked_xi=tracked[0, n:], snapshots=snaps,
-                         final_state=final, sample_dt=sample_dt, dt=clock.dt,
-                         p=chain.p, delta=delta, a0=a0)
+    n, tau0 = model.n, float(chain.tau)
+    first = np.concatenate([chain.U[:n], chain.Xi[:n]])[:, None]
+    snaps = [(tau0, chain.U.copy(), chain.Xi.copy())] if snapshot_stride > 0 else []
+    log = TrajectoryLog(sample_times=np.array([tau0]), tracked=first,
+                        snapshots=snaps, final_state=chain, sample_dt=sample_dt,
+                        dt=clock.dt, delta=delta, a0=a0)
+    return _advance(log, _n_samples(T, sample_dt), clock, snapshot_stride)
 
 
 def extend(log: TrajectoryLog, extra_T: float, snapshot_stride: int = 0) -> TrajectoryLog:
-    """Continue a run; the concatenated log is bitwise identical to a single
-    longer run because samples align with whole integrator steps."""
-    more = run(log.final_state, extra_T, log.sample_dt, dt=log.dt,
-               delta=log.delta, a0=log.a0, snapshot_stride=snapshot_stride,
-               check=False)
-    times = np.concatenate([log.sample_times, more.sample_times[1:]])
-    tr_u = np.concatenate([log.tracked_u, more.tracked_u[:, 1:]], axis=1)
-    tr_xi = np.concatenate([log.tracked_xi, more.tracked_xi[:, 1:]], axis=1)
-    snaps = log.snapshots + [s for s in more.snapshots if s[0] > log.sample_times[-1]]
-    return TrajectoryLog(sample_times=times, tracked_u=tr_u, tracked_xi=tr_xi,
-                         snapshots=snaps, final_state=more.final_state,
-                         sample_dt=log.sample_dt, dt=log.dt, p=log.p,
+    """Continue a run by extra_T.  The log marches on from its last sample on
+    its own count: sample k stays at sample_times[0] + k sample_dt and
+    snapshots fall every snapshot_stride samples counted from sample 0, so
+    the result is bitwise the single longer run (with that stride)."""
+    model = log.final_state.model
+    clock = _clock(model, log.sample_dt, log.dt, log.delta, log.a0)
+    return _advance(log, _n_samples(extra_T, log.sample_dt), clock, snapshot_stride)
+
+
+def _advance(log: TrajectoryLog, S: int, clock: _Clock,
+             snapshot_stride: int) -> TrajectoryLog:
+    """The log marched on by S samples from its final state: samples s + 1 ..
+    s + S of the march begun at sample_times[0], with s its last sample."""
+    chain = log.final_state
+    s = log.sample_times.size - 1
+    times = log.sample_times[0] + log.sample_dt * np.arange(s + S + 1)
+    tracked = np.empty((log.tracked.shape[0], s + S + 1))
+    tracked[:, :s + 1] = log.tracked
+    snaps = list(log.snapshots)
+    U, Xi, _, errors = _march(chain.model, chain.U.reshape(1, -1).copy(),
+                              chain.Xi.reshape(1, -1).copy(), chain.Q,
+                              float(times[0]), s, s + S, clock, tracked[None],
+                              delta=log.delta, a0=log.a0, p_float=float(chain.p),
+                              snaps=snaps, snapshot_stride=snapshot_stride)
+    if errors:
+        raise errors[0]
+    final = TwistedChain(chain.N, chain.Q, U[0], Xi[0], float(times[-1]),
+                         chain.p, chain.model)
+    return TrajectoryLog(sample_times=times, tracked=tracked, snapshots=snaps,
+                         final_state=final, sample_dt=log.sample_dt, dt=log.dt,
                          delta=log.delta, a0=log.a0)
 
 
@@ -433,25 +442,21 @@ def _state_space_osc(U, n, p_float) -> float:
     return float((e.max(axis=0) - e.min(axis=0)).max())
 
 
-def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None,
-                       transient: Optional[float] = None) -> InvariantReport:
+def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None) -> InvariantReport:
     """Evaluate the discrete invariants on a chain or on a log's snapshots.
 
     Ordering is checked at every state; the u-Xi gap and space oscillation
-    only after the relaxation transient (default 5/alpha0 past the first
-    monitored time), matching how the a-priori bounds are stated for data
+    only after the relaxation transient (5/alpha0 past the first monitored
+    time), matching how the a-priori bounds are stated for data
     started on the exact traveling line.
     """
     if isinstance(obj, TwistedChain):
-        states = [(obj.tau, obj.U, obj.Xi)]
-        model, p, Q, t0 = obj.model, obj.p, obj.Q, obj.tau
+        chain, t0, states = obj, obj.tau, []
     else:
-        states = obj.snapshots if obj.snapshots else \
-            [(obj.final_state.tau, obj.final_state.U, obj.final_state.Xi)]
-        model, p, Q = obj.final_state.model, obj.p, obj.final_state.Q
-        t0 = float(obj.sample_times[0])
-    cut = _transient_cut(model, t0, transient)
-    p_float = float(p)
+        chain, t0, states = obj.final_state, float(obj.sample_times[0]), obj.snapshots
+    states = states or [(chain.tau, chain.U, chain.Xi)]
+    model, Q, p_float = chain.model, chain.Q, float(chain.p)
+    cut = _transient_cut(model, t0)
 
     ordering = 0.0
     gap = 0.0
@@ -516,12 +521,11 @@ def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
                                  snapshot=(U, Xi))
         snaps.append((t, U.copy(), Xi))
 
-    tracked = np.array([(u[:n], xi[:n]) for _, u, xi in snaps]).transpose(1, 2, 0)
+    tracked = np.array([np.concatenate([u[:n], xi[:n]]) for _, u, xi in snaps]).T
     final = TwistedChain(chain0.N, Q, U, U + W / a0, float(times[-1]),
                          chain0.p, model)
-    return TrajectoryLog(sample_times=times, tracked_u=tracked[0],
-                         tracked_xi=tracked[1], snapshots=snaps, final_state=final,
-                         sample_dt=sample_dt, dt=dt, p=chain0.p)
+    return TrajectoryLog(sample_times=times, tracked=tracked, snapshots=snaps,
+                         final_state=final, sample_dt=sample_dt, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,8 @@ def _converge(cfg: dict, out: Path, model: mdl.ForceModel, table=None,
     table = _table_for(cfg, blk, model, table)
     H = mac.HamiltonianInterp.from_table(table, blk["L"])
     # key on what is solved, not on paths or table order: no stale hit, no spurious miss
-    payload = {"model": cfg["model"], "converge": blk, "seed": cfg.get("seed", 0),
+    payload = {"model": cfg["model"], "seed": cfg.get("seed", 0),
+               "converge": {k: v for k, v in blk.items() if not k.endswith("_file")},
                "profiles": [u0.to_csv(), None if xi0 is None else xi0.to_csv()],
                "H": [H.p_nodes.tolist(), H.values.tolist()]}
 

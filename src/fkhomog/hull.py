@@ -162,7 +162,7 @@ def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64,
                      "lambda_halfwidth": lambda_halfwidth})
 
 
-def _settled_snapshots(log: TrajectoryLog, transient: Optional[float]) -> list:
+def _settled_snapshots(log: TrajectoryLog, transient: Optional[float] = None) -> list:
     """The log's snapshots past the relaxation transient (default 5/alpha0
     after the first sample); refuses logs that leave none."""
     if not log.snapshots:
@@ -271,8 +271,7 @@ class TauPeriodicHull:
 
 
 def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
-                          n_tau: int = 8,
-                          transient: Optional[float] = None) -> TauPeriodicHull:
+                          n_tau: int = 8) -> TauPeriodicHull:
     """Stratify snapshots by frac(tau) and grid each stratum separately.
 
     The unit tau-periodicity of the force makes each stratum stationary; the
@@ -280,7 +279,7 @@ def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
     snapshots (refused otherwise, with the failing bin).
     """
     p = Fraction(p)
-    snaps = _settled_snapshots(log, transient)
+    snaps = _settled_snapshots(log)
     model = log.final_state.model
 
     bins = [[] for _ in range(n_tau)]

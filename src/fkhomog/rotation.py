@@ -31,7 +31,7 @@ import numpy as np
 from .model import (ForceModel, ConstantsLedger, constants_ledger,
                     require_monotone, with_extra_drive, _drive_column)
 from .chain import (TrajectoryLog, cfl_dt, init_linear, NumericalError,
-                    _clock, _march, _n_samples)
+                    _clock, _march)
 
 
 class LogTooShort(ValueError):
@@ -46,8 +46,7 @@ FIRST_WINDOW_SAMPLES = 64.0
 def lambda_pm(log: TrajectoryLog, T: float) -> tuple[float, float]:
     """Window rates (lambda_minus, lambda_plus) over all tracked U and Xi
     series; T snaps to the sample grid."""
-    return _window_rates(np.vstack([log.tracked_u, log.tracked_xi]),
-                         log.sample_dt, T)
+    return _window_rates(log.tracked, log.sample_dt, T)
 
 
 def _window_rates(series: np.ndarray, h: float, T: float) -> tuple[float, float]:
@@ -120,11 +119,14 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     doubling schedule of :func:`rotation_number`.
 
     Every L shares the ring, the step and the doubling schedule, so the rows
-    advance as one (B, N) ensemble with a per-row drive.  After each doubling
-    stage each row takes its own bracket test and retires once it passes (or
-    once 2T would pass T_cap), and a row that blows up retires with its
-    error; the others go on.  Per row the arithmetic is that of a lone run,
-    so every estimate is bitwise the one a single-row column gives.
+    advance as one (B, N) ensemble with a per-row drive.  The window of a
+    stage is K samples and its log 2K samples, all counted from the chain's
+    start as in one run: a stage marches each live row's series on from its
+    last sample to sample 2K.  Then each row takes its own bracket test and
+    retires once it passes (or once 2T would pass T_cap), and a row that
+    blows up retires with its error; the others go on.  Per row the
+    arithmetic is that of a lone run, so every estimate is bitwise the one a
+    single-row column gives, and its bracket is lambda_pm of one run of 2T.
     """
     p = Fraction(p)
     ledgers = [constants_ledger(with_extra_drive(model, L), p=float(p)) for L in Ls]
@@ -133,8 +135,8 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     clock = _clock(model, sample_dt, sample_dt)
     # windows are integer multiples of the sample spacing so that the T and 2T
     # sups run over aligned grids (exact bracket nesting)
-    T0 = max(1.0, FIRST_WINDOW_SAMPLES * sample_dt)
-    T = max(1, math.ceil(T0 / sample_dt)) * sample_dt
+    K = max(1, math.ceil(max(1.0, FIRST_WINDOW_SAMPLES * sample_dt) / sample_dt))
+    T = K * sample_dt
 
     chain = init_linear(model, p, cells=cells, perturbation=perturbation)
     n, B = model.n, len(Ls)
@@ -142,39 +144,34 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     U = np.repeat(chain.U[None, :], B, axis=0)
     Xi = np.repeat(chain.Xi[None, :], B, axis=0)
     # each live row's tracked series, (rows, 2n, samples so far)
-    hist = np.concatenate([U[:, :n], Xi[:, :n]], axis=1)[:, :, None]
+    series = np.concatenate([U[:, :n], Xi[:, :n]], axis=1)[:, :, None]
     rows = np.arange(B)            # the input index of each live row
     # running max |sample increment| per row: the sampling slack is
     # max velocity * sample_dt / T over the whole log so far
     vmax = np.zeros(B)
     histories = [[] for _ in range(B)]
     results = [None] * B
-    tau0 = chain.tau
-    extra_T = 2.0 * T
 
     while rows.size:
-        S = _n_samples(extra_T, sample_dt)
-        H = hist.shape[2]
-        series = np.empty((rows.size, 2 * n, H + S))
-        series[:, :, :H] = hist
-        del hist
-        k = 0
-        while k < S and rows.size:
-            # series[:, :, H - 1 + k] is sample k of this stage
-            U, Xi, k, errors = _march(model, U, Xi, chain.Q, tau0, k, S, clock,
-                                      series[:, :, H - 1:], drive=drive)
+        k = last = series.shape[2] - 1
+        grown = np.empty((rows.size, 2 * n, 2 * K + 1))
+        grown[:, :, :last + 1] = series
+        # the row filters below copy series; no other name may keep the old one
+        series = grown
+        del grown
+        while k < 2 * K and rows.size:
+            U, Xi, k, errors = _march(model, U, Xi, chain.Q, chain.tau, k, 2 * K,
+                                      clock, series, drive=drive)
             for b, exc in errors.items():
                 results[rows[b]] = exc
             if errors:
                 keep = [b for b in range(rows.size) if b not in errors]
                 rows, U, Xi, drive, vmax, series = (
                     a[keep] for a in (rows, U, Xi, drive, vmax, series))
-        tau0 = tau0 + sample_dt * S
-        span = tau0 - chain.tau
 
         keep = []
         for b, r in enumerate(rows):
-            inc = np.abs(np.diff(series[b, :, H - 1:], axis=1)).max()
+            inc = np.abs(np.diff(series[b, :, last:], axis=1)).max()
             vmax[b] = max(vmax[b], inc)
             lam_lo, lam_hi = _window_rates(series[b], sample_dt, T)
             width = lam_hi - lam_lo
@@ -197,10 +194,8 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
         if len(keep) < rows.size:
             rows, U, Xi, drive, vmax, series = (
                 a[keep] for a in (rows, U, Xi, drive, vmax, series))
-        hist = series
-        del series
         T = 2.0 * T
-        extra_T = 2.0 * T - span
+        K = 2 * K
     return results
 
 

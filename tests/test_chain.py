@@ -205,6 +205,55 @@ def test_extend_is_bitwise_continuation():
     assert np.array_equal(log_a.final_state.Xi, log_b.final_state.Xi)
 
 
+def _extend_case(kind):
+    """A chain and its CFL step: classical, or the tau-periodic two-type
+    tabulated force of the force-profile tests."""
+    if kind == "classical":
+        m = fkmodel(L=2.0)
+    else:
+        m = fk.build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                               f_at_zero_sup=0.3, batch=True)
+    return fk.init_linear(m, 1, cells=2), fk.cfl_dt(m, check=False)
+
+
+def _assert_logs_equal(a, b):
+    assert np.array_equal(a.sample_times, b.sample_times)
+    assert np.array_equal(a.tracked, b.tracked)
+    assert len(a.snapshots) == len(b.snapshots)
+    for (ta, Ua, Xa), (tb, Ub, Xb) in zip(a.snapshots, b.snapshots):
+        assert ta == tb
+        assert np.array_equal(Ua, Ub) and np.array_equal(Xa, Xb)
+    assert a.final_state.tau == b.final_state.tau
+    assert np.array_equal(a.final_state.U, b.final_state.U)
+    assert np.array_equal(a.final_state.Xi, b.final_state.Xi)
+
+
+@pytest.mark.parametrize("kind", ["classical", "tau_periodic"])
+@pytest.mark.parametrize("h", [0.25, 0.1, "cfl"])
+def test_extend_equals_one_longer_run(kind, h):
+    """extend counts its samples from the log's first one: times, series,
+    snapshots and final state are those of one run of the summed length."""
+    ch, cfl = _extend_case(kind)
+    dt = cfl if h == "cfl" else None
+    h = cfl if h == "cfl" else h
+    ext = fk.extend(fk.run(ch, 8.0, h, dt=dt, snapshot_stride=1, check=False),
+                    12.0, snapshot_stride=1)
+    one = fk.run(ch, (ext.sample_times.size - 1) * h, h, dt=dt,
+                 snapshot_stride=1, check=False)
+    _assert_logs_equal(ext, one)
+
+
+def test_extend_strides_count_from_the_first_sample():
+    """A 10-sample run extended with stride 4 holds the snapshots of one run
+    with stride 4: samples 0, 4, ..., 20, not 10 + 4k."""
+    ch, _ = _extend_case("classical")
+    ext = fk.extend(fk.run(ch, 2.5, 0.25, snapshot_stride=4), 2.5,
+                    snapshot_stride=4)
+    one = fk.run(ch, 5.0, 0.25, snapshot_stride=4)
+    _assert_logs_equal(ext, one)
+    assert [t for t, _, _ in ext.snapshots] == [0.25 * k for k in range(0, 21, 4)]
+
+
 def test_pinned_lattice_is_stationary():
     """U_i = i is an equilibrium of the undriven unit-amplitude chain; nearby
     data relax onto constants."""

@@ -484,6 +484,21 @@ def test_pipeline_converge_cache_keys_on_the_table(tmp_path, capsys, edit, stale
     assert (rerun != before) == stale
 
 
+def test_pipeline_converge_cache_keys_on_profile_text_not_path(tmp_path, capsys):
+    """The same profile bytes at another path are the same solve: the warm
+    call hits the converge report the cold one wrote."""
+    cfg = _pipeline_cfg(tmp_path)
+    run_cli(tmp_path, cfg, "pipeline")
+    moved = tmp_path / "elsewhere" / "u0.csv"
+    moved.parent.mkdir()
+    moved.write_bytes(Path(cfg["converge"]["u0_file"]).read_bytes())
+    cfg["homogenize"]["u0_file"] = cfg["converge"]["u0_file"] = str(moved)
+    capsys.readouterr()
+    rc, _ = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == 0
+    assert "[cache] hit converge" in capsys.readouterr().out
+
+
 def test_pipeline_runs_each_stage_once(tmp_path, monkeypatch):
     """A cold pipeline sweeps once and never reads back the cache it wrote; a
     warm one parses the cached table once; each looks up each cached stage

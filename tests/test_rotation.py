@@ -245,6 +245,23 @@ def test_sweep_equals_entries_tabulated_batch_tau_periodic():
                                  tol=2e-3, T_cap=200.0)
 
 
+@pytest.mark.parametrize("p,L", [(Fraction(3, 2), 2.0), (Fraction(1), 1.0)])
+def test_tau_periodic_bracket_is_that_of_one_run(p, L):
+    """Every doubling stage counts its samples from the chain's start, so the
+    bracket of a tau-periodic entry is lambda_pm of one plain run of 2T."""
+    lip = 2.0 * (_THETA2.sum() + 0.4) + 2 * math.pi * 0.8
+    m = fk.build_tabulated(_two_type_m2_force, n=2, m=2, m0=0.03, lip_V=lip,
+                           f_at_zero_sup=0.3, batch=True)
+    est = fk.rotation_number(m, p, L_extra=L, tol=2e-3, T_cap=200.0)
+    assert len(est.history) > 1
+    h = fk.cfl_dt(m, 0.5, check=False)
+    driven = fk.with_extra_drive(m, L)
+    log = fk.run(fk.init_linear(driven, p), 2.0 * est.T, h, dt=h, check=False)
+    lo, hi = fk.lambda_pm(log, est.T)
+    assert (lo, hi) == (est.lambda_minus, est.lambda_plus)
+    assert fk.sweep(m, [p], [L], tol=2e-3, T_cap=200.0).lam[0, 0] == 0.5 * (lo + hi)
+
+
 def test_sweep_equals_entries_per_window_callable():
     def fn(j, tau, w):
         return (0.9 * (w[2] - 2 * w[1] + w[0]) + 0.5 * math.sin(2 * math.pi * w[1])
