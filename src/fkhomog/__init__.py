@@ -19,8 +19,8 @@ from .rotation import (EffectiveTable, RotationEstimate, effective_hamiltonian,
 from .hull import (HullFunction, TauPeriodicHull, extract_hull,
                    extract_hull_periodic, hull_residual, hull_value,
                    isotonic_fit, reconstruct_traveling_wave, verify_hull_axioms)
-from .macro import (ConvergenceReport, HamiltonianInterp, MacroState,
-                    MicroField, Profile, check_A0, convergence_study,
-                    gradient_sandwich_probe, rescale_micro, solve_hj)
+from .macro import (ConvergenceReport, Field, HamiltonianInterp, Profile,
+                    check_A0, convergence_study, gradient_sandwich_probe,
+                    rescale_micro, solve_hj)
 
 __version__ = "0.1.0"

@@ -438,10 +438,11 @@ def _homogenize(cfg: dict, out: Path, model: mdl.ForceModel, table=None) -> int:
     table = _table_for(cfg, blk, model, table)
     # table slopes count cells of n particles, profile slopes count particles
     H = mac.HamiltonianInterp.from_table(table, blk["L"]).scaled(model.n)
-    times = blk.get("record_times", [blk["T"]])
-    state = mac.solve_hj(H, u0, blk["T"], blk["dx"], K0=K0, record_times=times)
-    (out / "macro.csv").write_text(state.to_csv())
-    print(f"solved to t = {state.t:.6g}; slope range seen {state.slope_range_seen}")
+    # an empty record_times list records the final row, like an absent one
+    times = blk.get("record_times") or [blk["T"]]
+    sol = mac.solve_hj(H, u0, blk["T"], blk["dx"], record_times=times)
+    (out / "macro.csv").write_text(sol.to_csv())
+    print(f"solved to t = {blk['T']:.6g}; slope range seen {sol.meta['slope_range_seen']}")
     return _report_unconverged(table, blk["L"], model.n, K0)
 
 

@@ -262,12 +262,17 @@ class TauPeriodicHull:
 
     def value(self, tau: float, j: int, z: float, which: str = "h") -> float:
         """Nearest-stratum evaluation of h_j(tau, z) (or g_j)."""
-        k = int(math.floor((tau % 1.0) * self.n_tau)) % self.n_tau
-        return hull_value(self.slice(k), j, z, which)
+        return hull_value(self.slice(_stratum(tau, self.n_tau)), j, z, which)
 
     def reconstruct(self, tau: float, y: float, j: int) -> tuple[float, float]:
-        z = float(self.p) * y + self.lam * tau
-        return (self.value(tau, j, z, "h"), self.value(tau, j, z, "g"))
+        return reconstruct_traveling_wave(self.slice(_stratum(tau, self.n_tau)),
+                                          tau, y, j)
+
+
+def _stratum(tau: float, n_tau: int) -> int:
+    """The k with frac(tau) in [k / n_tau, (k + 1) / n_tau); a time within
+    1e-9 below a stratum edge counts as lying on that edge."""
+    return int(math.floor((tau % 1.0 + 1e-9) * n_tau)) % n_tau
 
 
 def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
@@ -284,8 +289,7 @@ def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
 
     bins = [[] for _ in range(n_tau)]
     for s in snaps:
-        k = int(math.floor((s[0] % 1.0) * n_tau)) % n_tau
-        bins[k].append(s)
+        bins[_stratum(s[0], n_tau)].append(s)
     z_grid = (np.arange(Z) + 0.5) / Z
     tau_grid = (np.arange(n_tau) + 0.5) / n_tau
     n = model.n

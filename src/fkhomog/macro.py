@@ -49,6 +49,10 @@ class Profile:
     def __post_init__(self):
         if self.x.ndim != 1 or self.x.size < 2 or self.x.shape != self.u.shape:
             raise MacroError("profile needs matching 1-d x and u with >= 2 samples")
+        bad = np.flatnonzero(~(np.isfinite(self.x) & np.isfinite(self.u)))
+        if bad.size:
+            row = f"{float(self.x[bad[0]])!r},{float(self.u[bad[0]])!r}"
+            raise MacroError(f"profile sample {row!r} is not finite")
         if not np.all(np.diff(self.x) > 0):
             raise MacroError("profile x grid must be strictly increasing")
 
@@ -120,11 +124,6 @@ class A0Report:
     witness: Optional[tuple] = None
     gap: float = 0.0
     gap_ok: bool = True
-
-    def to_json_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in ("ok", "min_slope", "max_slope", "gap", "gap_ok")}
-        d["witness"] = list(self.witness) if self.witness else None
-        return d
 
 
 def check_A0(u0: Profile, K0: float, xi0: Optional[Profile] = None,
@@ -229,51 +228,50 @@ def _march_plan(times, T: float, dt_max: float, unit: float = 1.0) -> list:
     return plan
 
 
-@dataclass
-class MacroState:
+@dataclass(frozen=True)
+class Field:
+    """u sampled on a (t, x) grid: values[s, i] = u(t_grid[s], x_grid[i])."""
+
+    t_grid: np.ndarray
     x_grid: np.ndarray
-    u: np.ndarray
-    t: float
-    K0: float
-    history: list = field(default_factory=list)   # [(t, u.copy())]
-    slope_range_seen: tuple = (math.inf, -math.inf)
+    values: np.ndarray             # (nt, nx)
+    meta: dict = field(default_factory=dict)
+
+    def at(self, t: float) -> np.ndarray:
+        """The row recorded at time t (to 1e-9); MacroError if there is none."""
+        hit = np.flatnonzero(np.abs(self.t_grid - t) <= 1e-9)
+        if not hit.size:
+            raise MacroError(f"time {t} was not recorded")
+        return self.values[hit[0]]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("t,x,u\n")
-        rows = self.history if self.history else [(self.t, self.u)]
-        for t, u in rows:
-            for xv, uv in zip(self.x_grid, u):
+        for t, row in zip(self.t_grid, self.values):
+            for xv, uv in zip(self.x_grid, row):
                 buf.write(f"{float(t)!r},{float(xv)!r},{float(uv)!r}\n")
         return buf.getvalue()
 
-    def at_time(self, t: float) -> np.ndarray:
-        for tv, u in self.history:
-            if abs(tv - t) <= 1e-9:
-                return u
-        raise MacroError(f"time {t} was not recorded")
-
 
 def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
-             K0: Optional[float] = None, dt: Optional[float] = None,
-             record_times: Optional[Sequence[float]] = None) -> MacroState:
-    """March u_t = H(u_x) with the monotone Lax-Friedrichs scheme.
+             record_times: Optional[Sequence[float]] = None) -> Field:
+    """March u_t = H(u_x) to T with the monotone Lax-Friedrichs scheme and
+    record the rows at record_times (default [T]).
 
     u_k <- u_k + dt [ H((u_{k+1} - u_{k-1}) / 2 dx)
                       + nu (u_{k+1} - 2 u_k + u_{k-1}) / dx ],  nu = lip_est / 2,
 
     under the CFL bound dt <= dx / (2 lip_est).  Ghost nodes extend the
-    current edges affinely with the edge slopes of u0.
+    current edges affinely with the edge slopes of u0.  meta holds the slope
+    frame K0 of u0 and the range of grid slopes seen over the march.
     """
     if T < 0 or dx <= 0:
         raise MacroError("need T >= 0 and dx > 0")
     span = float(u0.x[-1] - u0.x[0])
     nx = int(math.floor(span / dx + 1e-9)) + 1
     x = u0.x[0] + dx * np.arange(nx)
-    u = u0.value(x)
     s_lo, s_hi = u0.edge_slopes
-    if K0 is None:
-        K0 = u0.slope_frame()
+    K0 = u0.slope_frame()
 
     lip = H.lip_est
     if not H.covers(1.0 / K0, K0):
@@ -282,88 +280,48 @@ def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
                       stacklevel=2)
     nu = 0.5 * lip
     dt_max = dx / (2.0 * lip) if lip > 0 else dx
-    if dt is not None:
-        if dt > dt_max * (1 + 1e-12):
-            raise MacroError(f"dt = {dt} violates the CFL bound {dt_max}")
-        dt_max = dt
 
-    want = set(float(t) for t in record_times) if record_times is not None else set()
+    want = set(float(t) for t in (record_times if record_times is not None else [T]))
     plan = _march_plan(list(want) + [T], T, dt_max)
 
-    state = MacroState(x_grid=x, u=u, t=0.0, K0=K0)
+    # w[1:-1] is the solution, w[0] and w[-1] its ghost nodes
+    w = np.empty(nx + 2)
+    w[1:-1] = u0.value(x)
+    u, um, up = w[1:-1], w[:-2], w[2:]
     smin, smax = math.inf, -math.inf
 
-    def note_slopes(v):
+    def note_slopes():
         nonlocal smin, smax
-        if v.size > 1:
-            d = np.diff(v) / dx
+        if nx > 1:
+            d = np.diff(u) / dx
             smin = min(smin, float(d.min()))
             smax = max(smax, float(d.max()))
 
-    note_slopes(u)
-    for target, n_sub, dt_eff, _ in plan:
+    note_slopes()
+    rows = []
+    for target, n_sub, dt, _ in plan:
         for _ in range(n_sub):
-            um = np.empty_like(u)
-            up = np.empty_like(u)
-            um[1:] = u[:-1]
-            um[0] = u[0] - dx * s_lo
-            up[:-1] = u[1:]
-            up[-1] = u[-1] + dx * s_hi
+            w[0] = w[1] - dx * s_lo
+            w[-1] = w[-2] + dx * s_hi
             grad = (up - um) / (2.0 * dx)
-            u = u + dt_eff * (H(grad) + nu * (up - 2.0 * u + um) / dx)
-            note_slopes(u)
+            u[:] = u + dt * (H(grad) + nu * (up - 2.0 * u + um) / dx)
+            note_slopes()
         if target in want:
-            state.history.append((target, u.copy()))
-    state.u = u
-    state.t = T
-    state.slope_range_seen = (smin, smax)
-    return state
+            rows.append(u.copy())
+    return Field(t_grid=np.array(sorted(want)), x_grid=x,
+                 values=np.reshape(rows, (len(rows), nx)),
+                 meta={"K0": K0, "slope_range_seen": (smin, smax)})
 
 
 # ---------------------------------------------------------------------------
 # Hyperbolic rescaling of the microscopic chain
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MicroField:
-    """u_eps on a (t, x) grid; values[s, i] = eps * U_{i_lo + i}(t_s / eps)."""
-
-    eps: float
-    t_grid: np.ndarray
-    i_lo: int
-    values: np.ndarray             # (nt, n_obs)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def x_cells(self) -> np.ndarray:
-        return self.eps * (self.i_lo + np.arange(self.values.shape[1]))
-
-    def at(self, t: float, x) -> np.ndarray:
-        s = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[s] - t) > 1e-9:
-            raise MacroError(f"time {t} was not recorded")
-        r = np.asarray(x, dtype=float) / self.eps
-        idx = np.floor(r)
-        # snap points an ulp below a cell boundary into the right-hand cell
-        idx = np.where(r - idx > 1.0 - 1e-9, idx + 1.0, idx).astype(int) - self.i_lo
-        if np.any(idx < 0) or np.any(idx >= self.values.shape[1]):
-            raise MacroError("requested x outside the observation window")
-        return self.values[s, idx]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,x,u\n")
-        xs = self.x_cells
-        for s, t in enumerate(self.t_grid):
-            for i, xv in enumerate(xs):
-                buf.write(f"{float(t)!r},{float(xv)!r},{float(self.values[s, i])!r}\n")
-        return buf.getvalue()
-
-
 def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
-                  T: float, window: tuple[float, float], **kw) -> MicroField:
+                  T: float, window: tuple[float, float], **kw) -> Field:
     """Simulate U_i(0) = u0(i eps)/eps on a padded window and return
-    u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times.
+    u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times, one
+    column per particle of the window at its cell edge x = eps i.
 
     Influence travels at most m indices per Euler step, so the update of a
     particle more than m k from the window, at a step with k steps after it,
@@ -387,7 +345,7 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
                    xi0: Optional[Profile] = None, M0: float = 0.0,
                    K0: Optional[float] = None,
                    t_record: Optional[Sequence[float]] = None,
-                   max_particles: int = 5_000_000) -> MicroField:
+                   max_particles: int = 5_000_000) -> Field:
     if eps <= 0:
         raise MacroError("eps must be positive")
     x_lo, x_hi = float(window[0]), float(window[1])
@@ -448,14 +406,14 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
                                  tau=w / eps)
         vals.append(eps * U[obs].copy())
 
-    return MicroField(eps=eps, t_grid=np.array([t for t, *_ in plan]), i_lo=i_lo,
-                      values=np.array(vals),
-                      meta={"pad": pad, "n_steps": total_steps, "dt": dt_max,
-                            "N_total": N_tot, "K0": K0, "L": L,
-                            "particle_steps": particle_steps})
+    return Field(t_grid=np.array([t for t, *_ in plan]),
+                 x_grid=eps * (i_lo + np.arange(n_obs)), values=np.array(vals),
+                 meta={"pad": pad, "n_steps": total_steps, "dt": dt_max,
+                       "N_total": N_tot, "K0": K0, "L": L, "eps": eps,
+                       "particle_steps": particle_steps})
 
 
-def gradient_sandwich_probe(field: MicroField, K0: float, n_type: int,
+def gradient_sandwich_probe(field: Field, K0: float, n_type: int,
                             rng: np.random.Generator, n_probes: int = 100) -> dict:
     """Check the floor/ceil gradient sandwich on random (t, x, z) probes.
 
@@ -464,7 +422,7 @@ def gradient_sandwich_probe(field: MicroField, K0: float, n_type: int,
     z = eps k the field actually resolves:
     eps floor(k / K0) <= diff <= eps ceil(k K0).
     """
-    eps = field.eps
+    eps = field.meta["eps"]
     nt, nx = field.values.shape
     worst_lo = math.inf
     worst_hi = math.inf
@@ -514,7 +472,9 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     """Sup-norm distance between the rescaled chain and the homogenized
     solution on the compact set t in [T/2, T] x central half of the window,
     per eps, at matched resolution dx = eps and COMPACT_TIMES evenly spaced
-    times; the chain marches on the clock of :func:`rescale_micro`.
+    times; the chain marches on the clock of :func:`rescale_micro`.  Both
+    fields record the rows of one march plan, so row s of one is row s of
+    the other.
 
     The table slope counts lattice cells (one per n particles) while the
     rescaled field's gradient counts particles, so the interpolant is
@@ -537,24 +497,23 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
         micro = _rescale_micro(model, L, eps, u0, T, window, xi0=xi0, M0=M0,
                                t_record=t_samples)
         macro = solve_hj(H_eff, u0, T, dx=eps, record_times=t_samples)
-        xs = micro.x_cells
+        xs = micro.x_grid
         sel = (xs >= cx_lo) & (xs <= cx_hi)
         err = 0.0
-        for s, t in enumerate(micro.t_grid):
-            um = micro.values[s, sel]
+        for um, uh in zip(micro.values[:, sel], macro.values):
             # the rescaled field is constant on each cell [i eps, (i+1) eps);
             # an honest sup compares the cell value at both cell edges
-            uh_l = np.interp(xs[sel], macro.x_grid, macro.at_time(t))
-            uh_r = np.interp(xs[sel] + eps, macro.x_grid, macro.at_time(t))
+            uh_l = np.interp(xs[sel], macro.x_grid, uh)
+            uh_r = np.interp(xs[sel] + eps, macro.x_grid, uh)
             err = max(err, float(np.abs(um - uh_l).max()),
                       float(np.abs(um - uh_r).max()))
         errors.append(err)
         # crude scheme-error floor at this dx: compare against the half-step
         # solution on the coarsest grid once
         if eps == eps_list[-1]:
-            macro2 = solve_hj(H_eff, u0, T, dx=eps / 2.0, record_times=[T])
-            uh1 = np.interp(xs[sel], macro.x_grid, macro.at_time(T))
-            uh2 = np.interp(xs[sel], macro2.x_grid, macro2.at_time(T))
+            macro2 = solve_hj(H_eff, u0, T, dx=eps / 2.0)
+            uh1 = np.interp(xs[sel], macro.x_grid, macro.at(T))
+            uh2 = np.interp(xs[sel], macro2.x_grid, macro2.at(T))
             floor_err = float(np.abs(uh1 - uh2).max())
 
     rates = [math.log2(e1 / e2) if e2 > 0 else math.inf

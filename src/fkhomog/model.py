@@ -479,11 +479,6 @@ class ConstantsLedger:
     def c3_closed_form(self) -> float:
         return 13.0 + 6.0 * self.C4 / self.alpha0 + 7.0 * self.p + 2.0 * self.K1
 
-    def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("p", "K0", "M0", "C0", "Gbar", "K1", "C1", "C2", "C3", "C4",
-                 "alpha0", "delta", "a0")}
-
 
 def _ledger_arith(alpha0, lip_v, f0, n, m, p, K0, M0, delta, a0, C0, one):
     """Shared ledger arithmetic; ``one`` is 1 in the working number type."""

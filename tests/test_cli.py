@@ -205,7 +205,7 @@ def test_pipeline_two_types_uses_table_in_particle_slopes(tmp_path):
     assert not [w for w in caught if "does not cover" in str(w.message)]
     table = EffectiveTable.from_csv((out / "effective_table.csv").read_text())
     H = HamiltonianInterp.from_table(table, 2.0).scaled(2)
-    want = solve_hj(H, u0, 0.5, 0.1, K0=u0.slope_frame(), record_times=[0.5])
+    want = solve_hj(H, u0, 0.5, 0.1, record_times=[0.5])
     assert (out / "macro.csv").read_text() == want.to_csv()
 
 
@@ -329,9 +329,9 @@ def test_converge_flat_chord_exits_validation(tmp_path, capsys):
 @pytest.mark.parametrize("command,key", [("homogenize", "u0_file"),
                                          ("converge", "u0_file"),
                                          ("converge", "xi0_file")])
-@pytest.mark.parametrize("row", ["0.5,abc", "0.5", "0.5,1.0,2.0"])
+@pytest.mark.parametrize("row", ["0.5,abc", "0.5", "0.5,1.0,2.0", "0.5,inf"])
 def test_malformed_profile_file_exits_validation(tmp_path, capsys, command, key, row):
-    """A profile row that is not two numbers exits 2 naming the file."""
+    """A profile row that is not two finite numbers exits 2 naming the file."""
     cfg = _pipeline_cfg(tmp_path)
     bad = tmp_path / "bad.csv"
     bad.write_text(f"x,u0\n-5.0,-5.0\n{row}\n5.0,5.0\n")

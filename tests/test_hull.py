@@ -376,3 +376,18 @@ def test_periodic_extraction_refuses_empty_stratum():
     log = fk.run(ch, 30.0, 1.0, dt=0.1, snapshot_stride=1, check=False)
     with pytest.raises(HullExtractionError):
         extract_hull_periodic(log, 1.0, 1, Z=4, n_tau=8)
+
+
+def test_tau_stratum_edge_absorbs_an_ulp():
+    """A time an ulp below a stratum edge lies on that edge, for the binning
+    of snapshots and the evaluation of the hull alike."""
+    from fkhomog.hull import TauPeriodicHull, _stratum
+
+    assert _stratum(246.74999999999997, 8) == _stratum(246.75, 8) == 6
+    assert _stratum(246.99999999999997, 8) == _stratum(247.0, 8) == 0
+    assert _stratum(246.7499, 8) == 5
+    z = (np.arange(4) + 0.5) / 4
+    h = np.array([[z + k] for k in range(8)])
+    hull = TauPeriodicHull(p=Fraction(1), lam=0.0, Z=4, n_tau=8, z_grid=z,
+                           tau_grid=(np.arange(8) + 0.5) / 8, h=h, g=h.copy())
+    assert hull.value(246.74999999999997, 1, 0.5) == hull.value(246.75, 1, 0.5) == 6.5

@@ -121,15 +121,34 @@ def test_solve_hj_constant_hamiltonian_translates():
     # artificial viscosity smears curvature: nu t max|u''| dx bound
     nu = H.lip_est / 2.0
     curv = 0.18 * 2 * math.pi / 10.0
-    assert np.abs(out.u - expect).max() <= nu * 1.0 * curv * 0.05 + 1e-9
+    assert np.abs(out.at(1.0) - expect).max() <= nu * 1.0 * curv * 0.05 + 1e-9
 
 
 def test_solve_hj_affine_exact():
     H = HamiltonianInterp.from_points([0.5, 1.0, 2.0], [0.5, 1.0, 2.0])  # H(p) = p
     u0 = Profile.linear(1.0, -2.0, 2.0, n=5)
     out = fk.solve_hj(H, u0, T=1.0, dx=0.1, record_times=[0.5, 1.0])
-    assert np.abs(out.u - (out.x_grid + 1.0)).max() < 1e-12
-    assert np.abs(out.at_time(0.5) - (out.x_grid + 0.5)).max() < 1e-12
+    assert np.abs(out.at(1.0) - (out.x_grid + 1.0)).max() < 1e-12
+    assert np.abs(out.at(0.5) - (out.x_grid + 0.5)).max() < 1e-12
+
+
+def test_solve_hj_records_only_the_asked_rows():
+    """Record times that leave out T give their rows alone, bitwise those of
+    marching to each time; T is still marched to, and any other time is a
+    MacroError."""
+    H = HamiltonianInterp.from_points([0.5, 1.0, 2.0], [0.0, 0.3, 0.4])
+    u0 = wavy_profile(amp=0.2)
+    out = fk.solve_hj(H, u0, T=1.0, dx=0.1, record_times=[0.5, 0.25, 0.5])
+    assert out.t_grid.tolist() == [0.25, 0.5]
+    assert out.values.shape == (2, out.x_grid.size)
+    for t in (0.25, 0.5):
+        alone = fk.solve_hj(H, u0, T=t, dx=0.1)
+        assert out.at(t).tobytes() == alone.at(t).tobytes()
+    assert out.meta["K0"] == u0.slope_frame()
+    with pytest.raises(MacroError, match="not recorded"):
+        out.at(1.0)
+    assert fk.solve_hj(H, u0, T=1.0, dx=0.1, record_times=[]).values.shape == \
+        (0, out.x_grid.size)
 
 
 def test_solve_hj_comparison_of_ordered_profiles():
@@ -141,7 +160,7 @@ def test_solve_hj_comparison_of_ordered_profiles():
         hi = Profile(x=base.x, u=base.u + lift)
         a = fk.solve_hj(H, base, T=0.5, dx=0.1)
         b = fk.solve_hj(H, hi, T=0.5, dx=0.1)
-        assert np.all(b.u - a.u >= -1e-12)
+        assert np.all(b.values - a.values >= -1e-12)
 
 
 def test_solve_hj_slope_confinement():
@@ -149,8 +168,8 @@ def test_solve_hj_slope_confinement():
     u0 = wavy_profile(amp=0.3)
     rep = fk.check_A0(u0, 2.0)
     assert rep.ok
-    out = fk.solve_hj(H, u0, T=1.0, dx=0.05, K0=2.0)
-    smin, smax = out.slope_range_seen
+    out = fk.solve_hj(H, u0, T=1.0, dx=0.05)
+    smin, smax = out.meta["slope_range_seen"]
     assert smin >= 1.0 / 2.0 - 0.05
     assert smax <= 2.0 + 0.05
 
@@ -161,7 +180,7 @@ def test_solve_hj_additive_constant_commutes_exactly():
     shifted = Profile(x=u0.x, u=u0.u + 2.0)
     a = fk.solve_hj(H, u0, T=0.5, dx=0.1)
     b = fk.solve_hj(H, shifted, T=0.5, dx=0.1)
-    assert np.allclose(b.u, a.u + 2.0, atol=1e-12)
+    assert np.allclose(b.values, a.values + 2.0, atol=1e-12)
 
 
 def test_solve_hj_translation_covariance():
@@ -171,15 +190,8 @@ def test_solve_hj_translation_covariance():
     moved = Profile(x=u0.x + dx, u=u0.u)
     a = fk.solve_hj(H, u0, T=0.5, dx=dx)
     b = fk.solve_hj(H, moved, T=0.5, dx=dx)
-    assert np.allclose(a.u, b.u, atol=1e-12)
+    assert np.allclose(a.values, b.values, atol=1e-12)
     assert np.allclose(b.x_grid, a.x_grid + dx)
-
-
-def test_solve_hj_cfl_refused():
-    H = HamiltonianInterp.from_points([0.5, 2.0], [0.0, 1.5])
-    u0 = Profile.linear(1.0, 0.0, 1.0)
-    with pytest.raises(MacroError):
-        fk.solve_hj(H, u0, T=1.0, dx=0.1, dt=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +205,9 @@ def test_rescale_micro_linear_chain_quantization_error():
     eps = 0.05
     field = fk.rescale_micro(m, 0.0, eps, u0, T=0.5, window=(-6.0, 6.0),
                              t_record=[0.0, 0.5])
-    xs = field.x_cells
+    xs = field.x_grid
     for t in (0.0, 0.5):
-        err = np.abs(field.at(t, xs) - p * xs).max()
+        err = np.abs(field.at(t) - p * xs).max()
         assert err <= p * eps + 1e-12
 
 
@@ -209,8 +221,8 @@ def test_rescale_micro_barrier_bound():
     field = fk.rescale_micro(m, 0.0, eps, u0, T=T, window=(-5.0, 5.0),
                              t_record=[T])
     led = fk.constants_ledger(m, p=1.0, K0=2.0)
-    xs = field.x_cells
-    err = np.abs(field.at(T, xs) - u0.value(xs)).max()
+    xs = field.x_grid
+    err = np.abs(field.at(T) - u0.value(xs)).max()
     assert err <= led.K1 * T + 2 * eps
 
 
@@ -282,7 +294,7 @@ def _rescale_micro_full(model, L, eps, u0, T, window, *, xi0=None,
                                                     c, beta, dt)
         vals.append(eps * U[pad:pad + n_obs].copy())
     meta = {"pad": pad, "n_steps": total, "dt": dt_max, "N_total": N,
-            "K0": u0.slope_frame(), "L": L}
+            "K0": u0.slope_frame(), "L": L, "eps": eps}
     return np.array([t for t, *_ in plan]), np.array(vals), meta
 
 
@@ -339,7 +351,7 @@ def test_rescale_micro_trimmed_equals_full_window_march(case):
     t_ref, v_ref, meta_ref = _rescale_micro_full(model, L, eps, u0, T, window,
                                                  t_record=t_record)
     if case == "classical_n2_drive":
-        assert field.i_lo % 2 == 1
+        assert round(field.x_grid[0] / eps) % 2 == 1
     assert field.t_grid.tobytes() == t_ref.tobytes()
     assert field.values.shape == v_ref.shape
     assert field.values.tobytes() == v_ref.tobytes()
