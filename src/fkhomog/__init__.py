@@ -16,9 +16,9 @@ from .chain import (InvariantReport, TrajectoryLog, TwistedChain, cfl_dt,
                     step)
 from .rotation import (EffectiveTable, RotationEstimate, effective_hamiltonian,
                        lambda_pm, rotation_number, sweep)
-from .hull import (HullFunction, TauPeriodicHull, extract_hull,
-                   extract_hull_periodic, hull_residual, hull_value,
-                   isotonic_fit, reconstruct_traveling_wave, verify_hull_axioms)
+from .hull import (HullFunction, extract_hull, extract_hull_periodic,
+                   hull_residual, hull_value, isotonic_fit,
+                   reconstruct_traveling_wave, verify_hull_axioms)
 from .macro import (ConvergenceReport, Field, HamiltonianInterp, Profile,
                     check_A0, convergence_study, gradient_sandwich_probe,
                     rescale_micro, solve_hj)

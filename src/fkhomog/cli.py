@@ -273,7 +273,10 @@ def _get_or_compute(cache: Cache | None, stage: str, payload: dict, compute, par
 
 def _out_dir(cfg: dict, args) -> Path:
     out = Path(args.out or cfg.get("out_dir", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: cannot create it: {exc}")
     return out
 
 
@@ -372,10 +375,13 @@ def cmd_hull(cfg: dict, args) -> int:
     p = _frac(blk["p"])
     L = blk.get("L", 0.0)
     Z = blk.get("Z", 64)
+    model2 = mdl.with_extra_drive(model, L)
+    if not model2.is_autonomous:
+        raise ConfigError(f"config.model.force.kind: hull needs an autonomous "
+                          f"force (classical_fk), not {cfg['model']['force']['kind']!r}")
     est = rot.rotation_number(model, p, L_extra=L, tol=blk.get("tol", 1e-3),
                               T_cap=blk.get("T_cap", 2000.0))
     # rotation_number checked the base model; the drive L leaves (A1)-(A5) as is
-    model2 = mdl.with_extra_drive(model, L)
     chain = chn.init_linear(model2, p, cells=1)
     n_snap = blk.get("snapshots", 256)
     sample_dt = chn.cfl_dt(model2, 0.5, check=False)
@@ -384,7 +390,7 @@ def cmd_hull(cfg: dict, args) -> int:
                   check=False)
     hull = hl.extract_hull(log, est.lambda_hat, p, Z=Z,
                            lambda_halfwidth=est.halfwidth_best)
-    res = hl.hull_residual(hull, model2) if model2.is_autonomous else {}
+    res = hl.hull_residual(hull, model2)
     axioms = hl.verify_hull_axioms(hull, est.ledger)
     (out / "hull.csv").write_text(hl.hull_to_csv(hull))
     (out / "hull.json").write_text(hl.hull_header_json(hull, res))

@@ -16,6 +16,14 @@ For rational slopes in the pinned regime the orbit visits finitely many
 phases and the true hull may be discontinuous; the gridded hull is then the
 monotone envelope of the sampled phases and residuals may stagnate under
 refinement.  That stagnation is reported, not hidden.
+
+There is one hull type and one extraction.  A force F_j(tau, .) that is
+1-periodic in tau has a hull h_j(tau, z): :class:`HullFunction` stores it on
+n_tau strata of frac(tau), and :func:`extract_hull` grids each stratum from
+the snapshots that fall in it.  An autonomous force is the one-stratum case
+(n_tau = 1), which the stationary residuals and the CSV file take.
+:func:`extract_hull_periodic` is the same extraction with the tau-periodic
+defaults, kept under its own name for existing callers.
 """
 
 from __future__ import annotations
@@ -75,22 +83,40 @@ def _isotonic_periodic(v: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndar
     return fit[:n]
 
 
+# widest rotation bracket [lambda-, lambda+] of a log in the traveling regime
+WIDTH_THRESHOLD = 0.25
+
+
 @dataclass
 class HullFunction:
-    """Sampled hull pair on a uniform phase grid over [0, 1)."""
+    """Sampled hull pair on a uniform phase grid over [0, 1): h[k] and g[k]
+    are the (n, Z) profiles of the tau stratum frac(tau) in
+    [k / n_tau, (k + 1) / n_tau), one stratum for an autonomous force."""
 
     p: Fraction
     lam: float
-    Z: int
     z_grid: np.ndarray
-    h: np.ndarray                  # (n, Z)
-    g: np.ndarray                  # (n, Z)
-    tau_dependent: bool = False
+    h: np.ndarray                  # (n_tau, n, Z)
+    g: np.ndarray                  # (n_tau, n, Z)
     diagnostics: dict = field(default_factory=dict)
 
     @property
-    def n(self) -> int:
+    def n_tau(self) -> int:
         return self.h.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.h.shape[1]
+
+    @property
+    def Z(self) -> int:
+        return self.h.shape[2]
+
+
+def _stratum(tau: float, n_tau: int) -> int:
+    """The k with frac(tau) in [k / n_tau, (k + 1) / n_tau); a time within
+    1e-9 below a stratum edge counts as lying on that edge."""
+    return int(math.floor((tau % 1.0 + 1e-9) * n_tau)) % n_tau
 
 
 def _interp_wrapped(row: np.ndarray, z_grid: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -103,47 +129,58 @@ def _interp_wrapped(row: np.ndarray, z_grid: np.ndarray, z: np.ndarray) -> np.nd
     return np.interp(zf, nodes, vals) + k
 
 
-def hull_value(hull: HullFunction, j: int, z, which: str = "h"):
-    """h_j(z) (or g_j) for any integer j via the type shift
-    h_{j + n}(z) = h_j(z + p)."""
+def hull_value(hull: HullFunction, j: int, z, which: str = "h", tau: float = 0.0):
+    """h_j(tau, z) (or g_j) for any integer j via the type shift
+    h_{j + n}(z) = h_j(z + p), on the stratum of tau."""
     shift, j0 = divmod(int(j) - 1, hull.n)
-    row = (hull.h if which == "h" else hull.g)[j0]
+    rows = hull.h if which == "h" else hull.g
+    row = rows[_stratum(tau, hull.n_tau), j0]
     zz = np.asarray(z, dtype=float) + shift * float(hull.p)
     out = _interp_wrapped(row, hull.z_grid, zz)
     return float(out) if np.isscalar(z) else out
 
 
-def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64,
-                 lambda_halfwidth: float = 0.0, width_threshold: float = 0.25,
-                 check_converged: bool = True,
+def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64, n_tau: int = 1,
+                 lambda_halfwidth: float = 0.0,
                  transient: Optional[float] = None) -> HullFunction:
-    """Pool phase samples from snapshots, project monotone, resample on Z bins.
+    """Pool phase samples from snapshots, project monotone, resample on Z bins,
+    one grid per tau stratum.
 
-    Snapshots are windowed so that the phase smear tau_window * halfwidth of
-    the lambda estimate stays below one grid cell.  Refuses logs that have
-    not reached the traveling regime (bracket width above threshold) or that
-    supply fewer than Z samples per particle type.
+    Snapshots before the relaxation transient (default 5/alpha0 after the
+    first sample) are dropped, and the rest are windowed so that the phase
+    smear tau_window * halfwidth of the lambda estimate stays below one grid
+    cell.  Refuses logs without snapshots or without any past the transient,
+    one stratum for a tau-dependent force, logs that have not reached the
+    traveling regime (bracket width above WIDTH_THRESHOLD), a stratum that
+    receives no snapshot, and fewer than Z samples per particle type.  A
+    tau-periodic force needs n_tau > 1 and a log that samples
+    incommensurately enough to fill every stratum.
     """
     from .rotation import lambda_pm, LogTooShort
 
     p = Fraction(p)
-    snaps = _settled_snapshots(log, transient)
     model = log.final_state.model
+    if not log.snapshots:
+        raise HullExtractionError("hull extraction needs full snapshots; "
+                                  "rerun with snapshot_stride > 0")
+    cut = _transient_cut(model, float(log.sample_times[0]), transient)
+    snaps = [s for s in log.snapshots if s[0] >= cut]
+    if not snaps:
+        raise HullExtractionError("no snapshots past the relaxation transient")
 
-    if check_converged:
-        try:
-            lo, hi = lambda_pm(log, max(log.span / 4.0, log.sample_dt))
-        except LogTooShort as exc:
-            raise HullExtractionError(f"log too short to assess convergence: {exc}")
-        if hi - lo > width_threshold:
-            raise HullExtractionError(
-                f"dynamics not in the traveling regime: bracket width {hi - lo:.3g} "
-                f"exceeds {width_threshold}")
-
-    if not model.is_autonomous:
+    if n_tau == 1 and not model.is_autonomous:
         raise HullExtractionError(
-            "the stationary-hull path needs an autonomous force; use "
-            "extract_hull_periodic for tau-periodic families")
+            "a one-stratum hull needs an autonomous force; extract a "
+            "tau-periodic family with n_tau > 1")
+
+    try:
+        lo, hi = lambda_pm(log, max(log.span / 4.0, log.sample_dt))
+    except LogTooShort as exc:
+        raise HullExtractionError(f"log too short to assess convergence: {exc}")
+    if hi - lo > WIDTH_THRESHOLD:
+        raise HullExtractionError(
+            f"dynamics not in the traveling regime: bracket width {hi - lo:.3g} "
+            f"exceeds {WIDTH_THRESHOLD}")
 
     if lambda_halfwidth > 0.0:
         tau_window = (1.0 / Z) / lambda_halfwidth
@@ -152,28 +189,30 @@ def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64,
         if windowed:
             snaps = windowed
 
+    strata = [[] for _ in range(n_tau)]
+    for s in snaps:
+        strata[_stratum(s[0], n_tau)].append(s)
     z_grid = (np.arange(Z) + 0.5) / Z  # cell midpoints on [0, 1)
-    h, g, iso_residual = _grid_snapshots(snaps, model, p, lam, Z, z_grid)
-    return HullFunction(
-        p=p, lam=float(lam), Z=Z, z_grid=z_grid, h=h, g=g,
-        tau_dependent=False,
-        diagnostics={"isotonic_residual": iso_residual,
-                     "snapshots_used": len(snaps),
-                     "lambda_halfwidth": lambda_halfwidth})
+    h = np.empty((n_tau, model.n, Z))
+    g = np.empty((n_tau, model.n, Z))
+    worst_iso = 0.0
+    for k, group in enumerate(strata):
+        if not group:
+            raise HullExtractionError(
+                f"tau stratum {k}/{n_tau} received no snapshots; sample "
+                f"faster or longer")
+        h[k], g[k], iso = _grid_snapshots(group, model, p, lam, Z, z_grid)
+        worst_iso = max(worst_iso, iso)
+    return HullFunction(p=p, lam=float(lam), z_grid=z_grid, h=h, g=g,
+                        diagnostics={"isotonic_residual": worst_iso,
+                                     "snapshots_used": len(snaps),
+                                     "lambda_halfwidth": lambda_halfwidth})
 
 
-def _settled_snapshots(log: TrajectoryLog, transient: Optional[float] = None) -> list:
-    """The log's snapshots past the relaxation transient (default 5/alpha0
-    after the first sample); refuses logs that leave none."""
-    if not log.snapshots:
-        raise HullExtractionError("hull extraction needs full snapshots; "
-                                  "rerun with snapshot_stride > 0")
-    cut = _transient_cut(log.final_state.model, float(log.sample_times[0]),
-                         transient)
-    snaps = [s for s in log.snapshots if s[0] >= cut]
-    if not snaps:
-        raise HullExtractionError("no snapshots past the relaxation transient")
-    return snaps
+def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
+                          n_tau: int = 8) -> HullFunction:
+    """:func:`extract_hull` with the tau-periodic defaults Z = 32, n_tau = 8."""
+    return extract_hull(log, lam, p, Z=Z, n_tau=n_tau)
 
 
 def _grid_snapshots(snaps, model, p: Fraction, lam: float, Z: int,
@@ -234,81 +273,6 @@ def _grid_snapshots(snaps, model, p: Fraction, lam: float, Z: int,
     return h, g, iso_residual
 
 
-@dataclass
-class TauPeriodicHull:
-    """Hull pair of a tau-periodic family on a (tau, z) grid over [0,1)^2;
-    extraction is stratified by frac(tau)."""
-
-    p: Fraction
-    lam: float
-    Z: int
-    n_tau: int
-    z_grid: np.ndarray
-    tau_grid: np.ndarray           # bin midpoints on [0, 1)
-    h: np.ndarray                  # (n_tau, n, Z)
-    g: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[1]
-
-    def slice(self, k: int) -> HullFunction:
-        """The hull profile of one tau stratum (tau-periodicity makes every
-        stratum a valid snapshot of the moving profile)."""
-        return HullFunction(p=self.p, lam=self.lam, Z=self.Z, z_grid=self.z_grid,
-                            h=self.h[k], g=self.g[k], tau_dependent=True,
-                            diagnostics=dict(self.diagnostics, tau_bin=k))
-
-    def value(self, tau: float, j: int, z: float, which: str = "h") -> float:
-        """Nearest-stratum evaluation of h_j(tau, z) (or g_j)."""
-        return hull_value(self.slice(_stratum(tau, self.n_tau)), j, z, which)
-
-    def reconstruct(self, tau: float, y: float, j: int) -> tuple[float, float]:
-        return reconstruct_traveling_wave(self.slice(_stratum(tau, self.n_tau)),
-                                          tau, y, j)
-
-
-def _stratum(tau: float, n_tau: int) -> int:
-    """The k with frac(tau) in [k / n_tau, (k + 1) / n_tau); a time within
-    1e-9 below a stratum edge counts as lying on that edge."""
-    return int(math.floor((tau % 1.0 + 1e-9) * n_tau)) % n_tau
-
-
-def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
-                          n_tau: int = 8) -> TauPeriodicHull:
-    """Stratify snapshots by frac(tau) and grid each stratum separately.
-
-    The unit tau-periodicity of the force makes each stratum stationary; the
-    log must sample incommensurately enough that every bin receives
-    snapshots (refused otherwise, with the failing bin).
-    """
-    p = Fraction(p)
-    snaps = _settled_snapshots(log)
-    model = log.final_state.model
-
-    bins = [[] for _ in range(n_tau)]
-    for s in snaps:
-        bins[_stratum(s[0], n_tau)].append(s)
-    z_grid = (np.arange(Z) + 0.5) / Z
-    tau_grid = (np.arange(n_tau) + 0.5) / n_tau
-    n = model.n
-    h = np.empty((n_tau, n, Z))
-    g = np.empty((n_tau, n, Z))
-    worst_iso = 0.0
-    for k, group in enumerate(bins):
-        if not group:
-            raise HullExtractionError(
-                f"tau stratum {k}/{n_tau} received no snapshots; sample "
-                f"faster or longer")
-        h[k], g[k], iso = _grid_snapshots(group, model, p, lam, Z, z_grid)
-        worst_iso = max(worst_iso, iso)
-    return TauPeriodicHull(p=p, lam=float(lam), Z=Z, n_tau=n_tau,
-                           z_grid=z_grid, tau_grid=tau_grid, h=h, g=g,
-                           diagnostics={"isotonic_residual": worst_iso,
-                                        "snapshots_used": len(snaps)})
-
-
 def _resample(z: np.ndarray, v: np.ndarray, w: np.ndarray, Z: int,
               z_grid: np.ndarray) -> np.ndarray:
     """Interpolate grid midpoints through per-cell weighted mean anchors.
@@ -331,15 +295,23 @@ def _resample(z: np.ndarray, v: np.ndarray, w: np.ndarray, Z: int,
 # Residuals and axioms
 # ---------------------------------------------------------------------------
 
+def _one_stratum(hull: HullFunction, what: str):
+    """The (h, g) rows of a one-stratum hull; refuses a tau-dependent one."""
+    if hull.n_tau > 1:
+        raise HullExtractionError(f"{what} need an autonomous hull; this one has "
+                                  f"{hull.n_tau} tau strata")
+    return hull.h[0], hull.g[0]
+
+
 def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
     """Sup-norm defects of the stationary hull equations on the grid.
 
     r_h checks lambda D_z h = alpha0 (g - h); r_g checks
     lambda D_z g = 2 F_j([h]_{j,m}(z)) + alpha0 (h - g).  One-sided
-    differences are upwinded by the sign of lambda.
+    differences are upwinded by the sign of lambda.  Refuses a hull with
+    more than one tau stratum.
     """
-    if hull.tau_dependent:
-        raise HullExtractionError("stationary residuals need an autonomous force")
+    h, g = _one_stratum(hull, "stationary residuals")
     lam = hull.lam
     a0 = model.alpha0
     dz = 1.0 / hull.Z
@@ -353,7 +325,7 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
         nxt[:, -1] += 1.0
         return (nxt - rows) / dz
 
-    r_h = float(np.abs(lam * d_z(hull.h) - a0 * (hull.g - hull.h)).max())
+    r_h = float(np.abs(lam * d_z(h) - a0 * (g - h)).max())
 
     # [h]_{j,m}(z) on the grid, shape (n, Z, 2m+1): the values h_{j+s}(z) for
     # s in -m..m via the type-shift convention
@@ -361,7 +333,7 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
     win = np.array([[hull_value(hull, j + s, hull.z_grid, "h") for s in range(-m, m + 1)]
                     for j in range(1, hull.n + 1)]).transpose(0, 2, 1)
     F = _force(model, 0.0, win, np.arange(hull.n)[:, None])
-    r_g = float(np.abs(lam * d_z(hull.g) - (2.0 * F + a0 * (hull.h - hull.g))).max())
+    r_g = float(np.abs(lam * d_z(g) - (2.0 * F + a0 * (h - g))).max())
     return {"r_h": r_h, "r_g": r_g}
 
 
@@ -391,27 +363,28 @@ class HullAxiomReport:
 
 def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger,
                        tol: float = 1e-9) -> HullAxiomReport:
-    """Check monotonicity (with the +1 wrap at the seam), ordering in j
-    (including h_1(z + p) >= h_n(z) across the type period), and the
-    displacement bound |h - id| <= 2 ceil(C3)."""
+    """Check, on every tau stratum, monotonicity (with the +1 wrap at the
+    seam), ordering in j (including h_1(z + p) >= h_n(z) across the type
+    period), and the displacement bound |h - id| <= 2 ceil(C3).  The
+    monotone witness names the type and the z cell of the worst decrease."""
     worst = 0.0
     witness = None
     for name, rows in (("h", hull.h), ("g", hull.g)):
-        lifted = np.concatenate([rows, rows[:, :1] + 1.0], axis=1)
-        inc = np.diff(lifted, axis=1)
+        lifted = np.concatenate([rows, rows[..., :1] + 1.0], axis=-1)
+        inc = np.diff(lifted, axis=-1)
         i = np.unravel_index(np.argmin(inc), inc.shape)
         if inc[i] < worst:
             worst = float(inc[i])
-            witness = (name, int(i[0]) + 1, int(i[1]))
+            witness = (name, int(i[1]) + 1, int(i[2]))
 
     ord_worst = 0.0
     for rows in (hull.h, hull.g):
         for t in range(hull.n - 1):
-            ord_worst = min(ord_worst, float((rows[t + 1] - rows[t]).min()))
-    # seam ordering: h_{n+1}(z) = h_1(z + p) must dominate h_n(z)
-    for which, rows in (("h", hull.h), ("g", hull.g)):
-        top = hull_value(hull, hull.n + 1, hull.z_grid, which)
-        ord_worst = min(ord_worst, float((top - rows[hull.n - 1]).min()))
+            ord_worst = min(ord_worst, float((rows[:, t + 1] - rows[:, t]).min()))
+        # seam ordering: h_{n+1}(z) = h_1(z + p) must dominate h_n(z)
+        for k in range(hull.n_tau):
+            top = _interp_wrapped(rows[k, 0], hull.z_grid, hull.z_grid + float(hull.p))
+            ord_worst = min(ord_worst, float((top - rows[k, -1]).min()))
 
     disp = max(float(np.abs(hull.h - hull.z_grid).max()),
                float(np.abs(hull.g - hull.z_grid).max()))
@@ -425,9 +398,9 @@ def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger,
 
 def reconstruct_traveling_wave(hull: HullFunction, tau: float, y: float,
                                j: int) -> tuple[float, float]:
-    """(U, Xi) of the traveling solution: (h_j(p y + lambda tau), g_j(...))."""
+    """(U, Xi) of the traveling solution: (h_j(tau, p y + lambda tau), g_j(...))."""
     z = float(hull.p) * y + hull.lam * tau
-    return (hull_value(hull, j, z, "h"), hull_value(hull, j, z, "g"))
+    return (hull_value(hull, j, z, "h", tau), hull_value(hull, j, z, "g", tau))
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +408,17 @@ def reconstruct_traveling_wave(hull: HullFunction, tau: float, y: float,
 # ---------------------------------------------------------------------------
 
 def hull_to_csv(hull: HullFunction) -> str:
+    h, g = _one_stratum(hull, "hull CSV files")
     buf = io.StringIO()
     buf.write("j,z,h,g\n")
     for t in range(hull.n):
         for k in range(hull.Z):
-            buf.write(f"{t + 1},{float(hull.z_grid[k])!r},{float(hull.h[t, k])!r},{float(hull.g[t, k])!r}\n")
+            buf.write(f"{t + 1},{float(hull.z_grid[k])!r},{float(h[t, k])!r},{float(g[t, k])!r}\n")
     return buf.getvalue()
 
 
-def hull_header_json(hull: HullFunction, residuals: Optional[dict] = None,
-                     indent: int = 2) -> str:
+def hull_header_json(hull: HullFunction, residuals: Optional[dict] = None) -> str:
     d = {"p": f"{hull.p.numerator}/{hull.p.denominator}", "lambda": hull.lam,
-         "Z": hull.Z, "tau_dependent": hull.tau_dependent,
+         "Z": hull.Z, "tau_dependent": hull.n_tau > 1,
          "residuals": residuals or {}, "diagnostics": hull.diagnostics}
-    return json.dumps(d, indent=indent, sort_keys=True)
+    return json.dumps(d, indent=2, sort_keys=True)

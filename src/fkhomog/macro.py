@@ -460,8 +460,8 @@ class ConvergenceReport:
                 "compact_x": list(self.compact_x),
                 "scheme_floor": self.scheme_floor}
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def convergence_study(model: ForceModel, L: float, u0: Profile,

@@ -590,5 +590,5 @@ def model_to_config(model: ForceModel) -> dict:
                       "amplitude": k.amplitude, "drive": k.drive}}
 
 
-def report_to_json(report: AssumptionReport, indent: int = 2) -> str:
-    return json.dumps(report.to_json_dict(), indent=indent, sort_keys=True)
+def report_to_json(report: AssumptionReport) -> str:
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

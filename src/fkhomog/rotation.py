@@ -369,5 +369,5 @@ def depinning_threshold(table: EffectiveTable, p, tol: float = 1e-6) -> tuple[fl
     return lo, float(table.L_grid[k])
 
 
-def table_to_json(table: EffectiveTable, indent: int = 2) -> str:
-    return json.dumps(table.to_json_dict(), indent=indent, sort_keys=True)
+def table_to_json(table: EffectiveTable) -> str:
+    return json.dumps(table.to_json_dict(), indent=2, sort_keys=True)

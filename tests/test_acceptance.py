@@ -251,7 +251,7 @@ def test_10_closed_loop_reconstruction():
     Z = 32
     hull = extract_hull(log, est.lambda_hat, p, Z=Z,
                         lambda_halfwidth=est.halfwidth_best)
-    lifted = np.concatenate([hull.h[0], [hull.h[0][0] + 1.0]])
+    lifted = np.concatenate([hull.h[0, 0], [hull.h[0, 0][0] + 1.0]])
     cell_value = float(np.abs(np.diff(lifted)).max())
     N = log.final_state.N
     worst = 0.0

@@ -129,6 +129,21 @@ def test_hull_command(tmp_path):
     assert axioms["monotone_ok"] and axioms["ordering_ok"]
 
 
+def test_hull_refuses_a_tau_dependent_force_before_simulating(tmp_path, capsys,
+                                                              monkeypatch):
+    from fkhomog import rotation
+
+    def never(*args, **kw):
+        raise AssertionError("rotation_number ran")
+
+    monkeypatch.setattr(rotation, "rotation_number", never)
+    cfg = {"model": {"m0": 0.05, "force": {"kind": "constant", "value": 0.5}},
+           "hull": {"p": [1, 1], "Z": 16}}
+    rc, _ = run_cli(tmp_path, cfg, "hull")
+    assert rc == cli.EXIT_VALIDATION
+    assert "config.model.force.kind" in capsys.readouterr().err
+
+
 def _pipeline_cfg(tmp_path):
     u0 = Profile.linear(1.0, -5.0, 5.0)
     u0_path = tmp_path / "u0.csv"
@@ -142,6 +157,15 @@ def _pipeline_cfg(tmp_path):
                      "window": [-5.0, 5.0], "L": 0.5},
         "seed": 0,
     }
+
+
+@pytest.mark.parametrize("command", ["check", "pipeline"])
+def test_output_path_that_is_a_file_exits_validation(tmp_path, capsys, command):
+    cfg = _pipeline_cfg(tmp_path)
+    (tmp_path / "out").write_text("")
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == cli.EXIT_VALIDATION
+    assert f"output directory {out}" in capsys.readouterr().err
 
 
 def test_pipeline_linear_chain(tmp_path, capsys):

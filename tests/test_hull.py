@@ -1,5 +1,6 @@
 """Hull extraction, residuals, axioms, and reconstruction."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,9 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
 from fkhomog.model import ClassicalFK
-from fkhomog.hull import (HullExtractionError, HullFunction, extract_hull,
+from fkhomog.chain import _transient_cut
+from fkhomog.hull import (HullExtractionError, HullFunction, _grid_snapshots,
+                          _stratum, extract_hull, extract_hull_periodic,
                           hull_residual, hull_to_csv, hull_value, isotonic_fit,
                           reconstruct_traveling_wave, verify_hull_axioms)
+from fkhomog.rotation import lambda_pm
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -59,8 +63,8 @@ def test_isotonic_properties(vals):
 
 def make_identity_hull(Z=16, p=Fraction(1, 2), lam=0.3, n=1):
     zg = (np.arange(Z) + 0.5) / Z
-    rows = np.tile(zg, (n, 1))
-    return HullFunction(p=Fraction(p), lam=lam, Z=Z, z_grid=zg,
+    rows = np.tile(zg, (1, n, 1))
+    return HullFunction(p=Fraction(p), lam=lam, z_grid=zg,
                         h=rows.copy(), g=rows.copy())
 
 
@@ -89,7 +93,7 @@ def test_extract_refuses_unconverged_dynamics():
     ch = fk.init_linear(m, 1, cells=2, perturbation=[0.0, 0.4])
     log = fk.run(ch, 1.0, 0.02, snapshot_stride=1)
     with pytest.raises(HullExtractionError):
-        extract_hull(log, 0.0, 1, Z=8, width_threshold=1e-6)
+        extract_hull(log, 0.0, 1, Z=8)
 
 
 def test_extract_refuses_too_few_samples():
@@ -118,13 +122,21 @@ def test_pinned_hull_profile_and_axioms():
     assert res["r_h"] < 1e-6                 # lambda = 0: residual is a0|g-h|
 
 
-def test_depinned_hull_axioms_and_residual_refinement():
+@pytest.fixture(scope="module")
+def depinned():
+    """A depinned one-type chain at p = 1, its rotation estimate and a
+    40-unit snapshot log."""
     m = fkmodel(L=2.0)
     p = Fraction(1)
     est = fk.rotation_number(m, p, tol=1e-3, safety=0.1)
     dt = fk.cfl_dt(m, 0.1)
     ch = fk.init_linear(m, p, cells=1)
     log = fk.run(ch, 40.0, 5 * dt, dt=dt, snapshot_stride=1)
+    return m, p, est, log
+
+
+def test_depinned_hull_axioms_and_residual_refinement(depinned):
+    m, p, est, log = depinned
     led = est.ledger
     res_prev = None
     for Z in (16, 32):
@@ -144,6 +156,7 @@ def _hull_residual_ref(hull, model):
     force evaluation: spring constants per type row for a classical model,
     one call per type on its raw neighbour windows for a tabulated one."""
     n, Z, m = hull.n, hull.Z, model.m
+    h, g = hull.h[0], hull.g[0]
     win = np.empty((n, Z, 2 * m + 1))
     for t in range(n):
         for s in range(-m, m + 1):
@@ -170,9 +183,8 @@ def _hull_residual_ref(hull, model):
         return (rows - prev) / dz
 
     assert lam >= 0
-    return {"r_h": float(np.abs(lam * d_z(hull.h) - a0 * (hull.g - hull.h)).max()),
-            "r_g": float(np.abs(lam * d_z(hull.g)
-                                - (2.0 * F + a0 * (hull.h - hull.g))).max())}
+    return {"r_h": float(np.abs(lam * d_z(h) - a0 * (g - h)).max()),
+            "r_g": float(np.abs(lam * d_z(g) - (2.0 * F + a0 * (h - g))).max())}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -182,8 +194,8 @@ def test_hull_residual_bytes_match_reference(n):
     Z = 24
     zg = (np.arange(Z) + 0.5) / Z
     h = np.array([zg + 0.05 * np.sin(2 * math.pi * zg) + 0.1 * t for t in range(n)])
-    hull = HullFunction(p=Fraction(2, 3), lam=0.37, Z=Z, z_grid=zg, h=h,
-                        g=h + 0.01 * np.cos(2 * math.pi * zg))
+    hull = HullFunction(p=Fraction(2, 3), lam=0.37, z_grid=zg, h=h[None],
+                        g=(h + 0.01 * np.cos(2 * math.pi * zg))[None])
     theta = (1.0, 2.0, 0.5)[:n]
 
     def fn(j, tau, w):
@@ -209,7 +221,7 @@ def test_isotonic_residual_shrinks_with_more_snapshots():
     rs = []
     for T in (12.0, 48.0):
         log = fk.run(ch, T, dt, dt=dt, snapshot_stride=1)
-        hull = extract_hull(log, est.lambda_hat, p, Z=8, check_converged=False)
+        hull = extract_hull(log, est.lambda_hat, p, Z=8)
         rs.append(hull.diagnostics["isotonic_residual"])
     assert rs[-1] <= rs[0] + 1e-12
 
@@ -253,7 +265,7 @@ def test_hull_type_shift_convention():
 
 def test_corrupted_hull_reports_violation_with_index():
     hull = make_identity_hull(Z=16)
-    hull.h[0, 7] = hull.h[0, 6] - 0.2        # deliberate decrease
+    hull.h[0, 0, 7] = hull.h[0, 0, 6] - 0.2  # deliberate decrease
     led = fk.constants_ledger(fkmodel(), p=0.5)
     rep = verify_hull_axioms(hull, led)
     assert not rep.monotone_ok
@@ -285,21 +297,16 @@ def test_reconstruct_identity_and_shift_covariance():
     assert u2 == pytest.approx(u + 1.0, abs=1e-12)
 
 
-def test_reconstruction_tracks_simulation():
-    m = fkmodel(L=2.0)
-    p = Fraction(1)
-    est = fk.rotation_number(m, p, tol=1e-3, safety=0.1)
-    dt = fk.cfl_dt(m, 0.1)
-    ch = fk.init_linear(m, p, cells=1)
-    log = fk.run(ch, 40.0, 5 * dt, dt=dt, snapshot_stride=1)
+def test_reconstruction_tracks_simulation(depinned):
+    m, p, est, log = depinned
     Z = 32
     hull = extract_hull(log, est.lambda_hat, p, Z=Z,
                         lambda_halfwidth=est.halfwidth_best)
-    lifted = np.concatenate([hull.h[0], [hull.h[0][0] + 1.0]])
+    lifted = np.concatenate([hull.h[0, 0], [hull.h[0, 0][0] + 1.0]])
     cell_value = float(np.abs(np.diff(lifted)).max())
     errs = []
     for tau, U, Xi in log.snapshots[-100:]:
-        for i in range(ch.N):
+        for i in range(log.final_state.N):
             j = (i % m.n) + 1
             y = (i - (j - 1)) // m.n
             uh, _ = reconstruct_traveling_wave(hull, tau, y, j)
@@ -334,60 +341,156 @@ def tau_periodic_model(a=0.5, L=1.0, margin=1.2):
                            lip_V=4.0, f_at_zero_sup=a + abs(L), batch=True)
 
 
+def tau_periodic_log(m):
+    ch = fk.init_linear(m, 1, cells=2)
+    dt = fk.cfl_dt(m, 0.5, check=False)
+    return fk.run(ch, 40.0, dt, dt=dt, snapshot_stride=1, check=False)
+
+
 def test_stationary_path_refuses_tau_dependent_force():
     m = tau_periodic_model()
     ch = fk.init_linear(m, 1, cells=2)
     log = fk.run(ch, 20.0, 0.25, snapshot_stride=1)
-    with pytest.raises(HullExtractionError):
-        extract_hull(log, 1.0, 1, Z=8, check_converged=False)
+    with pytest.raises(HullExtractionError, match="autonomous"):
+        extract_hull(log, 1.0, 1, Z=8)
 
 
 def test_periodic_extraction_oscillating_drive():
     """For a uniform tau-periodic drive the hull strata are flat in z but the
     offset oscillates with tau."""
-    from fkhomog.hull import extract_hull_periodic
-
     m = tau_periodic_model(a=0.5, L=1.0)
     est = fk.rotation_number(m, 1, tol=5e-3, T_cap=500.0)
     assert est.lambda_hat == pytest.approx(1.0, abs=2e-2)
-    ch = fk.init_linear(m, 1, cells=2)
-    dt = fk.cfl_dt(m, 0.5, check=False)
-    log = fk.run(ch, 40.0, dt, dt=dt, snapshot_stride=1, check=False)
+    log = tau_periodic_log(m)
     hull = extract_hull_periodic(log, est.lambda_hat, 1, Z=8, n_tau=8)
     flat = max(float(np.ptp(hull.h[k][0] - hull.z_grid)) for k in range(8))
     offsets = np.array([float((hull.h[k][0] - hull.z_grid).mean()) for k in range(8)])
     assert flat < 0.05                       # each stratum is near-affine
     assert np.ptp(offsets) > 0.02              # but the offset moves with tau
-    # slices satisfy the per-stratum axioms
-    led = est.ledger
-    for k in range(8):
-        rep = verify_hull_axioms(hull.slice(k), led)
-        assert rep.all_ok
-    u, g = hull.reconstruct(0.3, 2.0, 1)
-    assert u == pytest.approx(hull.value(0.3, 1, 2.0 + est.lambda_hat * 0.3), abs=1e-12)
+    # every stratum satisfies the axioms
+    assert verify_hull_axioms(hull, est.ledger).all_ok
+    u, g = reconstruct_traveling_wave(hull, 0.3, 2.0, 1)
+    assert u == pytest.approx(hull_value(hull, 1, 2.0 + est.lambda_hat * 0.3, tau=0.3),
+                              abs=1e-12)
 
 
 def test_periodic_extraction_refuses_empty_stratum():
-    from fkhomog.hull import extract_hull_periodic
-
     m = tau_periodic_model()
     ch = fk.init_linear(m, 1, cells=2)
     # sample exactly at integer tau spacing: only one stratum is ever visited
     log = fk.run(ch, 30.0, 1.0, dt=0.1, snapshot_stride=1, check=False)
-    with pytest.raises(HullExtractionError):
+    with pytest.raises(HullExtractionError, match="tau stratum"):
         extract_hull_periodic(log, 1.0, 1, Z=4, n_tau=8)
 
 
 def test_tau_stratum_edge_absorbs_an_ulp():
     """A time an ulp below a stratum edge lies on that edge, for the binning
     of snapshots and the evaluation of the hull alike."""
-    from fkhomog.hull import TauPeriodicHull, _stratum
-
     assert _stratum(246.74999999999997, 8) == _stratum(246.75, 8) == 6
     assert _stratum(246.99999999999997, 8) == _stratum(247.0, 8) == 0
     assert _stratum(246.7499, 8) == 5
     z = (np.arange(4) + 0.5) / 4
     h = np.array([[z + k] for k in range(8)])
-    hull = TauPeriodicHull(p=Fraction(1), lam=0.0, Z=4, n_tau=8, z_grid=z,
-                           tau_grid=(np.arange(8) + 0.5) / 8, h=h, g=h.copy())
-    assert hull.value(246.74999999999997, 1, 0.5) == hull.value(246.75, 1, 0.5) == 6.5
+    hull = HullFunction(p=Fraction(1), lam=0.0, z_grid=z, h=h, g=h.copy())
+    assert hull_value(hull, 1, 0.5, tau=246.74999999999997) == \
+        hull_value(hull, 1, 0.5, tau=246.75) == 6.5
+
+
+def test_decrease_in_one_stratum_fails_the_axioms():
+    z = (np.arange(16) + 0.5) / 16
+    h = np.tile(z, (8, 2, 1)) + np.array([0.0, 0.25])[:, None]
+    hull = HullFunction(p=Fraction(1), lam=0.0, z_grid=z, h=h, g=h.copy())
+    led = fk.constants_ledger(fkmodel(), p=1.0)
+    assert verify_hull_axioms(hull, led).all_ok
+    hull.h[5, 1, 9] = hull.h[5, 1, 8] - 0.2
+    rep = verify_hull_axioms(hull, led)
+    assert not rep.monotone_ok
+    assert rep.monotone_witness[:2] == ("h", 2) and rep.monotone_witness[2] in (8, 9)
+
+
+# ---------------------------------------------------------------------------
+# Parity with the two extractions that the one extraction replaced
+# ---------------------------------------------------------------------------
+
+def _settled_ref(log, transient=None):
+    cut = _transient_cut(log.final_state.model, float(log.sample_times[0]), transient)
+    return [s for s in log.snapshots if s[0] >= cut]
+
+
+def _extract_hull_ref(log, lam, p, *, Z=64, lambda_halfwidth=0.0):
+    """The autonomous extraction as a body of its own: (h, g, diagnostics),
+    with h and g of shape (n, Z)."""
+    p = Fraction(p)
+    snaps = _settled_ref(log)
+    model = log.final_state.model
+    lo, hi = lambda_pm(log, max(log.span / 4.0, log.sample_dt))
+    assert hi - lo <= 0.25 and model.is_autonomous
+    if lambda_halfwidth > 0.0:
+        tau_window = (1.0 / Z) / lambda_halfwidth
+        t_end = snaps[-1][0]
+        windowed = [s for s in snaps if s[0] >= t_end - tau_window]
+        if windowed:
+            snaps = windowed
+    z_grid = (np.arange(Z) + 0.5) / Z
+    h, g, iso = _grid_snapshots(snaps, model, p, lam, Z, z_grid)
+    return h, g, {"isotonic_residual": iso, "snapshots_used": len(snaps),
+                  "lambda_halfwidth": lambda_halfwidth}
+
+
+def _extract_hull_periodic_ref(log, lam, p, *, Z=32, n_tau=8):
+    """The tau-stratified extraction as a body of its own: no convergence
+    test, no window; (h, g, diagnostics) with h and g of shape (n_tau, n, Z)."""
+    p = Fraction(p)
+    snaps = _settled_ref(log)
+    model = log.final_state.model
+    bins = [[] for _ in range(n_tau)]
+    for s in snaps:
+        bins[_stratum(s[0], n_tau)].append(s)
+    z_grid = (np.arange(Z) + 0.5) / Z
+    h = np.empty((n_tau, model.n, Z))
+    g = np.empty((n_tau, model.n, Z))
+    worst_iso = 0.0
+    for k, group in enumerate(bins):
+        assert group
+        h[k], g[k], iso = _grid_snapshots(group, model, p, lam, Z, z_grid)
+        worst_iso = max(worst_iso, iso)
+    return h, g, {"isotonic_residual": worst_iso, "snapshots_used": len(snaps)}
+
+
+def _assert_same_bytes(hull, ref):
+    h, g, diag = ref
+    assert hull.h.tobytes() == np.reshape(h, hull.h.shape).tobytes()
+    assert hull.g.tobytes() == np.reshape(g, hull.g.shape).tobytes()
+    assert json.dumps(hull.diagnostics, sort_keys=True) == json.dumps(diag, sort_keys=True)
+
+
+def test_periodic_extraction_matches_reference_bytes():
+    log = tau_periodic_log(tau_periodic_model(a=0.5, L=1.0))
+    hull = extract_hull_periodic(log, 1.0, 1, Z=8, n_tau=8)
+    h, g, diag = _extract_hull_periodic_ref(log, 1.0, 1, Z=8, n_tau=8)
+    # the one extraction also records the (unused) lambda window
+    _assert_same_bytes(hull, (h, g, dict(diag, lambda_halfwidth=0.0)))
+
+
+def test_depinned_extraction_matches_reference_bytes(depinned):
+    m, p, est, log = depinned
+    for Z in (16, 32):
+        hull = extract_hull(log, est.lambda_hat, p, Z=Z,
+                            lambda_halfwidth=est.halfwidth_best)
+        _assert_same_bytes(hull, _extract_hull_ref(log, est.lambda_hat, p, Z=Z,
+                                                   lambda_halfwidth=est.halfwidth_best))
+
+
+def test_two_type_extraction_matches_reference_bytes():
+    m = fkmodel(theta=(1.0, 2.0), L=2.0)
+    p = Fraction(1)
+    est = fk.rotation_number(m, p, tol=2e-3)
+    dt = fk.cfl_dt(m, 0.5)
+    log = fk.run(fk.init_linear(m, p, cells=2), 30.0, dt, dt=dt, snapshot_stride=1)
+    for hw in (0.0, est.halfwidth_best):
+        hull = extract_hull(log, est.lambda_hat, p, Z=16, lambda_halfwidth=hw)
+        _assert_same_bytes(hull, _extract_hull_ref(log, est.lambda_hat, p, Z=16,
+                                                   lambda_halfwidth=hw))
+    h, g, diag = _extract_hull_periodic_ref(log, est.lambda_hat, p, Z=16, n_tau=4)
+    _assert_same_bytes(extract_hull_periodic(log, est.lambda_hat, p, Z=16, n_tau=4),
+                       (h, g, dict(diag, lambda_halfwidth=0.0)))
