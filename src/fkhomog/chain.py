@@ -68,10 +68,6 @@ class TwistedChain:
         if self.U.shape != (self.N,) or self.Xi.shape != (self.N,):
             raise ModelError("state arrays must have shape (N,)")
 
-    def copy(self) -> "TwistedChain":
-        return TwistedChain(self.N, self.Q, self.U.copy(), self.Xi.copy(),
-                            self.tau, self.p, self.model)
-
 
 def init_linear(model: ForceModel, p, cells: int = 1,
                 perturbation: Optional[Sequence[float]] = None) -> TwistedChain:

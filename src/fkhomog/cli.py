@@ -148,6 +148,12 @@ CONFIG_SCHEMA = {
 }
 
 
+# the force keys of one kind that the other kind does not read; drive
+# drives either kind
+_FOREIGN_FORCE_KEYS = {"classical_fk": ("value",),
+                       "constant": ("theta", "amplitude")}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -179,6 +185,10 @@ def validate_config(cfg: dict):
     force = cfg["model"]["force"]
     if force["kind"] == "classical_fk" and "theta" not in force:
         raise ConfigError("config.model.force.theta: required for classical_fk")
+    for key in _FOREIGN_FORCE_KEYS[force["kind"]]:
+        if key in force:
+            raise ConfigError(f"config.model.force.{key}: not a key of "
+                              f"force kind {force['kind']!r}")
     if "m0" not in cfg["model"] and "alpha0" not in cfg["model"]:
         raise ConfigError("config.model: m0 or alpha0 is required")
     for key in ("simulate", "hull", "effham"):
@@ -217,9 +227,11 @@ def _frac(pair) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class Cache:
-    def __init__(self, root: Path, log=print):
+    """Stage outputs under content-hash keys; every lookup prints one
+    ``[cache] hit|miss <stage> <key>`` line."""
+
+    def __init__(self, root: Path):
         self.root = root
-        self.log = log
         root.mkdir(parents=True, exist_ok=True)
 
     def key(self, stage: str, payload: dict) -> str:
@@ -234,12 +246,12 @@ class Cache:
         k = self.key(stage, payload)
         p = self.path(stage, k)
         if p.exists():
-            self.log(f"[cache] hit {stage} {k}")
+            print(f"[cache] hit {stage} {k}")
             try:
                 return k, p.read_text()
             except UnicodeDecodeError as exc:
                 raise ConfigError(f"cache file {p} is corrupt: {exc}")
-        self.log(f"[cache] miss {stage} {k}")
+        print(f"[cache] miss {stage} {k}")
         return k, None
 
     def put_text(self, stage: str, key: str, text: str):
@@ -311,10 +323,11 @@ def cmd_simulate(cfg: dict, args) -> int:
         spacing = float(p) / model.n
         pert = rng.uniform(-1.0, 1.0, n_part) * min(scale, 0.45 * spacing)
     chain = chn.init_linear(model, p, cells=cells, perturbation=pert)
+    delta, a0 = blk.get("delta", 0.0), blk.get("a0", 0.0)
     log = chn.run(chain, blk["T"], blk["sample_dt"], dt=blk.get("dt"),
-                  delta=blk.get("delta", 0.0), a0=blk.get("a0", 0.0),
-                  snapshot_stride=blk.get("snapshot_stride", 0))
-    ledger = mdl.constants_ledger(model, p=float(p))
+                  delta=delta, a0=a0, snapshot_stride=blk.get("snapshot_stride", 0))
+    # the a-priori bounds of the dynamics that ran, delta term included
+    ledger = mdl.constants_ledger(model, p=float(p), delta=delta, a0=a0)
     inv = chn.monitor_invariants(log, ledger)
     (out / "trajectory.csv").write_text(chn.trajectory_to_csv(log))
     (out / "final_snapshot.csv").write_text(chn.snapshot_to_csv(log.final_state))

@@ -341,7 +341,7 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
 class HullAxiomReport:
     monotone_ok: bool
     monotone_worst: float          # most negative grid increment (0 if clean)
-    monotone_witness: Optional[tuple]
+    monotone_witness: Optional[tuple]   # (h | g, stratum, j, z cell)
     ordering_ok: bool
     ordering_worst: float
     displacement: float
@@ -366,7 +366,8 @@ def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger,
     """Check, on every tau stratum, monotonicity (with the +1 wrap at the
     seam), ordering in j (including h_1(z + p) >= h_n(z) across the type
     period), and the displacement bound |h - id| <= 2 ceil(C3).  The
-    monotone witness names the type and the z cell of the worst decrease."""
+    monotone witness names the tau stratum, the type and the z cell of the
+    worst decrease."""
     worst = 0.0
     witness = None
     for name, rows in (("h", hull.h), ("g", hull.g)):
@@ -375,7 +376,7 @@ def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger,
         i = np.unravel_index(np.argmin(inc), inc.shape)
         if inc[i] < worst:
             worst = float(inc[i])
-            witness = (name, int(i[1]) + 1, int(i[2]))
+            witness = (name, int(i[0]), int(i[1]) + 1, int(i[2]))
 
     ord_worst = 0.0
     for rows in (hull.h, hull.g):

@@ -1,12 +1,14 @@
 """Force families for damped Frenkel-Kontorova chains with n particle types.
 
 A chain couples particles through per-type forces F_j(tau, V_{-m}, ..., V_m)
-acting on windows of 2m+1 neighbour positions.  The classical family is
+acting on windows of 2m+1 neighbour positions, driven by a constant L: the
+family is L + F_j.  The classical F_j is
 
     F_j(tau, V) = theta_{j+1} (V_1 - V_0) - theta_j (V_0 - V_{-1})
-                  + A sin(2 pi V_0) + L
+                  + A sin(2 pi V_0)
 
-with spring constants theta repeating with period n.  The inertial dynamics
+with spring constants theta repeating with period n; a tabulated F_j is a
+user callable.  The inertial dynamics
 m0 U'' + U' = F is rewritten through the auxiliary variable Xi = U + 2 m0 U'
 and the rate alpha0 = 1/(2 m0); the rewritten first-order system is monotone
 (order preserving) exactly when the structural assumptions checked by
@@ -38,11 +40,10 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class ClassicalFK:
-    """Nearest-neighbour springs plus a sinusoidal onsite force and a drive."""
+    """Nearest-neighbour springs plus a sinusoidal onsite force."""
 
     theta: tuple[float, ...]
     amplitude: float = 1.0
-    drive: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -66,10 +67,11 @@ class TabulatedForce:
 
 @dataclass(frozen=True)
 class ForceModel:
-    """A force family together with the data every estimate depends on.
+    """The family drive + F_j with the data every estimate depends on.
 
     lip_V is the Lipschitz constant of every F_j in the window variable
-    (sup norm), f_at_zero_sup bounds sup_tau |F_j(tau, 0, ..., 0)|.
+    (sup norm); f0 bounds sup_tau |F_j(tau, 0, ..., 0)| of the undriven
+    kind, so :attr:`f_at_zero_sup` bounds that of the driven family.
     """
 
     n: int
@@ -77,7 +79,8 @@ class ForceModel:
     alpha0: float
     kind: ClassicalFK | TabulatedForce
     lip_V: float
-    f_at_zero_sup: float
+    f0: float
+    drive: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -86,8 +89,12 @@ class ForceModel:
             raise ModelError("interaction radius m must be >= 0")
         if not self.alpha0 > 0:
             raise ModelError("alpha0 must be positive")
-        if self.lip_V < 0 or self.f_at_zero_sup < 0:
+        if self.lip_V < 0 or self.f0 < 0:
             raise ModelError("lip_V and f_at_zero_sup must be nonnegative")
+
+    @property
+    def f_at_zero_sup(self) -> float:
+        return self.f0 + abs(self.drive)
 
     @property
     def m0(self) -> float:
@@ -119,8 +126,8 @@ def build_classical_fk(theta, amplitude: float = 1.0, drive: float = 0.0,
     lip_v = max(2.0 * s + TWO_PI * amplitude for s in pair)
     return ForceModel(
         n=n, m=1, alpha0=1.0 / (2.0 * m0),
-        kind=ClassicalFK(theta=theta, amplitude=float(amplitude), drive=float(drive)),
-        lip_V=lip_v, f_at_zero_sup=abs(float(drive)),
+        kind=ClassicalFK(theta=theta, amplitude=float(amplitude)),
+        lip_V=lip_v, f0=0.0, drive=float(drive),
     )
 
 
@@ -132,7 +139,7 @@ def build_tabulated(fn, n: int, m: int, m0: float, lip_V: float,
         raise ModelError("mass m0 must be positive")
     return ForceModel(n=n, m=m, alpha0=1.0 / (2.0 * m0),
                       kind=TabulatedForce(fn=fn, batch=batch),
-                      lip_V=float(lip_V), f_at_zero_sup=float(f_at_zero_sup))
+                      lip_V=float(lip_V), f0=float(f_at_zero_sup))
 
 
 def build_constant_force(value: float, n: int = 1, m: int = 1, m0: float = 0.05) -> ForceModel:
@@ -147,20 +154,9 @@ def build_constant_force(value: float, n: int = 1, m: int = 1, m0: float = 0.05)
 
 
 def with_extra_drive(model: ForceModel, L: float) -> ForceModel:
-    """The family (L + F_j)_j.  Lipschitz data is unchanged; the zero-window
-    bound grows by at most |L|."""
-    if L == 0.0:
-        return model
-    if isinstance(model.kind, ClassicalFK):
-        kind = replace(model.kind, drive=model.kind.drive + float(L))
-        return replace(model, kind=kind, f_at_zero_sup=abs(kind.drive))
-    base = model.kind
-
-    def fn(j, tau, window):
-        return base.fn(j, tau, window) + L
-
-    return replace(model, kind=TabulatedForce(fn=fn, batch=base.batch),
-                   f_at_zero_sup=model.f_at_zero_sup + abs(float(L)))
+    """The family (L + F_j)_j: the drive grows by L, the Lipschitz data is
+    unchanged."""
+    return replace(model, drive=model.drive + float(L))
 
 
 @lru_cache(maxsize=8)
@@ -173,13 +169,10 @@ def _shift_row(m: int) -> np.ndarray:
 
 
 def _drive_column(model: ForceModel, L) -> np.ndarray:
-    """Per-row drives for :func:`_force` as a (B, 1) column: the total drive
-    kind.drive + L of a classical model, the extra drive L of a tabulated
-    one.  Zero drives are stored as -0.0, whose addition changes no value, so
-    every row matches ``with_extra_drive(model, L)`` bit for bit."""
-    d = np.asarray(L, dtype=float).reshape(-1, 1)
-    if isinstance(model.kind, ClassicalFK):
-        d = model.kind.drive + d
+    """Per-row total drives model.drive + L for :func:`_force` as a (B, 1)
+    column.  Zero drives are stored as -0.0, whose addition changes no value,
+    so every row matches ``with_extra_drive(model, L)`` bit for bit."""
+    d = model.drive + np.asarray(L, dtype=float).reshape(-1, 1)
     return np.where(d == 0.0, -0.0, d)
 
 
@@ -202,12 +195,13 @@ def _tabulated_force(kind: TabulatedForce, jj, tau: float, windows) -> np.ndarra
 
 
 def _force(model: ForceModel, tau: float, V, types, drive=None):
-    """F_j(tau, V), shape V.shape[:-1], on windows V of shape (..., 2m+1)
-    for 0-based types j that broadcast to V.shape[:-1]: the one force
-    evaluation every layer uses.  drive, a column from :func:`_drive_column`,
-    replaces a classical model's drive and is added to a tabulated value.
-    A tabulated force gets a copy of the windows with +0.0 added off the
-    centre and -0.0 at it, so an off-centre -0.0 always arrives as +0.0."""
+    """drive + F_j(tau, V), shape V.shape[:-1], on windows V of shape
+    (..., 2m+1) for 0-based types j that broadcast to V.shape[:-1]: the one
+    force evaluation every layer uses.  drive, a column from
+    :func:`_drive_column`, holds each row's total drive; it defaults to
+    model.drive.  A tabulated force gets a copy of the windows with +0.0
+    added off the centre and -0.0 at it, so an off-centre -0.0 always
+    arrives as +0.0."""
     kind, m = model.kind, model.m
     if isinstance(kind, ClassicalFK):
         if model.n == 1:
@@ -220,16 +214,21 @@ def _force(model: ForceModel, tau: float, V, types, drive=None):
         F = th_next * (V[..., m + 1] - c) - th_self * (c - V[..., m - 1])
         if kind.amplitude != 0.0:
             F += kind.amplitude * np.sin(TWO_PI * c)
-        if drive is not None:
-            F += drive
-        elif kind.drive != 0.0:
-            F += kind.drive
-        return F
-    shape = V.shape[:-1]
-    windows = (V + _shift_row(m)).reshape(-1, 2 * m + 1)
-    jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
-    F = _tabulated_force(kind, jj, tau, windows).reshape(shape)
-    return F if drive is None else F + drive
+        fresh = True
+    else:
+        shape = V.shape[:-1]
+        windows = (V + _shift_row(m)).reshape(-1, 2 * m + 1)
+        jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
+        F = _tabulated_force(kind, jj, tau, windows).reshape(shape)
+        fresh = False
+    if drive is None:
+        if model.drive == 0.0:
+            return F
+        drive = model.drive
+    if not fresh:       # the callable's result may alias the user's array
+        return F + drive
+    F += drive
+    return F
 
 
 def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
@@ -549,7 +548,8 @@ def model_from_config(cfg: dict) -> ForceModel:
     """Build a model from {n, m, m0 | alpha0, force: {...}}.
 
     Only the classical family and the constant force are expressible in JSON;
-    general tabulated forces must be constructed in code.
+    general tabulated forces must be constructed in code.  force.drive drives
+    either kind.
     """
     force = cfg.get("force")
     if not isinstance(force, dict) or "kind" not in force:
@@ -566,14 +566,14 @@ def model_from_config(cfg: dict) -> ForceModel:
     kind = force["kind"]
     if kind == "classical_fk":
         model = build_classical_fk(theta=force["theta"],
-                                   amplitude=force.get("amplitude", 1.0),
-                                   drive=force.get("drive", 0.0), m0=m0)
+                                   amplitude=force.get("amplitude", 1.0), m0=m0)
     elif kind == "constant":
         model = build_constant_force(force.get("value", 0.0),
                                      n=int(cfg.get("n", 1)),
                                      m=int(cfg.get("m", 1)), m0=m0)
     else:
         raise ModelError(f"config.force.kind: unknown kind {kind!r}")
+    model = with_extra_drive(model, force.get("drive", 0.0))
     if "n" in cfg and int(cfg["n"]) != model.n:
         raise ModelError(f"config.n = {cfg['n']} does not match force data (n = {model.n})")
     if "m" in cfg and int(cfg["m"]) != model.m:
@@ -587,7 +587,7 @@ def model_to_config(model: ForceModel) -> dict:
     k = model.kind
     return {"n": model.n, "m": model.m, "m0": model.m0,
             "force": {"kind": "classical_fk", "theta": list(k.theta),
-                      "amplitude": k.amplitude, "drive": k.drive}}
+                      "amplitude": k.amplitude, "drive": model.drive}}
 
 
 def report_to_json(report: AssumptionReport) -> str:

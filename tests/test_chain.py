@@ -335,8 +335,8 @@ def _force_profile_ref(model, tau, U, Q, drive=None):
             F += kind.amplitude * np.sin(2.0 * math.pi * U)
         if drive is not None:
             F += drive
-        elif kind.drive != 0.0:
-            F += kind.drive
+        elif model.drive != 0.0:
+            F += model.drive
         return F
     m = model.m
     pos = np.arange(N)[:, None] + np.arange(-m, m + 1)
@@ -349,7 +349,9 @@ def _force_profile_ref(model, tau, U, Q, drive=None):
     else:
         F = np.array([kind.fn(int(j), float(tau), w) for j, w in zip(jj, windows)])
     F = F.reshape(U.shape)
-    return F if drive is None else F + drive
+    if drive is None:
+        return F + model.drive if model.drive != 0.0 else F
+    return F + drive
 
 
 def _signed_zero_force(j, tau, w):

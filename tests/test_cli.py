@@ -72,6 +72,24 @@ def test_simulate_writes_outputs(tmp_path):
     assert inv["ordering_violation"] == 0.0
 
 
+@pytest.mark.parametrize("a0", [1.0, 3.0])
+def test_simulate_gap_bound_is_that_of_the_run(tmp_path, a0):
+    """invariants.json bounds |U - Xi| with the ledger of the dynamics that
+    ran, delta term included, not with the delta = 0 ledger."""
+    from fkhomog import model as mdl
+    cfg = {"model": {"m0": 0.025, "force": {"kind": "classical_fk", "theta": [1.0]}},
+           "simulate": {"p": [1, 1], "cells": 2, "T": 2.0, "sample_dt": 0.5,
+                        "delta": 0.5, "a0": a0}}
+    rc, out = run_cli(tmp_path, cfg, "simulate")
+    assert rc == 0
+    model = mdl.model_from_config(cfg["model"])
+    ledger = mdl.constants_ledger(model, p=1.0, delta=0.5, a0=a0)
+    undelta = mdl.constants_ledger(model, p=1.0)
+    inv = json.loads((out / "invariants.json").read_text())
+    assert inv["gap_bound"] == ledger.C4 / model.alpha0
+    assert inv["gap_bound"] > undelta.C4 / model.alpha0
+
+
 def test_effham_linear_chain_single_row(tmp_path, capsys):
     cfg = {"model": base_model(A=0.0),
            "effham": {"p_grid": [[1, 1]], "L_grid": [0.8], "tol": 1e-3,
@@ -83,6 +101,18 @@ def test_effham_linear_chain_single_row(tmp_path, capsys):
     L, p, lam, hw, conv = lines[1].split(",")
     assert p == "1/1" and abs(float(lam) - 0.8) < 1e-8 and conv == "1"
     assert "monotonicity in L" in capsys.readouterr().out
+
+
+def test_constant_force_takes_the_config_drive(tmp_path):
+    """force.drive drives the constant kind as it does the classical one:
+    F = 0.5 driven by 1.0 travels at lambda = 1.5."""
+    cfg = {"model": {"m0": 0.05, "force": {"kind": "constant", "value": 0.5,
+                                           "drive": 1.0}},
+           "effham": {"p_grid": [[1, 1]], "L_grid": [0.0], "tol": 1e-3}}
+    rc, out = run_cli(tmp_path, cfg, "effham")
+    assert rc == 0
+    lam = float((out / "effective_table.csv").read_text().splitlines()[1].split(",")[2])
+    assert abs(lam - 1.5) < 1e-8
 
 
 def test_effham_partial_exit_when_tol_unreachable(tmp_path):
@@ -651,17 +681,18 @@ def test_hull_checks_the_model_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cache_write_is_atomic(tmp_path, monkeypatch):
+def test_cache_write_is_atomic(tmp_path, monkeypatch, capsys):
     """A write cut short before the rename leaves nothing under the name a
     later lookup hits."""
     def cut_short(src, dst):
         raise OSError("simulated crash")
 
     monkeypatch.setattr("os.replace", cut_short)
-    cache = cli.Cache(tmp_path / "cache", log=lambda msg: None)
+    cache = cli.Cache(tmp_path / "cache")
     with pytest.raises(OSError):
         cache.put_text("effham", "k", "L,p,lambda,halfwidth,converged\n")
     assert cache.get_text("effham", {})[1] is None
+    assert capsys.readouterr().out.startswith("[cache] miss effham ")
     assert not (tmp_path / "cache" / "effham-k.txt").exists()
 
 
@@ -681,6 +712,12 @@ BAD_CONFIGS = [
     ({"model": base_model(), "converge": {"u0_file": "x", "eps_list": [0.1, 0.2],
                                           "T": 1.0, "window": [0, 1], "L": 0.0}}, "eps_list"),
     ({"model": base_model(), "unknown_block": {}}, "unknown"),
+    ({"model": {"m0": 0.05, "force": {"kind": "classical_fk", "theta": [1.0],
+                                      "value": 0.5}}}, "config.model.force.value"),
+    ({"model": {"m0": 0.05, "force": {"kind": "constant", "value": 0.5,
+                                      "theta": [1.0]}}}, "config.model.force.theta"),
+    ({"model": {"m0": 0.05, "force": {"kind": "constant",
+                                      "amplitude": 1.0}}}, "config.model.force.amplitude"),
 ]
 
 
@@ -690,6 +727,16 @@ def test_malformed_configs_rejected_with_path(tmp_path, capsys, cfg, needle):
     assert rc == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert needle in err or "config" in err
+
+
+@pytest.mark.parametrize("cfg,key", [row for row in BAD_CONFIGS
+                                     if row[1].startswith("config.model.force.")])
+def test_force_key_of_the_other_kind_is_named(tmp_path, capsys, cfg, key):
+    """A force key that belongs to the other kind exits 2 naming the key,
+    before the model is built."""
+    rc, _ = run_cli(tmp_path, cfg, "check")
+    assert rc == cli.EXIT_VALIDATION
+    assert f"error: {key}: " in capsys.readouterr().err
 
 
 json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-5, 5),

@@ -170,11 +170,13 @@ def _hull_residual_ref(hull, model):
         F = th_next * (win[..., m + 1] - c) - th_self * (c - win[..., m - 1])
         if kind.amplitude != 0.0:
             F += kind.amplitude * np.sin(2.0 * math.pi * c)
-        if kind.drive != 0.0:
-            F += kind.drive
+        if model.drive != 0.0:
+            F += model.drive
     else:
         F = np.array([np.asarray(kind.fn(np.full(Z, t + 1), 0.0, win[t]), dtype=float)
                       for t in range(n)])
+        if model.drive != 0.0:
+            F = F + model.drive
     lam, a0, dz = hull.lam, model.alpha0, 1.0 / hull.Z
 
     def d_z(rows):
@@ -269,8 +271,8 @@ def test_corrupted_hull_reports_violation_with_index():
     led = fk.constants_ledger(fkmodel(), p=0.5)
     rep = verify_hull_axioms(hull, led)
     assert not rep.monotone_ok
-    name, j, idx = rep.monotone_witness
-    assert name == "h" and j == 1 and idx in (6, 7)
+    name, k, j, idx = rep.monotone_witness
+    assert name == "h" and k == 0 and j == 1 and idx in (6, 7)
 
 
 def test_epsilon_scaling_of_hull():
@@ -405,7 +407,7 @@ def test_decrease_in_one_stratum_fails_the_axioms():
     hull.h[5, 1, 9] = hull.h[5, 1, 8] - 0.2
     rep = verify_hull_axioms(hull, led)
     assert not rep.monotone_ok
-    assert rep.monotone_witness[:2] == ("h", 2) and rep.monotone_witness[2] in (8, 9)
+    assert rep.monotone_witness[:3] == ("h", 5, 2) and rep.monotone_witness[3] in (8, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,26 @@ def test_batch_force_result_shape_rule():
         force_profile(bad, 0.0, np.arange(6.0), 6)
 
 
+def test_one_drive_field_for_both_kinds():
+    """with_extra_drive adds to the one drive field and keeps the kind: a
+    driven tabulated model calls the user's own callable, and both kinds
+    bound the zero window by f0 + |drive|."""
+    def fn(j, tau, w):
+        return 0.25 * np.sin(2 * math.pi * w[..., 1]) + 0.5
+
+    tab = build_tabulated(fn, n=1, m=1, m0=0.05, lip_V=2.0, f_at_zero_sup=0.75,
+                          batch=True)
+    classical = fk.build_classical_fk([1.0], amplitude=1.0, drive=0.25, m0=0.01)
+    w = np.array([0.1, 0.3, 0.45])
+    for model, f0 in ((tab, 0.75), (classical, 0.0)):
+        driven = fk.with_extra_drive(fk.with_extra_drive(model, 1.5), -2.0)
+        assert driven.kind is model.kind and driven.f0 == model.f0 == f0
+        assert driven.drive == model.drive - 0.5
+        assert driven.f_at_zero_sup == f0 + abs(model.drive - 0.5)
+        assert fk.eval_force(driven, 1, 0.3, w) == pytest.approx(
+            fk.eval_force(model, 1, 0.3, w) - 0.5, abs=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # Constants ledger
 # ---------------------------------------------------------------------------
