@@ -14,8 +14,8 @@ from .model import (AssumptionReport, ConstantsLedger, ForceModel,
 from .chain import (InvariantReport, TrajectoryLog, TwistedChain, cfl_dt,
                     extend, init_linear, monitor_invariants, rk4_oracle, run,
                     step)
-from .rotation import (EffectiveTable, RotationEstimate, effective_hamiltonian,
-                       lambda_pm, rotation_number, sweep)
+from .rotation import (EffectiveTable, RotationEstimate, lambda_pm,
+                       rotation_number, sweep)
 from .hull import (HullFunction, extract_hull, extract_hull_periodic,
                    hull_residual, hull_value, isotonic_fit,
                    reconstruct_traveling_wave, verify_hull_axioms)

@@ -394,13 +394,9 @@ def cmd_hull(cfg: dict, args) -> int:
                           f"force (classical_fk), not {cfg['model']['force']['kind']!r}")
     est = rot.rotation_number(model, p, L_extra=L, tol=blk.get("tol", 1e-3),
                               T_cap=blk.get("T_cap", 2000.0))
-    # rotation_number checked the base model; the drive L leaves (A1)-(A5) as is
-    chain = chn.init_linear(model2, p, cells=1)
-    n_snap = blk.get("snapshots", 256)
-    sample_dt = chn.cfl_dt(model2, 0.5, check=False)
-    warmup = 10.0 / model2.alpha0 + est.T
-    log = chn.run(chain, warmup + n_snap * sample_dt, sample_dt, snapshot_stride=1,
-                  check=False)
+    # the certified run of 2T, continued by exactly `snapshots` samples
+    log = chn.extend(est.log, blk.get("snapshots", 256) * est.log.sample_dt,
+                     snapshot_stride=1)
     hull = hl.extract_hull(log, est.lambda_hat, p, Z=Z,
                            lambda_halfwidth=est.halfwidth_best)
     res = hl.hull_residual(hull, model2)
@@ -411,7 +407,9 @@ def cmd_hull(cfg: dict, args) -> int:
                                                      indent=2, sort_keys=True))
     print(f"lambda = {est.lambda_hat:.6g} +- {est.halfwidth_best:.2g}; "
           f"axioms ok = {axioms.all_ok}; residuals = {res}")
-    return EXIT_OK if axioms.all_ok else EXIT_PARTIAL
+    if not est.converged:
+        print(f"lambda hit T_cap before tol (T = {est.T:.6g})")
+    return EXIT_OK if axioms.all_ok and est.converged else EXIT_PARTIAL
 
 
 def _load_profile(blk: dict, key: str) -> mac.Profile:

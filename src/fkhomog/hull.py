@@ -420,6 +420,5 @@ def hull_to_csv(hull: HullFunction) -> str:
 
 def hull_header_json(hull: HullFunction, residuals: Optional[dict] = None) -> str:
     d = {"p": f"{hull.p.numerator}/{hull.p.denominator}", "lambda": hull.lam,
-         "Z": hull.Z, "tau_dependent": hull.n_tau > 1,
-         "residuals": residuals or {}, "diagnostics": hull.diagnostics}
+         "Z": hull.Z, "residuals": residuals or {}, "diagnostics": hull.diagnostics}
     return json.dumps(d, indent=2, sort_keys=True)

@@ -545,7 +545,8 @@ def ledger_identity_exact(model: ForceModel, p, K0=None, M0=0, delta=0, a0=0, C0
 # ---------------------------------------------------------------------------
 
 def model_from_config(cfg: dict) -> ForceModel:
-    """Build a model from {n, m, m0 | alpha0, force: {...}}.
+    """Build a model from the ``model`` block {n, m, m0 | alpha0, force:
+    {...}} of a config; errors name its keys as ``config.model.*``.
 
     Only the classical family and the constant force are expressible in JSON;
     general tabulated forces must be constructed in code.  force.drive drives
@@ -553,16 +554,16 @@ def model_from_config(cfg: dict) -> ForceModel:
     """
     force = cfg.get("force")
     if not isinstance(force, dict) or "kind" not in force:
-        raise ModelError("config.force.kind is required")
+        raise ModelError("config.model.force.kind is required")
     if "m0" in cfg:
         m0 = float(cfg["m0"])
     elif "alpha0" in cfg:
         a0 = float(cfg["alpha0"])
         if not a0 > 0:
-            raise ModelError("config.alpha0 must be positive")
+            raise ModelError("config.model.alpha0 must be positive")
         m0 = 1.0 / (2.0 * a0)
     else:
-        raise ModelError("config must give m0 or alpha0")
+        raise ModelError("config.model must give m0 or alpha0")
     kind = force["kind"]
     if kind == "classical_fk":
         model = build_classical_fk(theta=force["theta"],
@@ -572,12 +573,14 @@ def model_from_config(cfg: dict) -> ForceModel:
                                      n=int(cfg.get("n", 1)),
                                      m=int(cfg.get("m", 1)), m0=m0)
     else:
-        raise ModelError(f"config.force.kind: unknown kind {kind!r}")
+        raise ModelError(f"config.model.force.kind: unknown kind {kind!r}")
     model = with_extra_drive(model, force.get("drive", 0.0))
     if "n" in cfg and int(cfg["n"]) != model.n:
-        raise ModelError(f"config.n = {cfg['n']} does not match force data (n = {model.n})")
+        raise ModelError(f"config.model.n = {cfg['n']} does not match force data "
+                         f"(n = {model.n})")
     if "m" in cfg and int(cfg["m"]) != model.m:
-        raise ModelError(f"config.m = {cfg['m']} does not match force kind (m = {model.m})")
+        raise ModelError(f"config.model.m = {cfg['m']} does not match force kind "
+                         f"(m = {model.m})")
     return model
 
 

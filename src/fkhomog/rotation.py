@@ -15,6 +15,11 @@ Hamiltonian F(L, p) tabulated by :func:`sweep`.
 Sups over tau are taken on the sampled grid only; the induced slack
 (sample_dt * max observed velocity, in lambda units divided by T) is reported
 rather than hidden.
+
+Every estimate carries the run its bracket was read from, as a
+:class:`fkhomog.chain.TrajectoryLog` that ends on the ring at tau = 2T, so a
+hull is extracted from the certified orbit itself, continued by
+:func:`fkhomog.chain.extend`, and not from a second march.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ import numpy as np
 
 from .model import (ForceModel, ConstantsLedger, constants_ledger,
                     require_monotone, with_extra_drive, _drive_column)
-from .chain import (TrajectoryLog, cfl_dt, init_linear, NumericalError,
-                    _clock, _march)
+from .chain import (TrajectoryLog, TwistedChain, cfl_dt, init_linear,
+                    NumericalError, _clock, _march)
 
 
 class LogTooShort(ValueError):
@@ -69,7 +74,9 @@ class RotationEstimate:
 
     certified_halfwidth is the a-priori C2/T; the empirical bracket
     [lambda_minus, lambda_plus] contains lambda by sub-additivity up to the
-    reported sampling slack.  history holds one row per doubling stage.
+    reported sampling slack.  history holds one row per doubling stage, and
+    log is the run of 2T that the bracket was read from (no snapshots),
+    ready for :func:`fkhomog.chain.extend`.
     """
 
     lambda_minus: float
@@ -83,6 +90,7 @@ class RotationEstimate:
     ledger: ConstantsLedger
     p: Fraction
     history: tuple = ()
+    log: Optional[TrajectoryLog] = field(default=None, compare=False, repr=False)
 
     @property
     def halfwidth_best(self) -> float:
@@ -99,24 +107,24 @@ def rotation_number(model: ForceModel, p, L_extra: float = 0.0,
     Marches at dt = safety/alpha0, sampled every step, and doubles the window
     T from FIRST_WINDOW_SAMPLES steps (at least one time unit), reusing one
     trajectory, until min(empirical width, C2/T) <= 2 tol or T reaches T_cap;
-    the estimate then carries the bracket, the certified half-width C2/T and
-    a converged flag.  This is the one-row case of the column solver behind
-    :func:`sweep`.
+    the estimate then carries the bracket, the certified half-width C2/T, a
+    converged flag and the run of 2T (``log``).  This is the one-row case of
+    the column solver behind :func:`sweep`.
     """
     require_monotone(model)
-    est, = _solve_column(model, p, [L_extra], tol, T_cap, cells=cells,
-                         safety=safety, perturbation=perturbation)
+    (_, est), = _solve_column(model, p, [L_extra], tol, T_cap, cells=cells,
+                              safety=safety, perturbation=perturbation)
     if isinstance(est, NumericalError):
         raise est
     return est
 
 
 def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
-                  cells: int = 1, safety: float = 0.5,
-                  perturbation=None) -> list:
+                  cells: int = 1, safety: float = 0.5, perturbation=None):
     """Rotation numbers of the families (L + F_j) at slope p for every L in
-    Ls, one RotationEstimate or NumericalError per L, on the clock and
-    doubling schedule of :func:`rotation_number`.
+    Ls, on the clock and doubling schedule of :func:`rotation_number`: a
+    generator of (index into Ls, RotationEstimate or NumericalError), one
+    pair per L, each yielded when its row retires.
 
     Every L shares the ring, the step and the doubling schedule, so the rows
     advance as one (B, N) ensemble with a per-row drive.  The window of a
@@ -127,9 +135,14 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     blows up retires with its error; the others go on.  Per row the
     arithmetic is that of a lone run, so every estimate is bitwise the one a
     single-row column gives, and its bracket is lambda_pm of one run of 2T.
+    That run is the estimate's log: a copy of the row's series over samples
+    0 .. 2K and its ring at tau = 2T under ``with_extra_drive(model, L)``,
+    which :func:`fkhomog.chain.extend` continues bitwise.  Only the retiring
+    row is copied, so a caller that keeps the numbers alone holds no series.
     """
     p = Fraction(p)
-    ledgers = [constants_ledger(with_extra_drive(model, L), p=float(p)) for L in Ls]
+    driven = [with_extra_drive(model, L) for L in Ls]
+    ledgers = [constants_ledger(m, p=float(p)) for m in driven]
     # one sample per Euler step
     sample_dt = cfl_dt(model, safety=safety, check=False)
     clock = _clock(model, sample_dt, sample_dt)
@@ -150,7 +163,6 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     # max velocity * sample_dt / T over the whole log so far
     vmax = np.zeros(B)
     histories = [[] for _ in range(B)]
-    results = [None] * B
 
     while rows.size:
         k = last = series.shape[2] - 1
@@ -163,7 +175,7 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
             U, Xi, k, errors = _march(model, U, Xi, chain.Q, chain.tau, k, 2 * K,
                                       clock, series, drive=drive)
             for b, exc in errors.items():
-                results[rows[b]] = exc
+                yield int(rows[b]), exc
             if errors:
                 keep = [b for b in range(rows.size) if b not in errors]
                 rows, U, Xi, drive, vmax, series = (
@@ -183,12 +195,18 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
                                  "slack": slack})
             converged = min(width, certified) <= 2.0 * tol
             if converged or 2.0 * T > T_cap:
-                results[r] = RotationEstimate(
+                times = chain.tau + sample_dt * np.arange(2 * K + 1)
+                ring = TwistedChain(chain.N, chain.Q, U[b].copy(), Xi[b].copy(),
+                                    float(times[-1]), p, driven[r])
+                log = TrajectoryLog(sample_times=times, tracked=series[b].copy(),
+                                    snapshots=[], final_state=ring,
+                                    sample_dt=sample_dt, dt=clock.dt)
+                yield int(r), RotationEstimate(
                     lambda_minus=lam_lo, lambda_plus=lam_hi,
                     lambda_hat=0.5 * (lam_lo + lam_hi), T=T,
                     certified_halfwidth=certified, empirical_width=width,
                     slack=slack, converged=converged, ledger=ledgers[r], p=p,
-                    history=tuple(histories[r]))
+                    history=tuple(histories[r]), log=log)
             else:
                 keep.append(b)
         if len(keep) < rows.size:
@@ -196,13 +214,6 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
                 a[keep] for a in (rows, U, Xi, drive, vmax, series))
         T = 2.0 * T
         K = 2 * K
-    return results
-
-
-def effective_hamiltonian(model: ForceModel, p, L: float = 0.0,
-                          tol: float = 1e-3, T_cap: float = 2000.0, **kw) -> float:
-    """F(L, p): the rotation number of the driven family at slope p."""
-    return rotation_number(model, p, L_extra=L, tol=tol, T_cap=T_cap, **kw).lambda_hat
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +336,23 @@ def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
     if not p_grid or L_grid.size == 0:
         raise ValueError("p_grid and L_grid must be nonempty")
     require_monotone(model)
-    columns = [_solve_column(model, p, L_grid, tol, T_cap, **kw) for p in p_grid]
+    # keep each entry's numbers (or its error) as its row retires, not its run
+    entries = {}
+    for j, p in enumerate(p_grid):
+        for i, est in _solve_column(model, p, L_grid, tol, T_cap, **kw):
+            entries[i, j] = est if isinstance(est, NumericalError) else (
+                est.lambda_hat, est.halfwidth_best, est.converged,
+                {"C2": est.ledger.C2, "C4": est.ledger.C4, "K1": est.ledger.K1,
+                 "T": est.T})
 
     pairs, failures = [], []
     for i, L in enumerate(L_grid.tolist()):
         for j, p in enumerate(p_grid):
-            est = columns[j][i]
-            if isinstance(est, NumericalError):
-                failures.append({"L": L, "p": str(p), "error": str(est)})
-                pairs.append(((L, p), (np.nan, np.nan, False, {})))
-            else:
-                pairs.append(((L, p), (est.lambda_hat, est.halfwidth_best, est.converged,
-                                       {"C2": est.ledger.C2, "C4": est.ledger.C4,
-                                        "K1": est.ledger.K1, "T": est.T})))
+            entry = entries[i, j]
+            if isinstance(entry, NumericalError):
+                failures.append({"L": L, "p": str(p), "error": str(entry)})
+                entry = (np.nan, np.nan, False, {})
+            pairs.append(((L, p), entry))
     return EffectiveTable._from_entries(pairs, failures)
 
 

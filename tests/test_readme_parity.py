@@ -4,9 +4,11 @@ the same bytes as before.
 Each command runs in its own output directory on a pinned initial profile
 (the slope-ripple profile of ``scripts/run_convergence_study.py``, 513
 samples).  The sha256 of every file written and of stdout is compared with
-digests recorded before the one-drive refactor of ``fkhomog.model``; a
-change that is meant to alter outputs re-records them from the failing
-assertion (``pytest -vv`` prints every digest).
+digests recorded before the one-drive refactor of ``fkhomog.model``, except
+those of ``hull``, re-recorded when the command began to continue the
+certified run instead of marching a second one.  A change that is meant to
+alter outputs re-records them from the failing assertion (``pytest -vv``
+prints every digest).
 """
 
 import hashlib
@@ -64,13 +66,13 @@ EXPECTED = {
     }],
     "hull": [0, {
         "<stdout>":
-            "a7d441b53f63f165ef6e490a55ec74bb4b19682badc8e56b69c2e33dd31504f0",
+            "20f1b645c41d007f42becf1b920018f07d396e72f28b8ad7d1c1ae8af5222624",
         "hull.csv":
-            "fc0d74914007aef0cd97f1b25daa22ea4d7858ad4c4c1d2e52089cbbd5117e02",
+            "7c31cde7ad744e1b3e567deca1bf3dfa3fbd8c9ed629fb6a51552efbf9f71b02",
         "hull.json":
-            "10f60bba9200ff3712d0ab3ef5660d2c257fde1048368a43c3d39b9f2dc98b29",
+            "6022b0d109e48e493c7ae4e24e79cafb14fb6dc970a4e915e7e5405cc71b027e",
         "hull_axioms.json":
-            "18d2699ccb95ddb5acac6e459b3c9a67052552e23e06cac8aec240037041eb7f",
+            "2dc5b2b632f5396c7dfb1f36d746bfc2a97973a3e4be6e2cc93b1a042cf2cc4c",
     }],
     "homogenize": [0, {
         "<stdout>":
@@ -123,3 +125,6 @@ def test_readme_config_outputs_are_byte_identical(tmp_path, capsys):
                  for f in sorted(out.rglob("*")) if f.is_file()}
         files["<stdout>"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert [rc, files] == EXPECTED[command], command
+    # the hull is read from exactly the snapshots the config asks for
+    header = json.loads((tmp_path / "hull" / "hull.json").read_text())
+    assert header["diagnostics"]["snapshots_used"] == README_CONFIG["hull"]["snapshots"]

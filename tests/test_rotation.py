@@ -128,7 +128,7 @@ def test_effective_hamiltonian_linear_chain_is_drive():
     m = fkmodel(A=0.0, L=0.0, margin=1.2)
     for L in (0.0, 0.9):
         for p in (Fraction(1, 2), Fraction(1)):
-            lam = fk.effective_hamiltonian(m, p, L=L, tol=1e-6, T_cap=200.0)
+            lam = fk.rotation_number(m, p, L_extra=L, tol=1e-6, T_cap=200.0).lambda_hat
             assert lam == pytest.approx(L, abs=1e-9)
 
 
@@ -260,6 +260,41 @@ def test_tau_periodic_bracket_is_that_of_one_run(p, L):
     lo, hi = fk.lambda_pm(log, est.T)
     assert (lo, hi) == (est.lambda_minus, est.lambda_plus)
     assert fk.sweep(m, [p], [L], tol=2e-3, T_cap=200.0).lam[0, 0] == 0.5 * (lo + hi)
+
+
+def _estimate_case(kind):
+    """(model, p, L): the README model at L = 2, or the tau-periodic entry of
+    test_tau_periodic_bracket_is_that_of_one_run."""
+    if kind == "classical":
+        m = fk.build_classical_fk([1.0], amplitude=1.0, m0=0.025)
+        return m, Fraction(1), 2.0, dict(tol=2e-3, T_cap=2000.0)
+    lip = 2.0 * (_THETA2.sum() + 0.4) + 2 * math.pi * 0.8
+    m = fk.build_tabulated(_two_type_m2_force, n=2, m=2, m0=0.03, lip_V=lip,
+                           f_at_zero_sup=0.3, batch=True)
+    return m, Fraction(3, 2), 2.0, dict(tol=2e-3, T_cap=200.0)
+
+
+@pytest.mark.parametrize("kind", ["classical", "tau_periodic"])
+def test_estimate_log_is_the_certified_run(kind):
+    """est.log is the run of 2T the bracket was read from, and extending it
+    by S samples gives one fresh run of 2T + S, snapshots included."""
+    m, p, L, kw = _estimate_case(kind)
+    est = fk.rotation_number(m, p, L_extra=L, **kw)
+    assert fk.lambda_pm(est.log, est.T) == (est.lambda_minus, est.lambda_plus)
+    assert est.log.snapshots == [] and est.log.final_state.tau == 2.0 * est.T
+    h = fk.cfl_dt(m, 0.5, check=False)
+    S = 40
+    ext = fk.extend(est.log, S * h, snapshot_stride=1)
+    one = fk.run(fk.init_linear(fk.with_extra_drive(m, L), p), 2.0 * est.T + S * h,
+                 h, dt=h, snapshot_stride=1, check=False)
+    assert np.array_equal(ext.sample_times, one.sample_times)
+    assert np.array_equal(ext.tracked, one.tracked)
+    assert len(ext.snapshots) == S
+    for (ta, Ua, Xa), (tb, Ub, Xb) in zip(ext.snapshots, one.snapshots[-S:]):
+        assert ta == tb and np.array_equal(Ua, Ub) and np.array_equal(Xa, Xb)
+    assert ext.final_state.tau == one.final_state.tau
+    assert np.array_equal(ext.final_state.U, one.final_state.U)
+    assert np.array_equal(ext.final_state.Xi, one.final_state.Xi)
 
 
 def test_sweep_equals_entries_per_window_callable():
