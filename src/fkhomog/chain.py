@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (ForceModel, ModelError, ConstantsLedger, check_assumptions,
-                    require_monotone, _force)
+                    require_monotone, _force, _slot_theta)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -137,23 +137,49 @@ def _window_gather(N: int, Q: int, m: int, n: int):
     return idx, shift, types
 
 
+#: the windows of rings held one after another in one flat state: ring b is
+#: U[bounds[b]:bounds[b + 1]], the window of particle i is U[idx[i]] +
+#: shift[i] and its 0-based type types[i]; theta is :func:`_slot_theta` of
+#: types, for :func:`fkhomog.model._force`
+_Gather = namedtuple("_Gather", "rings bounds idx shift types theta")
+
+
+def _flat_gather(model: ForceModel, rings) -> _Gather:
+    """The flat gather of rings, given as (N, Q) pairs: each ring's
+    :func:`_window_gather`, its indices offset by the ring's start."""
+    parts = [_window_gather(N, Q, model.m, model.n) for N, Q in rings]
+    bounds = np.cumsum([0] + [N for N, _ in rings])
+    idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)])
+    types = np.concatenate([ring[2] for ring in parts])
+    return _Gather(tuple(rings), bounds, idx,
+                   np.concatenate([ring[1] for ring in parts]), types,
+                   _slot_theta(model, types))
+
+
 def _neighbours(V: np.ndarray, Q: int, k: int):
     """(V_{i+k}, V_{i-k}) for every i along the last axis of twisted rings,
-    read through the window gather of :func:`force_profile`."""
+    read through the ring gather :func:`_window_gather`."""
     idx, shift, _ = _window_gather(V.shape[-1], Q, k, 1)
     return V[..., idx[:, -1]] + shift[:, -1], V[..., idx[:, 0]] + shift[:, 0]
 
 
 def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int,
-                  drive: Optional[np.ndarray] = None) -> np.ndarray:
+                  drive: Optional[np.ndarray] = None,
+                  gather: Optional[_Gather] = None) -> np.ndarray:
     """F_i(tau, window) for every particle of the ring, twist-aware.
 
     U has shape (N,) or (B, N) (B rings with the same twist Q).  drive, a
     (B, 1) column from :func:`fkhomog.model._drive_column`, gives each ring
-    its own drive, as :func:`fkhomog.model.with_extra_drive` does.
+    its own drive, as :func:`fkhomog.model.with_extra_drive` does.  With a
+    gather from :func:`_flat_gather`, U is instead the flat state of its
+    rings (Q is unused) and drive holds one value per particle: this is the
+    per-step force of every march, :func:`run` included.
     """
-    idx, shift, types = _window_gather(U.shape[-1], Q, model.m, model.n)
-    return _force(model, tau, U[..., idx] + shift, types, drive)
+    if gather is None:
+        idx, shift, types = _window_gather(U.shape[-1], Q, model.m, model.n)
+        return _force(model, tau, U[..., idx] + shift, types, drive)
+    return _force(model, tau, U[gather.idx] + gather.shift, gather.types, drive,
+                  gather.theta)
 
 
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
@@ -281,28 +307,36 @@ class TrajectoryLog:
 CHECK_BLOCK = 64
 
 
-def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
+def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
            tau0: float, s: int, S: int, clock: _Clock,
            out: Optional[np.ndarray], *,
            drive: Optional[np.ndarray] = None, delta: float = 0.0,
            a0: float = 0.0, p_float: float = 0.0, snaps: Optional[list] = None,
            snapshot_stride: int = 0, block: int = CHECK_BLOCK):
-    """Advance B rings, U and Xi of shape (B, N), from sample s to sample S of
-    a march started at tau0 (sample k lands on tau0 + k sample_dt) in the
-    Euler steps of clock (:func:`_clock`).  Sample k of the n reference
-    particles goes to out[:, :n, k] (U) and out[:, n:, k] (Xi); drive is the
-    per-row column of :func:`force_profile`.  snapshot_stride > 0 appends the
-    first ring's (tau, U, Xi) to snaps every that many samples.
+    """Advance the B rings of gather (:func:`_flat_gather`), held one after
+    another in the flat U and Xi, from sample s to sample S of a march
+    started at tau0 (sample k lands on tau0 + k sample_dt) in the Euler steps
+    of clock (:func:`_clock`).  Every step reads all windows at once through
+    the gather, in one :func:`force_profile` call.  Sample k of the n
+    reference particles of ring b goes to out[b, :n, k] (U) and out[b, n:, k]
+    (Xi); drive holds each particle's total drive.  delta > 0 adds the
+    transport term of the first ring (a march with delta holds one ring).
+    snapshot_stride > 0 appends the first ring's (tau, U, Xi) to snaps every
+    that many samples.
 
     Finiteness is checked once per block of samples.  The march stops at the
     end of the first block in which a ring is not finite, and returns
     (U, Xi, k, errors): k is the last sample reached and errors maps each
-    failing row to the NumericalError of its first non-finite sample (with
-    the last finite sampled state), found by replaying the block for that row
-    alone one sample at a time.  errors is empty when the march reached S.
+    failing ring to the NumericalError of its first non-finite sample (with
+    its last finite sampled state), found by replaying the block for that
+    ring alone one sample at a time.  errors is empty when the march reached
+    S.
     """
     n = model.n
     sample_dt, n_sub, dt_eff, c, beta = clock
+    bounds = gather.bounds
+    # the n reference particles of each ring
+    track = bounds[:-1, None] + np.arange(n)
     use_delta = delta > 0.0
     extra = None
     while s < S:
@@ -311,27 +345,33 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
         for k in range(s + 1, s_end + 1):
             for j in range(n_sub):
                 tau = tau0 + (k - 1) * sample_dt + j * dt_eff
-                F = force_profile(model, tau, U, Q, drive)
+                F = force_profile(model, tau, U, None, drive, gather)
                 if use_delta:
-                    extra = _delta_term(model, U, Xi, Q, p_float, delta, a0)
+                    extra = _delta_term(model, U, Xi, gather.rings[0][1],
+                                        p_float, delta, a0)
                 U, Xi = _euler_update(U, Xi, F, c, beta, dt_eff, extra)
             if out is not None:
-                out[:, :n, k] = U[:, :n]
-                out[:, n:, k] = Xi[:, :n]
+                out[:, :n, k] = U[track]
+                out[:, n:, k] = Xi[track]
             if snapshot_stride > 0 and k % snapshot_stride == 0:
-                snaps.append((tau0 + sample_dt * k, U[0].copy(), Xi[0].copy()))
-        finite = np.isfinite(U).all(axis=1) & np.isfinite(Xi).all(axis=1)
+                snaps.append((tau0 + sample_dt * k, U[:bounds[1]].copy(),
+                              Xi[:bounds[1]].copy()))
+        finite = np.logical_and.reduceat(np.isfinite(U) & np.isfinite(Xi),
+                                         bounds[:-1])
         if not finite.all():
-            bad = np.flatnonzero(~finite).tolist()
+            bad = {b: slice(bounds[b], bounds[b + 1])
+                   for b in np.flatnonzero(~finite).tolist()}
             if block == 1:
                 tau = tau0 + sample_dt * s_end
                 return U, Xi, s_end, {
                     b: NumericalError(f"state blew up at tau = {tau}", tau=tau,
-                                      snapshot=(U0[b], Xi0[b])) for b in bad}
+                                      snapshot=(U0[ring], Xi0[ring]))
+                    for b, ring in bad.items()}
             return U, Xi, s_end, {b: _march(
-                model, U0[b:b + 1], Xi0[b:b + 1], Q, tau0, s, s_end, clock, None,
-                drive=None if drive is None else drive[b:b + 1], delta=delta,
-                a0=a0, p_float=p_float, block=1)[3][0] for b in bad}
+                model, U0[ring], Xi0[ring], _flat_gather(model, gather.rings[b:b + 1]),
+                tau0, s, s_end, clock, None,
+                drive=None if drive is None else drive[ring], delta=delta,
+                a0=a0, p_float=p_float, block=1)[3][0] for b, ring in bad.items()}
         s = s_end
     return U, Xi, s, {}
 
@@ -391,15 +431,15 @@ def _advance(log: TrajectoryLog, S: int, clock: _Clock,
     tracked = np.empty((log.tracked.shape[0], s + S + 1))
     tracked[:, :s + 1] = log.tracked
     snaps = list(log.snapshots)
-    U, Xi, _, errors = _march(chain.model, chain.U.reshape(1, -1).copy(),
-                              chain.Xi.reshape(1, -1).copy(), chain.Q,
+    model = chain.model
+    U, Xi, _, errors = _march(model, chain.U.copy(), chain.Xi.copy(),
+                              _flat_gather(model, [(chain.N, chain.Q)]),
                               float(times[0]), s, s + S, clock, tracked[None],
                               delta=log.delta, a0=log.a0, p_float=float(chain.p),
                               snaps=snaps, snapshot_stride=snapshot_stride)
     if errors:
         raise errors[0]
-    final = TwistedChain(chain.N, chain.Q, U[0], Xi[0], float(times[-1]),
-                         chain.p, chain.model)
+    final = TwistedChain(chain.N, chain.Q, U, Xi, float(times[-1]), chain.p, model)
     return TrajectoryLog(sample_times=times, tracked=tracked, snapshots=snaps,
                          final_state=final, sample_dt=log.sample_dt, dt=log.dt,
                          delta=log.delta, a0=log.a0)

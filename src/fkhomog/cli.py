@@ -547,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; has no effect (each "
-                         "effective-Hamiltonian column runs as one batched "
+                    help="accepted for compatibility; has no effect (the "
+                         "effective-Hamiltonian table runs as one batched "
                          "ensemble)")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     return ap

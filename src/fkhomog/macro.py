@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import ForceModel, with_extra_drive, require_monotone, _force
+from .model import (ForceModel, with_extra_drive, require_monotone, _force,
+                    _slot_theta)
 from .chain import NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update
 
 
@@ -388,6 +389,9 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     # V[lo - m:hi - m]; U is only ever written in place, so V stays current
     V = sliding_window_view(U, 2 * m + 1)
     types = np.arange(N_tot) % model2.n
+    # per-particle spring constants, sliced like types (scalars when n = 1)
+    theta = _slot_theta(model2, types)
+    per_slot = theta is not None and model2.n > 1
 
     obs = slice(pad, pad + n_obs)
     reach = m * (total_steps - 1)
@@ -397,7 +401,9 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
         c, beta = _euler_coeff(model2, dt)
         for k in range(n_sub):
             lo, hi = pad - reach, pad + n_obs + reach
-            F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi])
+            th = (theta[0][lo:hi], theta[1][lo:hi]) if per_slot else theta
+            F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi],
+                       theta=th)
             U[lo:hi], Xi[lo:hi] = _euler_update(U[lo:hi], Xi[lo:hi], F, c, beta, dt)
             particle_steps += hi - lo
             reach -= m

@@ -83,6 +83,10 @@ class ForceModel:
     drive: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha0", "lip_V", "f0", "drive"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value!r}")
         if self.n < 1:
             raise ModelError("type period n must be >= 1")
         if self.m < 0:
@@ -194,22 +198,33 @@ def _tabulated_force(kind: TabulatedForce, jj, tau: float, windows) -> np.ndarra
     return F
 
 
-def _force(model: ForceModel, tau: float, V, types, drive=None):
+def _slot_theta(model: ForceModel, types):
+    """(theta_j, theta_{j+1}) of the classical formula for 0-based types:
+    theta_1 twice as scalars when n = 1, else two arrays shaped like types;
+    None for a tabulated force.  Marches build it once per layout of their
+    types and hand it to :func:`_force`."""
+    kind = model.kind
+    if not isinstance(kind, ClassicalFK):
+        return None
+    if model.n == 1:
+        return kind.theta[0], kind.theta[0]
+    # types + 1 - n lies in [1 - n, 0]: theta_{j+1}, indexed from the end
+    th = np.asarray(kind.theta)
+    return th[types], th[types + (1 - model.n)]
+
+
+def _force(model: ForceModel, tau: float, V, types, drive=None, theta=None):
     """drive + F_j(tau, V), shape V.shape[:-1], on windows V of shape
     (..., 2m+1) for 0-based types j that broadcast to V.shape[:-1]: the one
     force evaluation every layer uses.  drive, a column from
     :func:`_drive_column`, holds each row's total drive; it defaults to
-    model.drive.  A tabulated force gets a copy of the windows with +0.0
-    added off the centre and -0.0 at it, so an off-centre -0.0 always
-    arrives as +0.0."""
+    model.drive.  theta, :func:`_slot_theta` of these types, spares the
+    classical formula its lookup by type.  A tabulated force gets a copy of
+    the windows with +0.0 added off the centre and -0.0 at it, so an
+    off-centre -0.0 always arrives as +0.0."""
     kind, m = model.kind, model.m
     if isinstance(kind, ClassicalFK):
-        if model.n == 1:
-            th_self = th_next = kind.theta[0]
-        else:
-            # types + 1 - n lies in [1 - n, 0]: theta_{j+1}, indexed from the end
-            th = np.asarray(kind.theta)
-            th_self, th_next = th[types], th[types + (1 - model.n)]
+        th_self, th_next = _slot_theta(model, types) if theta is None else theta
         c = V[..., m]
         F = th_next * (V[..., m + 1] - c) - th_self * (c - V[..., m - 1])
         if kind.amplitude != 0.0:

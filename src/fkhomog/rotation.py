@@ -36,7 +36,7 @@ import numpy as np
 from .model import (ForceModel, ConstantsLedger, constants_ledger,
                     require_monotone, with_extra_drive, _drive_column)
 from .chain import (TrajectoryLog, TwistedChain, cfl_dt, init_linear,
-                    NumericalError, _clock, _march)
+                    NumericalError, _clock, _flat_gather, _march)
 
 
 class LogTooShort(ValueError):
@@ -108,41 +108,47 @@ def rotation_number(model: ForceModel, p, L_extra: float = 0.0,
     T from FIRST_WINDOW_SAMPLES steps (at least one time unit), reusing one
     trajectory, until min(empirical width, C2/T) <= 2 tol or T reaches T_cap;
     the estimate then carries the bracket, the certified half-width C2/T, a
-    converged flag and the run of 2T (``log``).  This is the one-row case of
-    the column solver behind :func:`sweep`.
+    converged flag and the run of 2T (``log``).  This is the one-pair case of
+    the table solver behind :func:`sweep`.
     """
     require_monotone(model)
-    (_, est), = _solve_column(model, p, [L_extra], tol, T_cap, cells=cells,
-                              safety=safety, perturbation=perturbation)
+    (_, est), = _solve_table(model, [(L_extra, p)], tol, T_cap, cells=cells,
+                             safety=safety, perturbation=perturbation)
     if isinstance(est, NumericalError):
         raise est
     return est
 
 
-def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
-                  cells: int = 1, safety: float = 0.5, perturbation=None):
-    """Rotation numbers of the families (L + F_j) at slope p for every L in
-    Ls, on the clock and doubling schedule of :func:`rotation_number`: a
-    generator of (index into Ls, RotationEstimate or NumericalError), one
-    pair per L, each yielded when its row retires.
+def _solve_table(model: ForceModel, pairs, tol: float, T_cap: float, *,
+                 cells: int = 1, safety: float = 0.5, perturbation=None):
+    """Rotation numbers of the families (L + F_j) at slope p for every (L, p)
+    in pairs, on the clock and doubling schedule of :func:`rotation_number`:
+    a generator of (index into pairs, RotationEstimate or NumericalError),
+    one per pair, each yielded when its row retires.
 
-    Every L shares the ring, the step and the doubling schedule, so the rows
-    advance as one (B, N) ensemble with a per-row drive.  The window of a
-    stage is K samples and its log 2K samples, all counted from the chain's
+    The step, the sample spacing and the doubling schedule depend on the
+    model alone, so every pair is one row of a single ensemble with a
+    per-row drive.  Row b is the ring of its slope, N_b particles with twist
+    Q_b, and the live rows' rings lie one after another in one flat state,
+    read through one gather (:func:`fkhomog.chain._flat_gather`); the
+    tracked series takes each ring's first n particles.  The window of a
+    stage is K samples and its log 2K samples, all counted from the chains'
     start as in one run: a stage marches each live row's series on from its
     last sample to sample 2K.  Then each row takes its own bracket test and
     retires once it passes (or once 2T would pass T_cap), and a row that
-    blows up retires with its error; the others go on.  Per row the
-    arithmetic is that of a lone run, so every estimate is bitwise the one a
-    single-row column gives, and its bracket is lambda_pm of one run of 2T.
-    That run is the estimate's log: a copy of the row's series over samples
-    0 .. 2K and its ring at tau = 2T under ``with_extra_drive(model, L)``,
-    which :func:`fkhomog.chain.extend` continues bitwise.  Only the retiring
-    row is copied, so a caller that keeps the numbers alone holds no series.
+    blows up retires with its error; the others go on, and the state drops
+    the rings of retired rows.  Per row the arithmetic is that of a lone
+    run, so every estimate is bitwise the one a one-pair table gives, and
+    its bracket is lambda_pm of one run of 2T.  That run is the estimate's
+    log: a copy of the row's series over samples 0 .. 2K and its ring at
+    tau = 2T under ``with_extra_drive(model, L)``, which
+    :func:`fkhomog.chain.extend` continues bitwise.  Only the retiring row
+    is copied, so a caller that keeps the numbers alone holds no series.
     """
-    p = Fraction(p)
-    driven = [with_extra_drive(model, L) for L in Ls]
-    ledgers = [constants_ledger(m, p=float(p)) for m in driven]
+    pairs = [(float(L), Fraction(p)) for L, p in pairs]
+    driven = [with_extra_drive(model, L) for L, _ in pairs]
+    ledgers = [constants_ledger(m, p=float(p))
+               for m, (_, p) in zip(driven, pairs)]
     # one sample per Euler step
     sample_dt = cfl_dt(model, safety=safety, check=False)
     clock = _clock(model, sample_dt, sample_dt)
@@ -151,18 +157,32 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
     K = max(1, math.ceil(max(1.0, FIRST_WINDOW_SAMPLES * sample_dt) / sample_dt))
     T = K * sample_dt
 
-    chain = init_linear(model, p, cells=cells, perturbation=perturbation)
-    n, B = model.n, len(Ls)
-    drive = _drive_column(model, Ls)
-    U = np.repeat(chain.U[None, :], B, axis=0)
-    Xi = np.repeat(chain.Xi[None, :], B, axis=0)
+    chains = {p: init_linear(model, p, cells=cells, perturbation=perturbation)
+              for p in sorted({p for _, p in pairs})}
+    # each row's ring at tau = 0, the start of every sample count below
+    rings = [chains[p] for _, p in pairs]
+    sizes = np.array([ring.N for ring in rings])
+    drives = _drive_column(model, [L for L, _ in pairs]).ravel()
+    n, B = model.n, len(pairs)
+    # the live rows' rings, one after another
+    U = np.concatenate([ring.U for ring in rings])
+    Xi = np.concatenate([ring.Xi for ring in rings])
     # each live row's tracked series, (rows, 2n, samples so far)
-    series = np.concatenate([U[:, :n], Xi[:, :n]], axis=1)[:, :, None]
-    rows = np.arange(B)            # the input index of each live row
+    series = np.stack([np.concatenate([ring.U[:n], ring.Xi[:n]])
+                       for ring in rings])[:, :, None]
+    rows = np.arange(B)            # the pair index of each live row
     # running max |sample increment| per row: the sampling slack is
     # max velocity * sample_dt / T over the whole log so far
     vmax = np.zeros(B)
     histories = [[] for _ in range(B)]
+    gather = None                  # the live rings' gather, rebuilt as rows leave
+
+    def kept(keep):
+        # the rows keep of the live arrays, and of the state their rings
+        live = np.zeros(rows.size, dtype=bool)
+        live[keep] = True
+        cut = np.repeat(live, sizes[rows])
+        return rows[keep], U[cut], Xi[cut], vmax[keep], series[keep], None
 
     while rows.size:
         k = last = series.shape[2] - 1
@@ -172,16 +192,20 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
         series = grown
         del grown
         while k < 2 * K and rows.size:
-            U, Xi, k, errors = _march(model, U, Xi, chain.Q, chain.tau, k, 2 * K,
-                                      clock, series, drive=drive)
+            if gather is None:
+                gather = _flat_gather(model, [(rings[r].N, rings[r].Q)
+                                              for r in rows])
+                drive = np.repeat(drives[rows], sizes[rows])
+            U, Xi, k, errors = _march(model, U, Xi, gather, 0.0, k, 2 * K, clock,
+                                      series, drive=drive)
             for b, exc in errors.items():
                 yield int(rows[b]), exc
             if errors:
-                keep = [b for b in range(rows.size) if b not in errors]
-                rows, U, Xi, drive, vmax, series = (
-                    a[keep] for a in (rows, U, Xi, drive, vmax, series))
+                rows, U, Xi, vmax, series, gather = kept(
+                    [b for b in range(rows.size) if b not in errors])
 
         keep = []
+        bounds = np.cumsum([0, *sizes[rows]])
         for b, r in enumerate(rows):
             inc = np.abs(np.diff(series[b, :, last:], axis=1)).max()
             vmax[b] = max(vmax[b], inc)
@@ -195,11 +219,13 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
                                  "slack": slack})
             converged = min(width, certified) <= 2.0 * tol
             if converged or 2.0 * T > T_cap:
-                times = chain.tau + sample_dt * np.arange(2 * K + 1)
-                ring = TwistedChain(chain.N, chain.Q, U[b].copy(), Xi[b].copy(),
-                                    float(times[-1]), p, driven[r])
+                times = sample_dt * np.arange(2 * K + 1)
+                ring, p = slice(bounds[b], bounds[b + 1]), pairs[r][1]
+                final = TwistedChain(rings[r].N, rings[r].Q, U[ring].copy(),
+                                     Xi[ring].copy(), float(times[-1]), p,
+                                     driven[r])
                 log = TrajectoryLog(sample_times=times, tracked=series[b].copy(),
-                                    snapshots=[], final_state=ring,
+                                    snapshots=[], final_state=final,
                                     sample_dt=sample_dt, dt=clock.dt)
                 yield int(r), RotationEstimate(
                     lambda_minus=lam_lo, lambda_plus=lam_hi,
@@ -210,8 +236,7 @@ def _solve_column(model: ForceModel, p, Ls, tol: float, T_cap: float, *,
             else:
                 keep.append(b)
         if len(keep) < rows.size:
-            rows, U, Xi, drive, vmax, series = (
-                a[keep] for a in (rows, U, Xi, drive, vmax, series))
+            rows, U, Xi, vmax, series, gather = kept(keep)
         T = 2.0 * T
         K = 2 * K
 
@@ -325,34 +350,32 @@ def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
           T_cap: float = 2000.0, **kw) -> EffectiveTable:
     """Fill the (L, p) table on the distinct grid values, in ascending order.
 
-    Each p-column is one ensemble: every L at that p shares the ring, so the
-    column solver steps all of them together and retires each entry on its
-    own bracket test.  Entries equal those of per-entry :func:`rotation_number`
-    calls bit for bit; an entry that blows up becomes NaN and is listed in
-    ``failures``, the rest of its column is unaffected.
+    The whole table is one ensemble: every (L, p) entry is a row of the
+    table solver, its ring one slice of one flat state, and all rows step
+    together, each retiring on its own bracket test.  Entries equal those of
+    per-entry :func:`rotation_number` calls bit for bit; an entry that blows
+    up becomes NaN and is listed in ``failures``, the other rows run on.
     """
     p_grid = sorted({Fraction(p) for p in p_grid})
     L_grid = np.array(sorted({float(L) for L in L_grid}))
     if not p_grid or L_grid.size == 0:
         raise ValueError("p_grid and L_grid must be nonempty")
     require_monotone(model)
+    grid = [(L, p) for L in L_grid.tolist() for p in p_grid]
     # keep each entry's numbers (or its error) as its row retires, not its run
-    entries = {}
-    for j, p in enumerate(p_grid):
-        for i, est in _solve_column(model, p, L_grid, tol, T_cap, **kw):
-            entries[i, j] = est if isinstance(est, NumericalError) else (
-                est.lambda_hat, est.halfwidth_best, est.converged,
-                {"C2": est.ledger.C2, "C4": est.ledger.C4, "K1": est.ledger.K1,
-                 "T": est.T})
+    entries = [None] * len(grid)
+    for i, est in _solve_table(model, grid, tol, T_cap, **kw):
+        entries[i] = est if isinstance(est, NumericalError) else (
+            est.lambda_hat, est.halfwidth_best, est.converged,
+            {"C2": est.ledger.C2, "C4": est.ledger.C4, "K1": est.ledger.K1,
+             "T": est.T})
 
     pairs, failures = [], []
-    for i, L in enumerate(L_grid.tolist()):
-        for j, p in enumerate(p_grid):
-            entry = entries[i, j]
-            if isinstance(entry, NumericalError):
-                failures.append({"L": L, "p": str(p), "error": str(entry)})
-                entry = (np.nan, np.nan, False, {})
-            pairs.append(((L, p), entry))
+    for (L, p), entry in zip(grid, entries):
+        if isinstance(entry, NumericalError):
+            failures.append({"L": L, "p": str(p), "error": str(entry)})
+            entry = (np.nan, np.nan, False, {})
+        pairs.append(((L, p), entry))
     return EffectiveTable._from_entries(pairs, failures)
 
 

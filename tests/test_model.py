@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
 from fkhomog.chain import force_profile
-from fkhomog.model import (ModelError, build_tabulated, model_from_config,
-                           model_to_config, report_to_json)
+from fkhomog.model import (ClassicalFK, ModelError, build_tabulated,
+                           model_from_config, model_to_config, report_to_json)
 from test_chain import _wavy_force
 
 
@@ -40,6 +40,30 @@ def test_build_rejects_bad_input():
         fk.build_classical_fk([1.0, -1.0], m0=0.01)
     with pytest.raises(ModelError):
         fk.build_classical_fk([], m0=0.01)
+
+
+@pytest.mark.parametrize("field", ["alpha0", "lip_V", "f0", "drive"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_refuses_non_finite_data(field, value):
+    data = dict(n=1, m=1, alpha0=10.0, kind=ClassicalFK(theta=(1.0,)),
+                lip_V=4.0, f0=0.0, drive=0.0)
+    data[field] = value
+    with pytest.raises(ModelError, match=f"{field} must be finite"):
+        fk.ForceModel(**data)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fk.build_classical_fk([1.0], drive=math.nan),
+    lambda: fk.with_extra_drive(fk.build_classical_fk([1.0]), math.inf),
+    lambda: build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=math.nan,
+                            f_at_zero_sup=0.3),
+    lambda: build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                            f_at_zero_sup=math.inf),
+    lambda: fk.build_classical_fk([1.0], m0=1e-320),
+])
+def test_builders_refuse_non_finite_data(build):
+    with pytest.raises(ModelError, match="must be finite"):
+        build()
 
 
 def test_eval_force_trivial_integer_lattice():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import fkhomog as fk
+import fkhomog.chain as chn
 from fkhomog.chain import NumericalError
+from fkhomog.model import ModelError
 from fkhomog.rotation import (EffectiveTable, LogTooShort, depinning_threshold,
-                              monotone_in_L_violation, table_to_json)
+                              monotone_in_L_violation, table_to_json, _solve_table)
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -176,9 +178,9 @@ def test_sweep_monotone_in_L_and_threads_deterministic():
 
 
 def _assert_sweep_equals_entries(model, p_grid, L_grid, **kw):
-    """sweep (one batched ensemble per p) against one rotation_number call
-    per entry: tables, half-widths, flags, ledger refs and failure messages
-    must agree bit for bit."""
+    """sweep (one ensemble for the whole table) against one
+    rotation_number call per entry: tables, half-widths, flags, ledger refs
+    and failure messages must agree bit for bit."""
     table = fk.sweep(model, p_grid, L_grid, **kw)
     # sweep tabulates the distinct grid values in ascending order
     p_grid, L_grid = sorted(set(map(Fraction, p_grid))), sorted(set(map(float, L_grid)))
@@ -222,6 +224,88 @@ def test_sweep_equals_entries_two_types_mixed_rings():
     _assert_sweep_equals_entries(m, p_grid, [-1.0, 0.0, 2.5], tol=2e-3, T_cap=200.0)
     # one L: every p-group is a single row
     _assert_sweep_equals_entries(m, p_grid, [1.5], tol=2e-3, T_cap=200.0)
+
+
+#: the p grid of the eps_pipeline benchmark table (m0 at 1/1.1 of critical, L = 2)
+_EPS_PIPELINE_P = [Fraction(4, 5), Fraction(9, 10), Fraction(1), Fraction(9, 8),
+                   Fraction(5, 4)]
+
+
+def test_sweep_equals_entries_mixed_rings_one_table():
+    """Seven slopes on six ring sizes in one table, cells = 2 (N from 2 to
+    20); p = 1 and p = 2 share N = 2 but not the twist Q."""
+    m = fkmodel(margin=1.1)
+    p_grid = _EPS_PIPELINE_P + [Fraction(1, 3), Fraction(2)]
+    table = _assert_sweep_equals_entries(m, p_grid, [0.0, 0.5, 2.0], tol=2e-3,
+                                         T_cap=2000.0, cells=2)
+    assert table.converged.all()
+    assert len({ref["T"] for ref in table.ledger_refs}) > 2
+
+
+def test_sweep_equals_entries_mixed_rings_failing_rows():
+    """Rows of two ring sizes fail in different check blocks (p = 1/2, L = 1
+    in the first, p = 1, L = 1 in the second); failures and their messages
+    are the per-entry ones, in row-major (L, p) order."""
+    m = _blow_up_model()
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _assert_sweep_equals_entries(
+            m, [Fraction(1, 2), Fraction(1)], [-0.5, 0.0, 0.5, 1.0, 40.0],
+            tol=1e-3, T_cap=100.0)
+    assert [(f["L"], f["p"]) for f in table.failures] == [
+        (0.5, "1/2"), (0.5, "1"), (1.0, "1/2"), (1.0, "1"), (40.0, "1/2"), (40.0, "1")]
+    assert table.converged[:2].all()
+
+
+def test_table_solver_logs_hold_their_own_ring():
+    """Every log the table solver yields holds its row's ring alone and
+    reproduces its bracket; a failing row's last finite state is its own
+    ring too."""
+    m = fkmodel((1.0, 1.6), A=0.8, L=0.3, margin=1.2)
+    pairs = [(L, p) for L in (-1.0, 2.5) for p in (Fraction(1, 2), Fraction(3, 2),
+                                                    Fraction(1), Fraction(2, 3))]
+    seen = set()
+    for i, est in _solve_table(m, pairs, 2e-3, 200.0, cells=2):
+        seen.add(i)
+        ring = fk.init_linear(m, pairs[i][1], cells=2)
+        assert est.log.final_state.U.shape == est.log.final_state.Xi.shape == (ring.N,)
+        assert (est.log.final_state.N, est.log.final_state.Q) == (ring.N, ring.Q)
+        assert fk.lambda_pm(est.log, est.T) == (est.lambda_minus, est.lambda_plus)
+    assert seen == set(range(len(pairs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = dict(_solve_table(_blow_up_model(), [(40.0, Fraction(1)),
+                                                      (40.0, Fraction(1, 3))],
+                                   1e-3, 100.0))
+    assert [err.snapshot[0].shape for err in errors.values()] == [(1,), (3,)]
+
+
+def test_sweep_marches_the_table_once(monkeypatch):
+    """The eps_pipeline table takes as many force evaluations as its longest
+    entry has Euler steps (2T / sample_dt), not one march per p column."""
+    calls = []
+    force = chn._force
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return force(*args, **kwargs)
+
+    monkeypatch.setattr(chn, "_force", counted)
+    m = fkmodel(margin=1.1)
+    table = fk.sweep(m, _EPS_PIPELINE_P, [2.0], tol=2e-3)
+    h = fk.cfl_dt(m, 0.5, check=False)
+    steps = [round(2.0 * ref["T"] / h) for ref in table.ledger_refs]
+    assert len(set(steps)) > 1
+    assert len(calls) == max(steps) < sum(steps)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: fk.sweep(m, [1], [math.nan]),
+    lambda m: fk.sweep(m, [1], [math.inf]),
+    lambda m: fk.sweep(m, [1], [0.0, -math.inf]),
+    lambda m: fk.rotation_number(m, 1, math.nan),
+])
+def test_non_finite_drive_fails_loudly(call):
+    with pytest.raises(ModelError, match="drive must be finite"):
+        call(fkmodel(margin=1.2))
 
 
 _THETA2 = np.array([1.0, 0.6])
