@@ -235,14 +235,35 @@ def _transient_cut(model: ForceModel, t0: float,
 
 
 def _euler_update(U: np.ndarray, Xi: np.ndarray, F: np.ndarray, c: float,
-                  beta: float, dt: float, extra: Optional[np.ndarray] = None):
+                  beta: float, dt: float, extra: Optional[np.ndarray] = None,
+                  out: Optional[tuple] = None, scratch: Optional[np.ndarray] = None):
     """U+ = c U + beta Xi, Xi+ = c Xi + beta U + 2 dt F (+ dt extra) on
     (..., N) arrays; c, beta from :func:`_euler_coeff`, extra the optional
-    delta transport term."""
-    U2 = c * U + beta * Xi
-    Xi2 = c * Xi + beta * U + (2.0 * dt) * F
+    delta transport term.  Returns (U+, Xi+) as fresh arrays, or, given
+    out = (U+, Xi+) (which may be U and Xi themselves) and scratch, two
+    arrays shaped like U (e.g. one (2, N) array), writes them into out with
+    the same operations on the same operands, so the bits are equal.  F and
+    extra are only read: a tabulated force may return the user's own array.
+    """
+    if out is None:
+        U2 = c * U + beta * Xi
+        Xi2 = c * Xi + beta * U + (2.0 * dt) * F
+        if extra is not None:
+            Xi2 += dt * extra
+        return U2, Xi2
+    U2, Xi2 = out
+    a, b = scratch
+    np.multiply(Xi, c, out=a)
+    np.multiply(U, beta, out=b)
+    np.add(a, b, out=a)                 # c Xi + beta U
+    np.multiply(U, c, out=b)            # the last read of U
+    np.multiply(Xi, beta, out=U2)       # the last read of Xi
+    np.add(b, U2, out=U2)               # c U + beta Xi
+    np.multiply(F, 2.0 * dt, out=b)
+    np.add(a, b, out=Xi2)
     if extra is not None:
-        Xi2 += dt * extra
+        np.multiply(extra, dt, out=b)
+        np.add(Xi2, b, out=Xi2)
     return U2, Xi2
 
 

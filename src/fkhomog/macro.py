@@ -34,6 +34,9 @@ class MacroError(ValueError):
 #: record times of the eps study, evenly spaced on [T/2, T]
 COMPACT_TIMES = 5
 
+#: the most particles a rescaled run may march, pad included
+MAX_PARTICLES = 5_000_000
+
 
 # ---------------------------------------------------------------------------
 # Initial profiles
@@ -319,7 +322,8 @@ def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
 # ---------------------------------------------------------------------------
 
 def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
-                  T: float, window: tuple[float, float], **kw) -> Field:
+                  T: float, window: tuple[float, float], *,
+                  max_particles: int = MAX_PARTICLES, **kw) -> Field:
     """Simulate U_i(0) = u0(i eps)/eps on a padded window and return
     u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times, one
     column per particle of the window at its cell edge x = eps i.
@@ -333,20 +337,24 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     window, so values on the window are exactly those of the infinite chain.
     meta records the particles actually stepped, summed over steps, as
     particle_steps.  Euler steps are at most cfl_dt(model + L, 0.5), cut by
-    ``_march_plan`` to land on each time of t_record (default [T]).  Keyword
-    options (xi0, M0, K0, t_record, max_particles) are those of
-    ``_rescale_micro``, the body without the structural check.
+    ``_march_plan`` to land on each time of t_record (default [T]).  The
+    window must hold >= 100 particles and the padded array at most
+    max_particles; the other keyword options (xi0, M0, K0, t_record) are
+    those of :func:`_plan_micro`.
     """
     require_monotone(model)
-    return _rescale_micro(model, L, eps, u0, T, window, **kw)
+    run = _plan_micro(model, L, eps, u0, T, _window_cells(eps, window), **kw)
+    if run.N_total > max_particles:
+        raise MacroError(
+            f"domain-of-dependence pad needs {run.N_total} particles "
+            f"(> {max_particles}); increase eps, shrink T, or raise the cap")
+    return _rescale_micro(run)
 
 
-def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
-                   T: float, window: tuple[float, float], *,
-                   xi0: Optional[Profile] = None, M0: float = 0.0,
-                   K0: Optional[float] = None,
-                   t_record: Optional[Sequence[float]] = None,
-                   max_particles: int = 5_000_000) -> Field:
+def _window_cells(eps: float, window: tuple[float, float]) -> tuple[int, int]:
+    """(i_lo, i_hi): the window's particles, at their cell edges x = eps i,
+    are i = floor(x_lo / eps) .. floor(x_hi / eps).  MacroError unless eps > 0
+    and the window has positive width and holds >= 100 particles."""
     if eps <= 0:
         raise MacroError("eps must be positive")
     x_lo, x_hi = float(window[0]), float(window[1])
@@ -358,43 +366,87 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     if n_obs < 100:
         raise MacroError(f"window holds only {n_obs} particles at eps = {eps}; "
                          "need >= 100")
+    return i_lo, i_hi
+
+
+@dataclass(frozen=True)
+class _MicroRun:
+    """A rescaled run planned by :func:`_plan_micro`: the driven model
+    model + L observed on the particles i_lo..i_hi, marched on the plan of
+    :func:`_march_plan` (clock t / eps, steps <= dt)."""
+
+    model: ForceModel
+    L: float
+    eps: float
+    u0: Profile
+    xi0: Optional[Profile]
+    K0: float
+    i_lo: int
+    i_hi: int
+    dt: float
+    plan: list
+
+    @property
+    def n_steps(self) -> int:
+        return sum(n_sub for _, n_sub, _, _ in self.plan)
+
+    @property
+    def pad(self) -> int:
+        """The light-cone pad m (n_steps + 1) per side, widened so that the
+        array starts on a type boundary: array position k then holds a
+        particle of type k mod n."""
+        pad = self.model.m * (self.n_steps + 1)
+        return pad + (self.i_lo - pad) % self.model.n
+
+    @property
+    def N_total(self) -> int:
+        return self.i_hi - self.i_lo + 1 + 2 * self.pad
+
+
+def _plan_micro(model: ForceModel, L: float, eps: float, u0: Profile, T: float,
+                cells: tuple[int, int], *, xi0: Optional[Profile] = None,
+                M0: float = 0.0, K0: Optional[float] = None,
+                t_record: Optional[Sequence[float]] = None) -> _MicroRun:
+    """Plan, with no march, the rescaled run observed on the lattice
+    particles cells = (i_lo, i_hi): check u0 (and xi0, within M0 eps)
+    against the slope frame K0 (default that of u0) and plan the march to
+    the times of t_record (default [T])."""
     if K0 is None:
         K0 = u0.slope_frame()
     rep = check_A0(u0, K0, xi0=xi0, M0=M0, eps=eps)
     if not rep.ok:
         raise MacroError(f"initial profile violates the slope frame: {rep}")
-
     model2 = with_extra_drive(model, L)
     dt_max = cfl_dt(model2, 0.5, check=False)
-    m = model2.m
-
     plan = _march_plan(t_record if t_record is not None else [T], T, dt_max, eps)
-    total_steps = sum(n_sub for _, n_sub, _, _ in plan)
+    return _MicroRun(model2, L, eps, u0, xi0, K0, *cells, dt_max, plan)
 
-    pad = m * (total_steps + 1)
-    # widen the pad so the array starts on a type boundary: array position k
-    # then holds a particle of type k mod n
-    pad += (i_lo - pad) % model2.n
-    N_tot = n_obs + 2 * pad
-    if N_tot > max_particles:
-        raise MacroError(
-            f"domain-of-dependence pad needs {N_tot} particles "
-            f"(> {max_particles}); increase eps, shrink T, or raise the cap")
 
-    idx = np.arange(i_lo - pad, i_hi + pad + 1)
-    U = u0.value(idx * eps) / eps
-    Xi = U.copy() if xi0 is None else xi0.value(idx * eps) / eps
+def _rescale_micro(run: _MicroRun) -> Field:
+    """March a planned run and record eps U on its particles at each time of
+    its plan: the body of :func:`rescale_micro`, checks done.  Each Euler
+    step writes the active slice in place, through one scratch pair sized
+    for the first, widest slice."""
+    model2, eps, pad, plan = run.model, run.eps, run.pad, run.plan
+    m = model2.m
+    n_obs = run.i_hi - run.i_lo + 1
+    total_steps = run.n_steps
+
+    idx = np.arange(run.i_lo - pad, run.i_hi + pad + 1)
+    U = run.u0.value(idx * eps) / eps
+    Xi = U.copy() if run.xi0 is None else run.xi0.value(idx * eps) / eps
 
     # V[k] is the window centred on U[k + m], so the force on U[lo:hi] reads
     # V[lo - m:hi - m]; U is only ever written in place, so V stays current
     V = sliding_window_view(U, 2 * m + 1)
-    types = np.arange(N_tot) % model2.n
+    types = np.arange(run.N_total) % model2.n
     # per-particle spring constants, sliced like types (scalars when n = 1)
     theta = _slot_theta(model2, types)
     per_slot = theta is not None and model2.n > 1
 
     obs = slice(pad, pad + n_obs)
     reach = m * (total_steps - 1)
+    scratch = np.empty((2, n_obs + 2 * max(reach, 0)))
     particle_steps = 0
     vals = []
     for w, n_sub, dt, start in plan:
@@ -404,19 +456,22 @@ def _rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
             th = (theta[0][lo:hi], theta[1][lo:hi]) if per_slot else theta
             F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi],
                        theta=th)
-            U[lo:hi], Xi[lo:hi] = _euler_update(U[lo:hi], Xi[lo:hi], F, c, beta, dt)
+            u, xi = U[lo:hi], Xi[lo:hi]
+            _euler_update(u, xi, F, c, beta, dt, out=(u, xi),
+                          scratch=scratch[:, :hi - lo])
             particle_steps += hi - lo
             reach -= m
         if not np.all(np.isfinite(U[obs])):
             raise NumericalError(f"microscopic state blew up before t = {w}",
                                  tau=w / eps)
-        vals.append(eps * U[obs].copy())
+        vals.append(eps * U[obs])
 
     return Field(t_grid=np.array([t for t, *_ in plan]),
-                 x_grid=eps * (i_lo + np.arange(n_obs)), values=np.array(vals),
-                 meta={"pad": pad, "n_steps": total_steps, "dt": dt_max,
-                       "N_total": N_tot, "K0": K0, "L": L, "eps": eps,
-                       "particle_steps": particle_steps})
+                 x_grid=eps * (run.i_lo + np.arange(n_obs)),
+                 values=np.reshape(vals, (len(vals), n_obs)),
+                 meta={"pad": pad, "n_steps": total_steps, "dt": run.dt,
+                       "N_total": run.N_total, "K0": run.K0, "L": run.L,
+                       "eps": eps, "particle_steps": particle_steps})
 
 
 def gradient_sandwich_probe(field: Field, K0: float, n_type: int,
@@ -482,6 +537,13 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     fields record the rows of one march plan, so row s of one is row s of
     the other.
 
+    Every level is planned before the first is marched, so a window of fewer
+    than 100 particles, a profile outside its slope frame or a pad past
+    MAX_PARTICLES fails at once.  The chain is observed on the compact set
+    alone, the window's particles eps i in [cx_lo, cx_hi], and marched on
+    their light cone only: values there do not depend on the rest of the
+    window, so the errors are those of marching the whole window.
+
     The table slope counts lattice cells (one per n particles) while the
     rescaled field's gradient counts particles, so the interpolant is
     composed with the type period before entering the scheme.
@@ -495,31 +557,43 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
     quarter = 0.25 * (x_hi - x_lo)
     cx_lo, cx_hi = x_lo + quarter, x_hi - quarter
 
+    runs = []
+    for eps in eps_list:
+        i_lo, i_hi = _window_cells(eps, window)
+        xs = eps * np.arange(i_lo, i_hi + 1)
+        hit = np.flatnonzero((xs >= cx_lo) & (xs <= cx_hi))
+        run = _plan_micro(model, L, eps, u0, T,
+                          (i_lo + int(hit[0]), i_lo + int(hit[-1])),
+                          xi0=xi0, M0=M0, t_record=t_samples)
+        if run.N_total > MAX_PARTICLES:
+            raise MacroError(
+                f"domain-of-dependence pad needs {run.N_total} particles "
+                f"(> {MAX_PARTICLES}) at eps = {eps}; increase eps or shrink T")
+        runs.append(run)
+
     H_eff = H.scaled(model.n)
 
     errors = []
     floor_err = math.inf
-    for eps in eps_list:
-        micro = _rescale_micro(model, L, eps, u0, T, window, xi0=xi0, M0=M0,
-                               t_record=t_samples)
+    for eps, run in zip(eps_list, runs):
+        micro = _rescale_micro(run)
         macro = solve_hj(H_eff, u0, T, dx=eps, record_times=t_samples)
         xs = micro.x_grid
-        sel = (xs >= cx_lo) & (xs <= cx_hi)
         err = 0.0
-        for um, uh in zip(micro.values[:, sel], macro.values):
+        for um, uh in zip(micro.values, macro.values):
             # the rescaled field is constant on each cell [i eps, (i+1) eps);
             # an honest sup compares the cell value at both cell edges
-            uh_l = np.interp(xs[sel], macro.x_grid, uh)
-            uh_r = np.interp(xs[sel] + eps, macro.x_grid, uh)
+            uh_l = np.interp(xs, macro.x_grid, uh)
+            uh_r = np.interp(xs + eps, macro.x_grid, uh)
             err = max(err, float(np.abs(um - uh_l).max()),
                       float(np.abs(um - uh_r).max()))
         errors.append(err)
         # crude scheme-error floor at this dx: compare against the half-step
-        # solution on the coarsest grid once
+        # solution on the finest grid once
         if eps == eps_list[-1]:
             macro2 = solve_hj(H_eff, u0, T, dx=eps / 2.0)
-            uh1 = np.interp(xs[sel], macro.x_grid, macro.at(T))
-            uh2 = np.interp(xs[sel], macro2.x_grid, macro2.at(T))
+            uh1 = np.interp(xs, macro.x_grid, macro.at(T))
+            uh2 = np.interp(xs, macro2.x_grid, macro2.at(T))
             floor_err = float(np.abs(uh1 - uh2).max())
 
     rates = [math.log2(e1 / e2) if e2 > 0 else math.inf

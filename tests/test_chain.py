@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import fkhomog as fk
 from fkhomog.chain import (NumericalError, TwistedChain, force_profile,
                            snapshot_to_csv, trajectory_to_csv, _euler_coeff,
-                           _neighbours, _state_ordering_violation)
+                           _euler_update, _neighbours,
+                           _state_ordering_violation)
 from fkhomog.macro import _march_plan
 from fkhomog.model import ClassicalFK, ModelError, _drive_column
 
@@ -543,6 +544,38 @@ def test_integer_shift_commutes_with_flow():
     la = fk.run(ch, 5.0, 0.25)
     lb = fk.run(shifted, 5.0, 0.25)
     assert np.abs(lb.final_state.U - (la.final_state.U + 1.0)).max() < 1e-12
+
+
+@pytest.mark.parametrize("with_extra", [False, True])
+def test_euler_update_in_place_matches_fresh_arrays(with_extra):
+    """Written into out (U and Xi themselves, or other arrays) through
+    scratch, the update is bitwise the allocating one, signed zeros and
+    non-finite entries included, and F and extra are left as they were."""
+    rng = np.random.default_rng(7)
+    U = rng.normal(size=64) * 1e3
+    Xi = U + rng.normal(size=64)
+    F = rng.normal(size=64)
+    U[:4] = [-0.0, 0.0, np.inf, np.nan]
+    Xi[:4] = [-0.0, -0.0, 1.0, 2.0]
+    F[4:6] = [-0.0, np.inf]
+    extra = rng.normal(size=64) if with_extra else None
+    F_before = F.tobytes()
+    for c, beta, dt in [(0.5, 0.5, 0.01), (0.0, 1.0, 0.125), (0.875, 0.125, 1e-3)]:
+        scratch = np.empty((2, U.size))
+        other = (np.empty_like(U), np.empty_like(Xi))
+        U2, Xi2 = U.copy(), Xi.copy()
+        with np.errstate(invalid="ignore"):      # 0 * inf at c = 0
+            want = _euler_update(U, Xi, F, c, beta, dt, extra)
+            got = _euler_update(U, Xi, F, c, beta, dt, extra, out=other,
+                                scratch=scratch)
+            _euler_update(U2, Xi2, F, c, beta, dt, extra, out=(U2, Xi2),
+                          scratch=scratch)
+        assert got[0] is other[0] and got[1] is other[1]
+        for a, b in zip(want, other):
+            assert a.tobytes() == b.tobytes()
+        assert want[0].tobytes() == U2.tobytes()
+        assert want[1].tobytes() == Xi2.tobytes()
+    assert F.tobytes() == F_before
 
 
 # ---------------------------------------------------------------------------

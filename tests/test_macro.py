@@ -9,8 +9,9 @@ import pytest
 import fkhomog as fk
 from fkhomog.chain import (NumericalError, _euler_coeff, _euler_update,
                            _window_gather, force_profile)
-from fkhomog.macro import (A0Report, HamiltonianInterp, MacroError, Profile,
-                           _march_plan, gradient_sandwich_probe)
+from fkhomog.macro import (COMPACT_TIMES, A0Report, ConvergenceReport,
+                           HamiltonianInterp, MacroError, Profile, _march_plan,
+                           gradient_sandwich_probe)
 from fkhomog.model import ModelError, _shift_row
 
 
@@ -371,6 +372,17 @@ def test_rescale_micro_counts_particle_steps():
     assert meta["particle_steps"] == S * n_obs + m.m * S * (S - 1)
 
 
+def test_rescale_micro_records_no_rows_for_empty_t_record():
+    """No record time gives no row: values of shape (0, n_obs), as solve_hj
+    gives (0, nx)."""
+    m = fkmodel(L=1.0, margin=1.2)
+    field = fk.rescale_micro(m, 0.5, 0.05, wavy_profile(amp=0.15), T=0.3,
+                             window=(-5.0, 5.0), t_record=[])
+    assert field.x_grid.size == 201
+    assert field.values.shape == (0, 201)
+    assert field.t_grid.size == 0 and field.meta["particle_steps"] == 0
+
+
 def test_rescale_micro_never_builds_wrap_around_windows():
     """The open array is never closed into a ring: a per-window force that
     refuses windows with a backward jump (a drop of more than 2, far beyond
@@ -478,3 +490,133 @@ def test_convergence_rejects_nondecreasing_eps():
     H = HamiltonianInterp.from_points([0.5, 2.0], [0.0, 0.0])
     with pytest.raises(MacroError):
         fk.convergence_study(m, 0.0, u0, [0.05, 0.1], 1.0, (-5.0, 5.0), H)
+
+
+def _study_reference(model, L, u0, eps_list, T, window, H):
+    """The eps study with every level marched on the whole window by
+    rescale_micro, its rows then restricted to the compact set: the report
+    JSON and, per level, the full-window particle-steps and compact x grid."""
+    t_samples = np.linspace(T / 2.0, T, COMPACT_TIMES)
+    quarter = 0.25 * (window[1] - window[0])
+    cx_lo, cx_hi = window[0] + quarter, window[1] - quarter
+    H_eff = H.scaled(model.n)
+    errors, levels = [], []
+    floor_err = math.inf
+    for eps in eps_list:
+        micro = fk.rescale_micro(model, L, eps, u0, T, window, t_record=t_samples)
+        macro = fk.solve_hj(H_eff, u0, T, dx=eps, record_times=t_samples)
+        sel = (micro.x_grid >= cx_lo) & (micro.x_grid <= cx_hi)
+        xs = micro.x_grid[sel]
+        err = 0.0
+        for um, uh in zip(micro.values[:, sel], macro.values):
+            err = max(err, float(np.abs(um - np.interp(xs, macro.x_grid, uh)).max()),
+                      float(np.abs(um - np.interp(xs + eps, macro.x_grid, uh)).max()))
+        errors.append(err)
+        levels.append((micro.meta["particle_steps"], xs))
+        if eps == eps_list[-1]:
+            macro2 = fk.solve_hj(H_eff, u0, T, dx=eps / 2.0)
+            floor_err = float(np.abs(np.interp(xs, macro.x_grid, macro.at(T))
+                                     - np.interp(xs, macro2.x_grid, macro2.at(T))).max())
+    rates = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+    report = ConvergenceReport(tuple(eps_list), tuple(errors), tuple(rates),
+                               (float(t_samples[0]), float(t_samples[-1])),
+                               (cx_lo, cx_hi), floor_err)
+    return report.to_json(), levels
+
+
+STUDY_CASES = {
+    "classical_n1": lambda: (fkmodel(L=1.0, margin=1.2), 0.5, [0.1, 0.05], 0.3,
+                             (-5.0, 5.0)),
+    # the window starts at i = -99 and -198, the compact set at -53 and -107:
+    # all odd, so neither starts on a type boundary of n = 2
+    "classical_n2_drive": lambda: (fkmodel(theta=(1.0, 0.6), L=0.7, margin=1.2),
+                                   1.1, [0.05, 0.025], 0.3, (-4.93, 4.0)),
+    "tabulated_m2_batch": lambda: (_two_type_batch_model(), 0.4, [0.1, 0.05],
+                                   0.2, (-5.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STUDY_CASES))
+def test_convergence_study_marches_the_compact_light_cone(case, monkeypatch):
+    """Marching only the compact set's light cone leaves the report bitwise
+    that of marching the whole window, and steps S n_compact + m S (S - 1)
+    particles per level, fewer than the whole window's."""
+    model, L, eps_list, T, window = STUDY_CASES[case]()
+    u0 = wavy_profile(amp=0.15)
+    H = HamiltonianInterp.from_points([0.25, 1.0, 4.0], [0.1, 0.6, 0.9])
+    want, levels = _study_reference(model, L, u0, eps_list, T, window, H)
+
+    fields = []
+    march = fk.macro._rescale_micro
+    monkeypatch.setattr(fk.macro, "_rescale_micro",
+                        lambda run: fields.append(march(run)) or fields[-1])
+    got = fk.convergence_study(model, L, u0, eps_list, T, window, H)
+    assert got.to_json() == want
+    assert len(fields) == len(eps_list)
+    for eps, field, (full_steps, xs) in zip(eps_list, fields, levels):
+        assert field.x_grid.tobytes() == xs.tobytes()
+        if case == "classical_n2_drive":
+            assert round(xs[0] / eps) % 2 == 1
+        S = field.meta["n_steps"]
+        steps = field.meta["particle_steps"]
+        assert steps == S * xs.size + model.m * S * (S - 1)
+        assert steps < full_steps
+
+
+def test_convergence_study_plans_every_level_before_marching(monkeypatch):
+    """A level past the pad cap, or outside the gap bound M0 eps, fails
+    before the first level is marched: no force is evaluated."""
+    calls = []
+    force = fk.macro._force
+    monkeypatch.setattr(fk.macro, "_force",
+                        lambda *a, **kw: calls.append(1) or force(*a, **kw))
+    m = fkmodel()
+    u0 = wavy_profile(amp=0.18)
+    H = HamiltonianInterp.from_points([0.5, 1.0, 2.0], [0.3, 0.5, 0.4])
+    with pytest.raises(MacroError, match=r"pad needs \d+ particles \(> 5000000\) "
+                                         r"at eps = 1e-05; increase eps or shrink T$"):
+        fk.convergence_study(m, 2.0, u0, [0.0125, 0.00625, 1e-5], 1.0,
+                             (-5.0, 5.0), H)
+    xi0 = Profile(x=u0.x, u=u0.u + 0.004)
+    with pytest.raises(MacroError, match="slope frame"):
+        fk.convergence_study(m, 2.0, u0, [0.1, 0.05, 0.025], 0.2, (-5.0, 5.0),
+                             H, xi0=xi0, M0=0.1)
+    assert calls == []
+    # the gap 0.004 is within M0 eps down to eps = 0.05
+    rep = fk.convergence_study(m, 2.0, u0, [0.1, 0.05], 0.2, (-5.0, 5.0), H,
+                               xi0=xi0, M0=0.1)
+    assert len(rep.errors) == 2 and calls
+
+
+def test_convergence_study_applies_the_window_rule_to_the_window():
+    """The >= 100-particle rule reads the window, not the compact set: 101
+    particles at eps = 0.1 (51 in the compact set) run, 11 do not."""
+    m = fkmodel(A=0.0, margin=1.2)
+    u0 = Profile.linear(1.0, -5.0, 5.0)
+    H = HamiltonianInterp.from_points([0.5, 2.0], [0.0, 0.0])
+    rep = fk.convergence_study(m, 0.0, u0, [0.1], 0.2, (-5.0, 5.0), H)
+    assert len(rep.errors) == 1
+    with pytest.raises(MacroError, match="window holds only 11 particles at "
+                                         "eps = 0.1; need >= 100"):
+        fk.convergence_study(m, 0.0, u0, [0.1], 0.2, (0.0, 1.0), H)
+
+
+def test_force_callable_array_is_never_written():
+    """A batch callable may return a view of an array it keeps: the rescaled
+    runs, which update their state in place, leave that array as it was."""
+    kept = np.full(4096, 0.25)
+
+    def fn(j, tau, w):
+        return kept[:len(w)]
+
+    model = fk.build_tabulated(fn, n=1, m=1, m0=0.05, lip_V=0.0,
+                               f_at_zero_sup=0.25, batch=True)
+    u0 = wavy_profile(amp=0.15)
+    field = fk.rescale_micro(model, 0.0, 0.1, u0, T=0.2, window=(-5.0, 5.0))
+    assert np.all(kept == 0.25)
+    # the chain relaxes to the constant speed 0.25 from rest
+    assert np.all(field.at(0.2) > u0.value(field.x_grid) - 0.1)
+    H = HamiltonianInterp.from_points([0.5, 2.0], [0.25, 0.25])
+    rep = fk.convergence_study(model, 0.0, u0, [0.1, 0.05], 0.2, (-5.0, 5.0), H)
+    assert np.all(kept == 0.25)
+    assert all(math.isfinite(e) for e in rep.errors)
