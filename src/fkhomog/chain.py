@@ -235,36 +235,26 @@ def _transient_cut(model: ForceModel, t0: float,
 
 
 def _euler_update(U: np.ndarray, Xi: np.ndarray, F: np.ndarray, c: float,
-                  beta: float, dt: float, extra: Optional[np.ndarray] = None,
-                  out: Optional[tuple] = None, scratch: Optional[np.ndarray] = None):
-    """U+ = c U + beta Xi, Xi+ = c Xi + beta U + 2 dt F (+ dt extra) on
-    (..., N) arrays; c, beta from :func:`_euler_coeff`, extra the optional
-    delta transport term.  Returns (U+, Xi+) as fresh arrays, or, given
-    out = (U+, Xi+) (which may be U and Xi themselves) and scratch, two
-    arrays shaped like U (e.g. one (2, N) array), writes them into out with
-    the same operations on the same operands, so the bits are equal.  F and
-    extra are only read: a tabulated force may return the user's own array.
+                  beta: float, dt: float, a: np.ndarray, b: np.ndarray,
+                  extra: Optional[np.ndarray] = None):
+    """The Euler update in place: U <- c U + beta Xi and Xi <- c Xi + beta U
+    + 2 dt F (+ dt extra) on (..., N) arrays, through the scratch arrays a
+    and b shaped like U; c, beta from :func:`_euler_coeff`, extra the
+    optional delta transport term.  Each of U and Xi is written only after
+    its last read.  F and extra are only read: a tabulated force may return
+    the user's own array.
     """
-    if out is None:
-        U2 = c * U + beta * Xi
-        Xi2 = c * Xi + beta * U + (2.0 * dt) * F
-        if extra is not None:
-            Xi2 += dt * extra
-        return U2, Xi2
-    U2, Xi2 = out
-    a, b = scratch
-    np.multiply(Xi, c, out=a)
-    np.multiply(U, beta, out=b)
-    np.add(a, b, out=a)                 # c Xi + beta U
-    np.multiply(U, c, out=b)            # the last read of U
-    np.multiply(Xi, beta, out=U2)       # the last read of Xi
-    np.add(b, U2, out=U2)               # c U + beta Xi
-    np.multiply(F, 2.0 * dt, out=b)
-    np.add(a, b, out=Xi2)
+    np.multiply(Xi, c, a)
+    np.multiply(U, beta, b)
+    np.add(a, b, a)                     # c Xi + beta U
+    np.multiply(U, c, b)                # the last read of U
+    np.multiply(Xi, beta, U)            # the last read of Xi
+    np.add(b, U, U)                     # c U + beta Xi
+    np.multiply(F, 2.0 * dt, b)
+    np.add(a, b, Xi)
     if extra is not None:
-        np.multiply(extra, dt, out=b)
-        np.add(Xi2, b, out=Xi2)
-    return U2, Xi2
+        np.multiply(extra, dt, b)
+        np.add(Xi, b, Xi)
 
 
 def step(chain: TwistedChain, dt: float, delta: float = 0.0,
@@ -335,23 +325,24 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
            a0: float = 0.0, p_float: float = 0.0, snaps: Optional[list] = None,
            snapshot_stride: int = 0, block: int = CHECK_BLOCK):
     """Advance the B rings of gather (:func:`_flat_gather`), held one after
-    another in the flat U and Xi, from sample s to sample S of a march
-    started at tau0 (sample k lands on tau0 + k sample_dt) in the Euler steps
-    of clock (:func:`_clock`).  Every step reads all windows at once through
-    the gather, in one :func:`force_profile` call.  Sample k of the n
-    reference particles of ring b goes to out[b, :n, k] (U) and out[b, n:, k]
-    (Xi); drive holds each particle's total drive.  delta > 0 adds the
-    transport term of the first ring (a march with delta holds one ring).
-    snapshot_stride > 0 appends the first ring's (tau, U, Xi) to snaps every
-    that many samples.
+    another in the flat U and Xi, in place from sample s to sample S of a
+    march started at tau0 (sample k lands on tau0 + k sample_dt) in the Euler
+    steps of clock (:func:`_clock`).  Every step reads all windows at once
+    through the gather, in one :func:`force_profile` call, and writes U and
+    Xi through :func:`_euler_update` with one scratch pair per call.  Sample
+    k of the n reference particles of ring b goes to out[b, :n, k] (U) and
+    out[b, n:, k] (Xi); drive holds each particle's total drive.  delta > 0
+    adds the transport term of the first ring (a march with delta holds one
+    ring).  snapshot_stride > 0 appends copies of the first ring's (tau, U,
+    Xi) to snaps every that many samples.
 
-    Finiteness is checked once per block of samples.  The march stops at the
-    end of the first block in which a ring is not finite, and returns
-    (U, Xi, k, errors): k is the last sample reached and errors maps each
-    failing ring to the NumericalError of its first non-finite sample (with
-    its last finite sampled state), found by replaying the block for that
-    ring alone one sample at a time.  errors is empty when the march reached
-    S.
+    Finiteness is checked once per block of samples, and each block starts
+    from a copy of the state.  The march stops at the end of the first block
+    in which a ring is not finite, and returns (k, errors): k is the last
+    sample reached and errors maps each failing ring to the NumericalError
+    of its first non-finite sample (with its last finite sampled state),
+    found by replaying the block from that copy for that ring alone, one
+    sample at a time.  errors is empty when the march reached S.
     """
     n = model.n
     sample_dt, n_sub, dt_eff, c, beta = clock
@@ -360,9 +351,10 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
     track = bounds[:-1, None] + np.arange(n)
     use_delta = delta > 0.0
     extra = None
+    wa, wb = np.empty((2, U.size))
     while s < S:
         s_end = min(s + block, S)
-        U0, Xi0 = U, Xi            # arrays are replaced, never written in place
+        U0, Xi0 = U.copy(), Xi.copy()
         for k in range(s + 1, s_end + 1):
             for j in range(n_sub):
                 tau = tau0 + (k - 1) * sample_dt + j * dt_eff
@@ -370,7 +362,7 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
                 if use_delta:
                     extra = _delta_term(model, U, Xi, gather.rings[0][1],
                                         p_float, delta, a0)
-                U, Xi = _euler_update(U, Xi, F, c, beta, dt_eff, extra)
+                _euler_update(U, Xi, F, c, beta, dt_eff, wa, wb, extra)
             if out is not None:
                 out[:, :n, k] = U[track]
                 out[:, n:, k] = Xi[track]
@@ -384,17 +376,17 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
                    for b in np.flatnonzero(~finite).tolist()}
             if block == 1:
                 tau = tau0 + sample_dt * s_end
-                return U, Xi, s_end, {
+                return s_end, {
                     b: NumericalError(f"state blew up at tau = {tau}", tau=tau,
                                       snapshot=(U0[ring], Xi0[ring]))
                     for b, ring in bad.items()}
-            return U, Xi, s_end, {b: _march(
+            return s_end, {b: _march(
                 model, U0[ring], Xi0[ring], _flat_gather(model, gather.rings[b:b + 1]),
                 tau0, s, s_end, clock, None,
                 drive=None if drive is None else drive[ring], delta=delta,
-                a0=a0, p_float=p_float, block=1)[3][0] for b, ring in bad.items()}
+                a0=a0, p_float=p_float, block=1)[1][0] for b, ring in bad.items()}
         s = s_end
-    return U, Xi, s, {}
+    return s, {}
 
 
 def run(chain: TwistedChain, T: float, sample_dt: float, *,
@@ -453,11 +445,11 @@ def _advance(log: TrajectoryLog, S: int, clock: _Clock,
     tracked[:, :s + 1] = log.tracked
     snaps = list(log.snapshots)
     model = chain.model
-    U, Xi, _, errors = _march(model, chain.U.copy(), chain.Xi.copy(),
-                              _flat_gather(model, [(chain.N, chain.Q)]),
-                              float(times[0]), s, s + S, clock, tracked[None],
-                              delta=log.delta, a0=log.a0, p_float=float(chain.p),
-                              snaps=snaps, snapshot_stride=snapshot_stride)
+    U, Xi = np.array(chain.U, dtype=float), np.array(chain.Xi, dtype=float)
+    _, errors = _march(model, U, Xi, _flat_gather(model, [(chain.N, chain.Q)]),
+                       float(times[0]), s, s + S, clock, tracked[None],
+                       delta=log.delta, a0=log.a0, p_float=float(chain.p),
+                       snaps=snaps, snapshot_stride=snapshot_stride)
     if errors:
         raise errors[0]
     final = TwistedChain(chain.N, chain.Q, U, Xi, float(times[-1]), chain.p, model)

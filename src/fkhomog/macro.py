@@ -322,8 +322,7 @@ def solve_hj(H: HamiltonianInterp, u0: Profile, T: float, dx: float, *,
 # ---------------------------------------------------------------------------
 
 def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
-                  T: float, window: tuple[float, float], *,
-                  max_particles: int = MAX_PARTICLES, **kw) -> Field:
+                  T: float, window: tuple[float, float], **kw) -> Field:
     """Simulate U_i(0) = u0(i eps)/eps on a padded window and return
     u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times, one
     column per particle of the window at its cell edge x = eps i.
@@ -337,18 +336,15 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     window, so values on the window are exactly those of the infinite chain.
     meta records the particles actually stepped, summed over steps, as
     particle_steps.  Euler steps are at most cfl_dt(model + L, 0.5), cut by
-    ``_march_plan`` to land on each time of t_record (default [T]).  The
+    ``_march_plan`` to land on each time of t_record (default [T]).  Each
+    step writes the active slice in place, through the one Euler update.  The
     window must hold >= 100 particles and the padded array at most
-    max_particles; the other keyword options (xi0, M0, K0, t_record) are
-    those of :func:`_plan_micro`.
+    MAX_PARTICLES; the keyword options (xi0, M0, K0, t_record) are those of
+    :func:`_plan_micro`.
     """
     require_monotone(model)
-    run = _plan_micro(model, L, eps, u0, T, _window_cells(eps, window), **kw)
-    if run.N_total > max_particles:
-        raise MacroError(
-            f"domain-of-dependence pad needs {run.N_total} particles "
-            f"(> {max_particles}); increase eps, shrink T, or raise the cap")
-    return _rescale_micro(run)
+    return _rescale_micro(_plan_micro(model, L, eps, u0, T,
+                                      _window_cells(eps, window), **kw))
 
 
 def _window_cells(eps: float, window: tuple[float, float]) -> tuple[int, int]:
@@ -409,8 +405,9 @@ def _plan_micro(model: ForceModel, L: float, eps: float, u0: Profile, T: float,
                 t_record: Optional[Sequence[float]] = None) -> _MicroRun:
     """Plan, with no march, the rescaled run observed on the lattice
     particles cells = (i_lo, i_hi): check u0 (and xi0, within M0 eps)
-    against the slope frame K0 (default that of u0) and plan the march to
-    the times of t_record (default [T])."""
+    against the slope frame K0 (default that of u0), plan the march to the
+    times of t_record (default [T]) and refuse a padded array of more than
+    MAX_PARTICLES."""
     if K0 is None:
         K0 = u0.slope_frame()
     rep = check_A0(u0, K0, xi0=xi0, M0=M0, eps=eps)
@@ -419,14 +416,20 @@ def _plan_micro(model: ForceModel, L: float, eps: float, u0: Profile, T: float,
     model2 = with_extra_drive(model, L)
     dt_max = cfl_dt(model2, 0.5, check=False)
     plan = _march_plan(t_record if t_record is not None else [T], T, dt_max, eps)
-    return _MicroRun(model2, L, eps, u0, xi0, K0, *cells, dt_max, plan)
+    run = _MicroRun(model2, L, eps, u0, xi0, K0, *cells, dt_max, plan)
+    if run.N_total > MAX_PARTICLES:
+        raise MacroError(
+            f"domain-of-dependence pad needs {run.N_total} particles "
+            f"(> {MAX_PARTICLES}) at eps = {eps}; increase eps or shrink T")
+    return run
 
 
 def _rescale_micro(run: _MicroRun) -> Field:
     """March a planned run and record eps U on its particles at each time of
     its plan: the body of :func:`rescale_micro`, checks done.  Each Euler
-    step writes the active slice in place, through one scratch pair sized
-    for the first, widest slice."""
+    step writes the active slice in place through
+    :func:`fkhomog.chain._euler_update`, with two scratch rows sized for the
+    first, widest slice."""
     model2, eps, pad, plan = run.model, run.eps, run.pad, run.plan
     m = model2.m
     n_obs = run.i_hi - run.i_lo + 1
@@ -456,9 +459,8 @@ def _rescale_micro(run: _MicroRun) -> Field:
             th = (theta[0][lo:hi], theta[1][lo:hi]) if per_slot else theta
             F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi],
                        theta=th)
-            u, xi = U[lo:hi], Xi[lo:hi]
-            _euler_update(u, xi, F, c, beta, dt, out=(u, xi),
-                          scratch=scratch[:, :hi - lo])
+            _euler_update(U[lo:hi], Xi[lo:hi], F, c, beta, dt,
+                          *scratch[:, :hi - lo])
             particle_steps += hi - lo
             reach -= m
         if not np.all(np.isfinite(U[obs])):
@@ -562,14 +564,9 @@ def convergence_study(model: ForceModel, L: float, u0: Profile,
         i_lo, i_hi = _window_cells(eps, window)
         xs = eps * np.arange(i_lo, i_hi + 1)
         hit = np.flatnonzero((xs >= cx_lo) & (xs <= cx_hi))
-        run = _plan_micro(model, L, eps, u0, T,
-                          (i_lo + int(hit[0]), i_lo + int(hit[-1])),
-                          xi0=xi0, M0=M0, t_record=t_samples)
-        if run.N_total > MAX_PARTICLES:
-            raise MacroError(
-                f"domain-of-dependence pad needs {run.N_total} particles "
-                f"(> {MAX_PARTICLES}) at eps = {eps}; increase eps or shrink T")
-        runs.append(run)
+        runs.append(_plan_micro(model, L, eps, u0, T,
+                                (i_lo + int(hit[0]), i_lo + int(hit[-1])),
+                                xi0=xi0, M0=M0, t_record=t_samples))
 
     H_eff = H.scaled(model.n)
 

@@ -196,8 +196,8 @@ def _solve_table(model: ForceModel, pairs, tol: float, T_cap: float, *,
                 gather = _flat_gather(model, [(rings[r].N, rings[r].Q)
                                               for r in rows])
                 drive = np.repeat(drives[rows], sizes[rows])
-            U, Xi, k, errors = _march(model, U, Xi, gather, 0.0, k, 2 * K, clock,
-                                      series, drive=drive)
+            k, errors = _march(model, U, Xi, gather, 0.0, k, 2 * K, clock,
+                               series, drive=drive)
             for b, exc in errors.items():
                 yield int(rows[b]), exc
             if errors:
@@ -396,15 +396,17 @@ def monotone_in_L_violation(table: EffectiveTable, j: Optional[int] = None) -> f
 
 def depinning_threshold(table: EffectiveTable, p, tol: float = 1e-6) -> tuple[float, float]:
     """Bracket the drive where the p-column leaves lambda = 0, from the table
-    alone (measured, not asserted)."""
+    alone (measured, not asserted).  Only finite entries bracket: the upper
+    end is the first drive whose lambda exceeds tol (inf if none), the lower
+    end the largest drive below it with a finite entry (-inf if none), so a
+    failed (NaN) entry is never read as pinned."""
     j = table.p_grid.index(Fraction(p))
     lam = table.lam[:, j]
-    moving = np.flatnonzero(lam > tol)
-    if moving.size == 0:
-        return float(table.L_grid[-1]), math.inf
-    k = int(moving[0])
-    lo = float(table.L_grid[k - 1]) if k > 0 else -math.inf
-    return lo, float(table.L_grid[k])
+    moving = np.flatnonzero(np.isfinite(lam) & (lam > tol))
+    k = int(moving[0]) if moving.size else lam.size
+    hi = float(table.L_grid[k]) if moving.size else math.inf
+    pinned = np.flatnonzero(np.isfinite(lam[:k]))
+    return (float(table.L_grid[pinned[-1]]) if pinned.size else -math.inf), hi
 
 
 def table_to_json(table: EffectiveTable) -> str:

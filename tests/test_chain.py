@@ -255,6 +255,36 @@ def test_extend_strides_count_from_the_first_sample():
     assert [t for t, _, _ in ext.snapshots] == [0.25 * k for k in range(0, 21, 4)]
 
 
+def test_marches_leave_the_caller_state_as_it_was():
+    """Every march writes its own copy of the state it starts from: one
+    certified log extended twice gives one log bitwise and keeps its bytes,
+    and run leaves its chain's arrays as they were."""
+    m = fkmodel(L=2.0)
+    log = fk.rotation_number(m, Fraction(1, 2), tol=2e-3, T_cap=200.0,
+                             cells=2).log
+    held = (log.final_state.U, log.final_state.Xi, log.tracked)
+    before = [x.tobytes() for x in held]
+    a, b = (fk.extend(log, 20 * log.sample_dt, snapshot_stride=1)
+            for _ in range(2))
+    assert [x.tobytes() for x in held] == before
+    assert a.sample_times.tobytes() == b.sample_times.tobytes()
+    assert a.tracked.tobytes() == b.tracked.tobytes()
+    assert len(a.snapshots) == len(b.snapshots) == 20
+    for (ta, Ua, Xa), (tb, Ub, Xb) in zip(a.snapshots, b.snapshots):
+        assert ta == tb and Ua.tobytes() == Ub.tobytes() and Xa.tobytes() == Xb.tobytes()
+    assert a.final_state.U.tobytes() == b.final_state.U.tobytes()
+    assert a.final_state.Xi.tobytes() == b.final_state.Xi.tobytes()
+    ch = fk.init_linear(m, 1, cells=2)
+    U, Xi = ch.U.tobytes(), ch.Xi.tobytes()
+    ref = fk.run(ch, 5.0, 0.25)
+    assert ch.U.tobytes() == U and ch.Xi.tobytes() == Xi
+    # integer state arrays march as their float values
+    ints = TwistedChain(ch.N, ch.Q, ch.U.astype(int), ch.Xi.astype(int), 0.0,
+                        ch.p, m)
+    assert ints.U.tolist() == ch.U.tolist()
+    _assert_logs_equal(fk.run(ints, 5.0, 0.25), ref)
+
+
 def test_pinned_lattice_is_stationary():
     """U_i = i is an equilibrium of the undriven unit-amplitude chain; nearby
     data relax onto constants."""
@@ -548,9 +578,9 @@ def test_integer_shift_commutes_with_flow():
 
 @pytest.mark.parametrize("with_extra", [False, True])
 def test_euler_update_in_place_matches_fresh_arrays(with_extra):
-    """Written into out (U and Xi themselves, or other arrays) through
-    scratch, the update is bitwise the allocating one, signed zeros and
-    non-finite entries included, and F and extra are left as they were."""
+    """Written into U and Xi through two scratch rows, the update is bitwise
+    the textbook expression on fresh arrays, signed zeros and non-finite
+    entries included, and F and extra are left as they were."""
     rng = np.random.default_rng(7)
     U = rng.normal(size=64) * 1e3
     Xi = U + rng.normal(size=64)
@@ -560,22 +590,19 @@ def test_euler_update_in_place_matches_fresh_arrays(with_extra):
     F[4:6] = [-0.0, np.inf]
     extra = rng.normal(size=64) if with_extra else None
     F_before = F.tobytes()
+    extra_before = None if extra is None else extra.tobytes()
     for c, beta, dt in [(0.5, 0.5, 0.01), (0.0, 1.0, 0.125), (0.875, 0.125, 1e-3)]:
-        scratch = np.empty((2, U.size))
-        other = (np.empty_like(U), np.empty_like(Xi))
         U2, Xi2 = U.copy(), Xi.copy()
         with np.errstate(invalid="ignore"):      # 0 * inf at c = 0
-            want = _euler_update(U, Xi, F, c, beta, dt, extra)
-            got = _euler_update(U, Xi, F, c, beta, dt, extra, out=other,
-                                scratch=scratch)
-            _euler_update(U2, Xi2, F, c, beta, dt, extra, out=(U2, Xi2),
-                          scratch=scratch)
-        assert got[0] is other[0] and got[1] is other[1]
-        for a, b in zip(want, other):
-            assert a.tobytes() == b.tobytes()
-        assert want[0].tobytes() == U2.tobytes()
-        assert want[1].tobytes() == Xi2.tobytes()
+            want_U = c * U + beta * Xi
+            want_Xi = c * Xi + beta * U + (2.0 * dt) * F
+            if extra is not None:
+                want_Xi += dt * extra
+            _euler_update(U2, Xi2, F, c, beta, dt, *np.empty((2, U.size)), extra)
+        assert want_U.tobytes() == U2.tobytes()
+        assert want_Xi.tobytes() == Xi2.tobytes()
     assert F.tobytes() == F_before
+    assert (None if extra is None else extra.tobytes()) == extra_before
 
 
 # ---------------------------------------------------------------------------

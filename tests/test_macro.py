@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import fkhomog as fk
-from fkhomog.chain import (NumericalError, _euler_coeff, _euler_update,
-                           _window_gather, force_profile)
+from fkhomog.chain import (NumericalError, _euler_coeff, _window_gather,
+                           force_profile)
 from fkhomog.macro import (COMPACT_TIMES, A0Report, ConvergenceReport,
                            HamiltonianInterp, MacroError, Profile, _march_plan,
                            gradient_sandwich_probe)
@@ -248,9 +248,9 @@ def test_rescale_micro_refuses_undersized_window():
 def test_rescale_micro_refuses_oversized_pad():
     m = fkmodel(A=0.0, margin=1.2)
     u0 = Profile.linear(1.0, -6.0, 6.0)
-    with pytest.raises(MacroError):
-        fk.rescale_micro(m, 0.0, 0.05, u0, T=5.0, window=(-6.0, 6.0),
-                         max_particles=1000)
+    with pytest.raises(MacroError, match=r"pad needs 7680243 particles "
+                                         r"\(> 5000000\) at eps = 0.05"):
+        fk.rescale_micro(m, 0.0, 0.05, u0, T=2e4, window=(-6.0, 6.0))
 
 
 def test_rescale_micro_integer_lift_commutes():
@@ -291,8 +291,9 @@ def _rescale_micro_full(model, L, eps, u0, T, window, *, xi0=None,
             c, beta = _euler_coeff(model2, dt)
             for k in range(n_sub):
                 F = force_profile(model2, start + k * dt, U, 0)[inner]
-                U[inner], Xi[inner] = _euler_update(U[inner], Xi[inner], F,
-                                                    c, beta, dt)
+                u, xi = U[inner], Xi[inner]
+                U[inner], Xi[inner] = (c * u + beta * xi,
+                                       c * xi + beta * u + (2.0 * dt) * F)
         vals.append(eps * U[pad:pad + n_obs].copy())
     meta = {"pad": pad, "n_steps": total, "dt": dt_max, "N_total": N,
             "K0": u0.slope_frame(), "L": L, "eps": eps}

@@ -419,9 +419,37 @@ def test_sweep_isolates_rows_that_blow_up():
     assert table.failures[0]["error"] == str(ei.value)
     assert table.lam[0, 0] == pytest.approx(-0.5, abs=1e-3)
     assert table.lam[1, 0] == 0.0 and table.converged[:2, 0].all()
+    # the failed rows are not read as pinned
+    assert depinning_threshold(table, 1) == (0.0, math.inf)
     # the error carries the last finite sampled state
     U, Xi = ei.value.snapshot
     assert np.isfinite(U).all() and np.isfinite(Xi).all()
+
+
+@pytest.mark.parametrize("L", [0.5, 40.0])
+def test_block_replay_reports_the_lone_run_state(L):
+    """A row that blows up is replayed from its check block's starting
+    copy: its error carries the state of a lone run of its driven ring one
+    sample before the failing sample k, and a lone run of k samples fails at
+    the same tau (L = 0.5 fails in the second check block, L = 40 in the
+    first)."""
+    m = _blow_up_model()
+    h = fk.cfl_dt(m, 0.5, check=False)
+    ring = fk.init_linear(fk.with_extra_drive(m, L), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as ei:
+            fk.rotation_number(m, 1, L_extra=L, tol=1e-3, T_cap=100.0)
+        k = round(ei.value.tau / h)
+        log = fk.run(ring, (k - 1) * h, h, check=False)
+        with pytest.raises(NumericalError) as lone:
+            fk.run(ring, k * h, h, check=False)
+    assert ei.value.tau == k * h
+    assert (k > chn.CHECK_BLOCK) == (L == 0.5) and k <= 2 * chn.CHECK_BLOCK
+    assert log.sample_times.size == k
+    U, Xi = ei.value.snapshot
+    assert U.tobytes() == log.final_state.U.tobytes()
+    assert Xi.tobytes() == log.final_state.Xi.tobytes()
+    assert lone.value.tau == ei.value.tau
 
 
 def test_sweep_on_permuted_grids_equals_sorted_sweep():
@@ -483,6 +511,24 @@ def test_depinning_threshold_bracketed():
     assert 0.0 <= lo < hi <= 2.0
     # pinned below, sliding above
     assert table.column(1)[table.L_grid >= hi].min() > 5e-3
+
+
+def test_depinning_threshold_reads_only_finite_entries():
+    """A failed (NaN) entry is never read as pinned: only finite entries
+    bracket the threshold, and finite columns bracket as before."""
+    def column(lam):
+        return EffectiveTable._from_entries(
+            [((L, Fraction(1)), (x, 0.0, True, {}))
+             for L, x in zip([0.0, 0.5, 1.0], lam)])
+
+    nan = math.nan
+    assert depinning_threshold(column([0.0, nan, 0.3]), 1) == (0.0, 1.0)
+    assert depinning_threshold(column([nan, nan, 0.3]), 1) == (-math.inf, 1.0)
+    assert depinning_threshold(column([nan] * 3), 1) == (-math.inf, math.inf)
+    assert depinning_threshold(column([0.0, 0.0, nan]), 1) == (0.5, math.inf)
+    assert depinning_threshold(column([0.0, 0.0, 0.3]), 1) == (0.5, 1.0)
+    assert depinning_threshold(column([0.2, 0.0, 0.3]), 1) == (-math.inf, 0.0)
+    assert depinning_threshold(column([0.0, 0.0, 0.0]), 1) == (1.0, math.inf)
 
 
 def test_table_csv_json_roundtrip():
