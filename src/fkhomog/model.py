@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -338,7 +339,17 @@ def _check_classical(model: ForceModel) -> AssumptionReport:
 
 def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
     """Centered finite differences with step 1/d on [0,1)^{2m+2}; periodicity
-    reduces every check to one cell."""
+    reduces every check to one cell.
+
+    Per type the check evaluates the base (tau, window) mesh, its shifts by
+    one period in the window and in tau, the type-shifted mesh, and, for each
+    window slot, every distinct +-h/2 layer of that slot once: the minus
+    layer axis[a] - h/2 is the plus layer axis[a-1] + h/2, so a slot costs
+    (d + 1)/d meshes for dyadic d instead of 2.  The layers are the sorted distinct
+    values of axis +- h/2; where axis[a] - h/2 and axis[a-1] + h/2 differ by
+    an ulp (d not dyadic) both are kept, so every difference reads exactly
+    the points a plus and a minus mesh would.
+    """
     n, m = model.n, model.m
     w = 2 * m + 1
     h = 1.0 / d
@@ -348,6 +359,9 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
     wins = np.stack([g.ravel() for g in np.meshgrid(*[axis] * w, indexing="ij")],
                     axis=-1)
     blk = wins.shape[0]
+    layers, inv = np.unique(np.concatenate((axis + h / 2, axis - h / 2)),
+                            return_inverse=True)
+    plus, minus = inv[:d], inv[d:]   # layer index of axis[a] + h/2, axis[a] - h/2
 
     bad = []     # the first non-finite sample, as (j, tau, *window)
 
@@ -365,6 +379,32 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
 
     def f_mesh(j, shifted, dtau=0.0):
         return f(j, ((t + dtau, shifted) for t in axis))
+
+    def derivative(j, k, dF):
+        # (F_j(+h/2) - F_j(-h/2)) / h in slot k, written into dF in mesh
+        # order: one call per tau value on the slot's layers, differenced
+        # piece by piece.  A non-finite witness follows the order of a plus
+        # mesh scanned before a minus mesh: the first of the plus side, else
+        # the first of the minus side.
+        grids = np.meshgrid(*[axis] * k, layers, *[axis] * (w - 1 - k), indexing="ij")
+        lay = np.stack([g.ravel() for g in grids], axis=-1)
+        inner = d ** (w - 1 - k)
+        first = [None, None]
+        for i, t in enumerate(axis):
+            F = _force(model, t, lay, j - 1).reshape(-1, len(layers), inner)
+            piece = dF[i * blk:(i + 1) * blk].reshape(-1, d, inner)
+            np.subtract(F[:, plus], F[:, minus], out=piece)
+            if bad or np.isfinite(F).all():
+                continue
+            for s, side in enumerate((plus, minus)):
+                ok = np.isfinite(F[:, side]).ravel()
+                if first[s] is None and not ok.all():
+                    p, a, q = np.unravel_index(np.argmin(ok), piece.shape)
+                    row = (p * len(layers) + side[a]) * inner + q
+                    first[s] = (j, float(t), *lay[row])
+        if first[0] or first[1]:       # set only while bad is empty
+            bad.append(first[0] or first[1])
+        dF /= h
 
     # the a6 samples: ordered tuples (V_{-m}, ..., V_{m+1}), each at its own tau
     rng = np.random.default_rng(0)
@@ -385,6 +425,7 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
             worst[key] = (float(vals[i]), (j, float(tau), *win))
 
     sup_neg_d0 = 0.0
+    dF = np.empty(d * blk)
     for j in range(1, n + 1):
         base = f_mesh(j, wins)
 
@@ -399,9 +440,7 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
 
         grad_abs_sum = np.zeros(d * blk)
         for slot in range(w):
-            shift = np.zeros(w)
-            shift[slot] = h / 2
-            dF = (f_mesh(j, wins + shift) - f_mesh(j, wins - shift)) / h
+            derivative(j, slot, dF)
             grad_abs_sum += np.abs(dF)
             if slot == m:
                 keep("a3", model.alpha0 + 2.0 * dF, j)
@@ -440,9 +479,14 @@ def check_assumptions(model: ForceModel, sample_density: int = 8,
     """
     if isinstance(model.kind, ClassicalFK):
         return _check_classical(model)
-    if sample_density < 2:
+    try:
+        d = operator.index(sample_density)
+    except TypeError:
+        raise ModelError(f"sample_density must be an integer, got "
+                         f"{sample_density!r}") from None
+    if d < 2:
         raise ModelError("sample_density must be >= 2")
-    return _check_tabulated(model, sample_density, tol)
+    return _check_tabulated(model, d, tol)
 
 
 def require_monotone(model: ForceModel) -> AssumptionReport:

@@ -274,6 +274,14 @@ GOLDEN_MODELS = {
                                            lip_V=0.5, f_at_zero_sup=0.0,
                                            batch=True), 8),
 }
+# d = 5 and 6 are not dyadic: axis[a] - h/2 and axis[a-1] + h/2 differ by an
+# ulp on some derivative layers, so the layer set keeps both values
+for _d in (5, 6):
+    for _name, _batch in (("wavy", True), ("wavy_window", False)):
+        GOLDEN_MODELS[f"{_name}_d{_d}"] = (
+            lambda batch=_batch: build_tabulated(_wavy_force, n=2, m=2, m0=0.02,
+                                                 lip_V=10.0, f_at_zero_sup=0.3,
+                                                 batch=batch), _d)
 
 # reports of the sampled check, pinned bit for bit (floats by repr)
 GOLDEN_REPORTS = {
@@ -362,6 +370,28 @@ GOLDEN_REPORTS = {
         "np.float64(1.7529684616214076)), note=''), critical_mass=0.020927735145182837)"
     ),
 }
+GOLDEN_REPORTS["wavy_d5"] = GOLDEN_REPORTS["wavy_window_d5"] = (
+    'AssumptionReport(a1=AssumptionCheck(holds=True, margin=2.1957739448193836, '
+    "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+    "margin=0.19999999999999685, witness=None, note=''), "
+    'a3=AssumptionCheck(holds=True, margin=13.391547869638769, witness=None, '
+    "note=''), a4=AssumptionCheck(holds=True, margin=9.99999911182158e-09, "
+    "witness=None, note=''), a5=AssumptionCheck(holds=True, margin=1e-08, "
+    "witness=None, note=''), a6=AssumptionCheck(holds=True, "
+    "margin=0.713341478634522, witness=None, note=''), "
+    'critical_mass=0.04307206459440696)'
+)
+GOLDEN_REPORTS["wavy_d6"] = GOLDEN_REPORTS["wavy_window_d6"] = (
+    'AssumptionReport(a1=AssumptionCheck(holds=True, margin=1.2000000099999948, '
+    "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+    "margin=0.19999999999999796, witness=None, note=''), "
+    'a3=AssumptionCheck(holds=True, margin=11.399999999999991, witness=None, '
+    "note=''), a4=AssumptionCheck(holds=True, margin=9.99999866773237e-09, "
+    "witness=None, note=''), a5=AssumptionCheck(holds=True, margin=1e-08, "
+    "witness=None, note=''), a6=AssumptionCheck(holds=True, "
+    "margin=0.7133414786345202, witness=None, note=''), "
+    'critical_mass=0.03676470588235292)'
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
@@ -391,6 +421,80 @@ def test_sampled_check_fails_non_finite_force_with_witness():
     assert json.loads(report_to_json(rep))["a4"]["margin"] is None
     with pytest.raises(ModelError, match="a4"):
         fk.rotation_number(m, 1, T_cap=4.0)
+
+
+def _nan_where(mask):
+    """Springs and a pinning sine, NaN where mask(V_{-1}, V_0) holds."""
+    def fn(j, tau, w):
+        w = np.asarray(w, dtype=float)
+        c = w[..., 1]
+        F = (w[..., 2] - c) - (c - w[..., 0]) + 0.5 * np.sin(2 * math.pi * c)
+        return np.where(mask(w[..., 0], c), np.nan, F)
+    return fn
+
+
+def _odd_sixteenth(v):
+    return np.round(16 * v) % 2 == 1
+
+
+@pytest.mark.parametrize("mask, witness", [
+    # NaN only on the +-h/2 layers of V_0 past 0.3: the plus mesh of the
+    # centre slot reaches V_0 = 0.3125 first
+    (lambda vm, c: _odd_sixteenth(c) & (c % 1.0 > 0.3), (1, 0.0, 0.0, 0.3125, 0.0)),
+    # NaN only on the +-h/2 layers of V_{-1}: the plus mesh of slot 0 comes first
+    (lambda vm, c: _odd_sixteenth(vm), (1, 0.0, 0.0625, 0.0, 0.0)),
+    # NaN on the lowest layer V_0 = -h/2 and on the top one, V_0 = 1 - h/2: the
+    # whole plus mesh is scanned before the minus mesh, so the top layer wins
+    (lambda vm, c: (c < 0) | ((c > 0.9) & (c < 1)), (1, 0.0, 0.0, 0.9375, 0.0)),
+])
+def test_non_finite_derivative_layers_keep_the_witness_order(mask, witness):
+    """Forces that are non-finite only on the +-h/2 derivative layers: the
+    witness is the first non-finite sample of the slot's plus mesh (tau
+    first, then windows in mesh order), else of its minus mesh."""
+    m = build_tabulated(_nan_where(mask), n=1, m=1, m0=1 / 24, lip_V=4 + math.pi,
+                        f_at_zero_sup=0.0, batch=True)
+    rep = fk.check_assumptions(m, sample_density=8)
+    assert not rep.a4.holds and rep.a4.margin == -math.inf
+    assert rep.a4.witness == witness
+
+
+class _Counting:
+    """A force callable that counts its calls and the windows it receives."""
+
+    def __init__(self, fn):
+        self.fn, self.calls, self.windows = fn, 0, 0
+
+    def __call__(self, j, tau, w):
+        self.calls += 1
+        self.windows += len(w) if np.ndim(w) == 2 else 1
+        return self.fn(j, tau, w)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+@pytest.mark.parametrize("d, layers", [(4, 5), (6, 10), (8, 9)])
+def test_sampled_check_evaluates_each_derivative_layer_once(d, layers, batch):
+    """Per type: 4 base meshes of d tau pieces, one call per tau piece and
+    slot over the slot's distinct +-h/2 layers (d + 1 for dyadic d; at
+    d = 6 three more, split by an ulp), and one call per a6 tuple on each
+    side.  Two meshes per slot would read w d^w (2d - layers) windows more
+    per type."""
+    fn, n, m = (_wavy_force, 2, 2) if batch else (_window_force, 1, 1)
+    counting = _Counting(fn)
+    model = build_tabulated(counting, n=n, m=m, m0=0.02, lip_V=10.0,
+                            f_at_zero_sup=0.3, batch=batch)
+    fk.check_assumptions(model, sample_density=d)
+    w, tuples = 2 * m + 1, max(256, 64 * d)
+    assert counting.windows == n * (d ** w * (4 * d + w * layers) + 2 * tuples)
+    if batch:
+        assert counting.calls == n * (4 * d + w * d + 2 * tuples)
+
+
+@pytest.mark.parametrize("density", [8.0, 2.5, "8", None])
+def test_sample_density_must_be_an_integer(density):
+    m = fk.build_constant_force(1.5, m0=0.05)
+    with pytest.raises(ModelError, match="sample_density"):
+        fk.check_assumptions(m, sample_density=density)
+    assert fk.check_assumptions(m, sample_density=np.int64(4)).core_holds
 
 
 def test_batch_force_result_shape_rule():
