@@ -276,12 +276,11 @@ GOLDEN_MODELS = {
 }
 # d = 5 and 6 are not dyadic: axis[a] - h/2 and axis[a-1] + h/2 differ by an
 # ulp on some derivative layers, so the layer set keeps both values
-for _d in (5, 6):
-    for _name, _batch in (("wavy", True), ("wavy_window", False)):
-        GOLDEN_MODELS[f"{_name}_d{_d}"] = (
-            lambda batch=_batch: build_tabulated(_wavy_force, n=2, m=2, m0=0.02,
-                                                 lip_V=10.0, f_at_zero_sup=0.3,
-                                                 batch=batch), _d)
+GOLDEN_MODELS.update({
+    f"{name}_d{d}": (lambda batch=batch: build_tabulated(
+        _wavy_force, n=2, m=2, m0=0.02, lip_V=10.0, f_at_zero_sup=0.3,
+        batch=batch), d)
+    for d in (5, 6) for name, batch in (("wavy", True), ("wavy_window", False))})
 
 # reports of the sampled check, pinned bit for bit (floats by repr)
 GOLDEN_REPORTS = {
