@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (ForceModel, ModelError, ConstantsLedger, check_assumptions,
-                    require_monotone, _force, _slot_theta)
+                    require_monotone, _drive_column, _force, _slot_theta)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -186,7 +186,7 @@ def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
                  a0: float = 0.0) -> tuple[float, float]:
     """Weights (1 - dt alpha0, dt alpha0) of the Euler map at step dt; warns
     past the monotone bound of :func:`cfl_dt`, where order is not preserved,
-    at the caller of ``run`` (through :func:`_clock`) or ``rescale_micro``."""
+    at the caller of step, run, extend (through :func:`_clock`) or rescale_micro."""
     if delta < 0:
         raise ModelError("delta must be nonnegative")
     if dt * (model.alpha0 + delta * max(a0, 0.0)) > 1.0 + 1e-12:
@@ -213,16 +213,20 @@ def _cut(span: float, dt: float) -> tuple[int, float]:
 
 
 #: one sample spacing of a march: n_sub Euler steps of dt, with the weights
-#: (c, beta) of :func:`_euler_coeff`
-_Clock = namedtuple("_Clock", "sample_dt n_sub dt c beta")
+#: (c, beta) of :func:`_euler_coeff` and the delta term's (delta, a0)
+_Clock = namedtuple("_Clock", "sample_dt n_sub dt c beta delta a0")
 
 
 def _clock(model: ForceModel, sample_dt: float, dt: float, delta: float = 0.0,
            a0: float = 0.0) -> _Clock:
-    """The clock of a march that records every sample_dt: sample_dt cut by
-    :func:`_cut` into Euler steps no longer than dt, with their weights."""
+    """The clock of a march that records every sample_dt > 0: sample_dt cut
+    by :func:`_cut` into Euler steps no longer than dt, with their weights
+    and the delta term's data."""
+    if sample_dt <= 0:
+        raise ModelError("sample_dt must be positive")
     n_sub, dt_eff = _cut(sample_dt, dt)
-    return _Clock(sample_dt, n_sub, dt_eff, *_euler_coeff(model, dt_eff, delta, a0))
+    return _Clock(sample_dt, n_sub, dt_eff,
+                  *_euler_coeff(model, dt_eff, delta, a0), delta, a0)
 
 
 def _transient_cut(model: ForceModel, t0: float,
@@ -261,18 +265,20 @@ def step(chain: TwistedChain, dt: float, delta: float = 0.0,
          a0: float = 0.0) -> TwistedChain:
     """One explicit Euler step on all N particles; tau advances by dt.
     delta > 0 adds the transport term of the delta-perturbed dynamics."""
-    return run(chain, dt, dt, dt=dt, delta=delta, a0=a0, check=False).final_state
+    clock = _clock(chain.model, dt, dt, delta, a0)
+    return _advance_one(_start_log(chain, clock), 1, clock).final_state
 
 
 def _delta_term(model: ForceModel, U: np.ndarray, Xi: np.ndarray, Q: int,
-                p_float: float, delta: float, a0: float) -> np.ndarray:
+                delta: float, a0: float) -> np.ndarray:
     """delta (a0 + a_i) q_i^+ with a_i from the per-type running minimum of
-    Xi - p y and q_i the one-cell difference of Xi, upwinded by the sign of
-    the advection coefficient; rings along the last axis."""
+    Xi - p y, p = n Q / N (bitwise float of the ring's slope), and q_i the
+    one-cell difference of Xi, upwinded by the sign of the advection
+    coefficient; rings along the last axis."""
     n = model.n
     N = U.shape[-1]
     y = np.arange(N) // n
-    e = Xi - p_float * y
+    e = Xi - (n * Q / N) * y
     per_type_min = e.reshape(*e.shape[:-1], -1, n).min(axis=-2)
     a = per_type_min[..., np.arange(N) % n] - e
     speed = delta * (a0 + a)
@@ -320,10 +326,9 @@ CHECK_BLOCK = 64
 
 def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
            tau0: float, s: int, S: int, clock: _Clock,
-           out: Optional[np.ndarray], *,
-           drive: Optional[np.ndarray] = None, delta: float = 0.0,
-           a0: float = 0.0, p_float: float = 0.0, snaps: Optional[list] = None,
-           snapshot_stride: int = 0, block: int = CHECK_BLOCK):
+           out: Optional[np.ndarray], *, drive: np.ndarray,
+           snaps: Optional[list] = None, snapshot_stride: int = 0,
+           block: int = CHECK_BLOCK):
     """Advance the B rings of gather (:func:`_flat_gather`), held one after
     another in the flat U and Xi, in place from sample s to sample S of a
     march started at tau0 (sample k lands on tau0 + k sample_dt) in the Euler
@@ -331,10 +336,10 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
     through the gather, in one :func:`force_profile` call, and writes U and
     Xi through :func:`_euler_update` with one scratch pair per call.  Sample
     k of the n reference particles of ring b goes to out[b, :n, k] (U) and
-    out[b, n:, k] (Xi); drive holds each particle's total drive.  delta > 0
-    adds the transport term of the first ring (a march with delta holds one
-    ring).  snapshot_stride > 0 appends copies of the first ring's (tau, U,
-    Xi) to snaps every that many samples.
+    out[b, n:, k] (Xi); drive holds each particle's total drive.  A clock
+    with delta > 0 adds the transport term of the first ring (a march with
+    delta holds one ring).  snapshot_stride > 0 appends copies of the first
+    ring's (tau, U, Xi) to snaps every that many samples.
 
     Finiteness is checked once per block of samples, and each block starts
     from a copy of the state.  The march stops at the end of the first block
@@ -345,7 +350,7 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
     sample at a time.  errors is empty when the march reached S.
     """
     n = model.n
-    sample_dt, n_sub, dt_eff, c, beta = clock
+    sample_dt, n_sub, dt_eff, c, beta, delta, a0 = clock
     bounds = gather.bounds
     # the n reference particles of each ring
     track = bounds[:-1, None] + np.arange(n)
@@ -360,8 +365,7 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
                 tau = tau0 + (k - 1) * sample_dt + j * dt_eff
                 F = force_profile(model, tau, U, None, drive, gather)
                 if use_delta:
-                    extra = _delta_term(model, U, Xi, gather.rings[0][1],
-                                        p_float, delta, a0)
+                    extra = _delta_term(model, U, Xi, gather.rings[0][1], delta, a0)
                 _euler_update(U, Xi, F, c, beta, dt_eff, wa, wb, extra)
             if out is not None:
                 out[:, :n, k] = U[track]
@@ -382,11 +386,22 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
                     for b, ring in bad.items()}
             return s_end, {b: _march(
                 model, U0[ring], Xi0[ring], _flat_gather(model, gather.rings[b:b + 1]),
-                tau0, s, s_end, clock, None,
-                drive=None if drive is None else drive[ring], delta=delta,
-                a0=a0, p_float=p_float, block=1)[1][0] for b, ring in bad.items()}
+                tau0, s, s_end, clock, None, drive=drive[ring], block=1)[1][0]
+                for b, ring in bad.items()}
         s = s_end
     return s, {}
+
+
+def _start_log(chain: TwistedChain, clock: _Clock, snapshot_stride: int = 0):
+    """The log of a march on clock that starts from chain: its one sample is
+    chain itself, with a snapshot of it when snapshot_stride > 0."""
+    n, tau0 = chain.model.n, float(chain.tau)
+    snaps = [(tau0, chain.U.copy(), chain.Xi.copy())] if snapshot_stride > 0 else []
+    return TrajectoryLog(sample_times=np.array([tau0]),
+                         tracked=np.concatenate([chain.U[:n], chain.Xi[:n]])[:, None],
+                         snapshots=snaps, final_state=chain,
+                         sample_dt=clock.sample_dt, dt=clock.dt,
+                         delta=clock.delta, a0=clock.a0)
 
 
 def run(chain: TwistedChain, T: float, sample_dt: float, *,
@@ -397,12 +412,13 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
 
     snapshot_stride > 0 stores a full (U, Xi) copy every that many samples
     (plus the initial state).  Returns a log whose final_state continues the
-    run bitwise.  This is the one-ring case of the batched march that
-    :func:`fkhomog.rotation.sweep` uses.
+    run bitwise.  This is the one-log case of :func:`_advance`, which also
+    marches the tables of :func:`fkhomog.rotation.sweep`.
     """
     model = chain.model
-    if sample_dt <= 0:
-        raise ModelError("sample_dt must be positive")
+    if dt is None:
+        dt = cfl_dt(model, safety=0.5, check=False, delta=delta, a0=a0)
+    clock = _clock(model, sample_dt, dt, delta, a0)
     if check:
         rep = check_assumptions(model)
         if not rep.core_holds:
@@ -412,16 +428,8 @@ def run(chain: TwistedChain, T: float, sample_dt: float, *,
                 f"model violates (A1)-(A5) (critical mass {rep.critical_mass:.4g}, "
                 f"m0 = {model.m0:.4g}); run is not comparison-certified",
                 stacklevel=2)
-    if dt is None:
-        dt = cfl_dt(model, safety=0.5, check=False, delta=delta, a0=a0)
-    clock = _clock(model, sample_dt, dt, delta, a0)
-    n, tau0 = model.n, float(chain.tau)
-    first = np.concatenate([chain.U[:n], chain.Xi[:n]])[:, None]
-    snaps = [(tau0, chain.U.copy(), chain.Xi.copy())] if snapshot_stride > 0 else []
-    log = TrajectoryLog(sample_times=np.array([tau0]), tracked=first,
-                        snapshots=snaps, final_state=chain, sample_dt=sample_dt,
-                        dt=clock.dt, delta=delta, a0=a0)
-    return _advance(log, _n_samples(T, sample_dt), clock, snapshot_stride)
+    return _advance_one(_start_log(chain, clock, snapshot_stride),
+                        _n_samples(T, sample_dt), clock, snapshot_stride)
 
 
 def extend(log: TrajectoryLog, extra_T: float, snapshot_stride: int = 0) -> TrajectoryLog:
@@ -429,33 +437,72 @@ def extend(log: TrajectoryLog, extra_T: float, snapshot_stride: int = 0) -> Traj
     its own count: sample k stays at sample_times[0] + k sample_dt and
     snapshots fall every snapshot_stride samples counted from sample 0, so
     the result is bitwise the single longer run (with that stride)."""
-    model = log.final_state.model
-    clock = _clock(model, log.sample_dt, log.dt, log.delta, log.a0)
-    return _advance(log, _n_samples(extra_T, log.sample_dt), clock, snapshot_stride)
+    clock = _clock(log.final_state.model, log.sample_dt, log.dt, log.delta, log.a0)
+    return _advance_one(log, _n_samples(extra_T, log.sample_dt), clock,
+                        snapshot_stride)
 
 
-def _advance(log: TrajectoryLog, S: int, clock: _Clock,
-             snapshot_stride: int) -> TrajectoryLog:
-    """The log marched on by S samples from its final state: samples s + 1 ..
-    s + S of the march begun at sample_times[0], with s its last sample."""
-    chain = log.final_state
-    s = log.sample_times.size - 1
-    times = log.sample_times[0] + log.sample_dt * np.arange(s + S + 1)
-    tracked = np.empty((log.tracked.shape[0], s + S + 1))
-    tracked[:, :s + 1] = log.tracked
-    snaps = list(log.snapshots)
-    model = chain.model
-    U, Xi = np.array(chain.U, dtype=float), np.array(chain.Xi, dtype=float)
-    _, errors = _march(model, U, Xi, _flat_gather(model, [(chain.N, chain.Q)]),
-                       float(times[0]), s, s + S, clock, tracked[None],
-                       delta=log.delta, a0=log.a0, p_float=float(chain.p),
-                       snaps=snaps, snapshot_stride=snapshot_stride)
+def _advance(logs: Sequence[TrajectoryLog], S: int, clock: _Clock,
+             snapshot_stride: int = 0) -> tuple[list, dict]:
+    """The logs marched on together by S samples on clock from their last
+    sample s; they share s, their first sample time and their model up to
+    the drive.  Returns (marched, errors): errors maps the index of each log
+    whose ring blew up to its NumericalError, marched holds the other logs
+    (None at the failed ones).
+
+    The rings lie one after another in one flat state, a copy of the final
+    states read through one :func:`_flat_gather`, and each particle adds
+    its log's total drive (:func:`fkhomog.model._drive_column`).  A failed
+    ring leaves the state at the end of its check block and the others go
+    on, each bitwise as alone.  The marched series are views of one buffer,
+    each final state owns its ring, and delta and snapshots are the first
+    log's (:func:`_march`).
+    """
+    first = logs[0]
+    model = first.final_state.model
+    s = first.sample_times.size - 1
+    times = first.sample_times[0] + first.sample_dt * np.arange(s + S + 1)
+    rings = [(lg.final_state.N, lg.final_state.Q) for lg in logs]
+    U = np.concatenate([lg.final_state.U for lg in logs], dtype=float)
+    Xi = np.concatenate([lg.final_state.Xi for lg in logs], dtype=float)
+    out = np.empty((len(logs), first.tracked.shape[0], s + S + 1))
+    for b, lg in enumerate(logs):
+        out[b, :, :s + 1] = lg.tracked
+    drive = np.repeat(np.concatenate([_drive_column(lg.final_state.model)
+                                      for lg in logs])[:, 0], [N for N, _ in rings])
+    snaps = [list(lg.snapshots) for lg in logs]
+    live, errors, k = list(range(len(logs))), {}, s
+    while True:
+        gather = _flat_gather(model, [rings[b] for b in live])
+        k, failed = _march(model, U, Xi, gather, float(times[0]), k, s + S,
+                           clock, out, drive=drive, snaps=snaps[0],
+                           snapshot_stride=snapshot_stride)
+        errors.update((live[j], exc) for j, exc in failed.items())
+        if not failed or len(failed) == len(live):
+            break
+        # the failed rings leave the state; the others go on from sample k
+        ok = np.array([j not in failed for j in range(len(live))])
+        cut = np.repeat(ok, np.diff(gather.bounds))
+        live = [b for b, kept in zip(live, ok) if kept]
+        U, Xi, out, drive = U[cut], Xi[cut], out[ok], drive[cut]
+    marched = [None] * len(logs)
+    for j, b in enumerate(live):
+        if b not in errors:
+            ring = slice(gather.bounds[j], gather.bounds[j + 1])
+            lg, ch = logs[b], logs[b].final_state
+            final = TwistedChain(ch.N, ch.Q, U[ring].copy(), Xi[ring].copy(),
+                                 float(times[-1]), ch.p, ch.model)
+            marched[b] = TrajectoryLog(times, out[j], snaps[b], final,
+                                       lg.sample_dt, lg.dt, lg.delta, lg.a0)
+    return marched, errors
+
+
+def _advance_one(log: TrajectoryLog, S: int, clock: _Clock, snapshot_stride: int = 0):
+    """:func:`_advance` of one log, raising its NumericalError."""
+    (log,), errors = _advance([log], S, clock, snapshot_stride)
     if errors:
         raise errors[0]
-    final = TwistedChain(chain.N, chain.Q, U, Xi, float(times[-1]), chain.p, model)
-    return TrajectoryLog(sample_times=times, tracked=tracked, snapshots=snaps,
-                         final_state=final, sample_dt=log.sample_dt, dt=log.dt,
-                         delta=log.delta, a0=log.a0)
+    return log
 
 
 # ---------------------------------------------------------------------------

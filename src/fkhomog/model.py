@@ -173,10 +173,11 @@ def _shift_row(m: int) -> np.ndarray:
     return row
 
 
-def _drive_column(model: ForceModel, L) -> np.ndarray:
+def _drive_column(model: ForceModel, L=0.0) -> np.ndarray:
     """Per-row total drives model.drive + L for :func:`_force` as a (B, 1)
-    column.  Zero drives are stored as -0.0, whose addition changes no value,
-    so every row matches ``with_extra_drive(model, L)`` bit for bit."""
+    column (by default the model's own drive).  Zero drives are stored as
+    -0.0, whose addition changes no value, so every row matches
+    ``with_extra_drive(model, L)`` bit for bit."""
     d = model.drive + np.asarray(L, dtype=float).reshape(-1, 1)
     return np.where(d == 0.0, -0.0, d)
 
@@ -473,12 +474,11 @@ def check_assumptions(model: ForceModel, sample_density: int = 8,
     """Verify the structural assumptions.
 
     Classical models use closed forms; tabulated ones are sampled with
-    centered differences on a periodic cell.  critical_mass = 1/(2 alpha0_min)
+    centered differences on a periodic cell of mesh 1/sample_density, an
+    integer >= 2 for either kind.  critical_mass = 1/(2 alpha0_min)
     where alpha0_min is the smallest rate satisfying the V0-monotonicity
     bound on the (sampled or closed-form) derivative range.
     """
-    if isinstance(model.kind, ClassicalFK):
-        return _check_classical(model)
     try:
         d = operator.index(sample_density)
     except TypeError:
@@ -486,6 +486,8 @@ def check_assumptions(model: ForceModel, sample_density: int = 8,
                          f"{sample_density!r}") from None
     if d < 2:
         raise ModelError("sample_density must be >= 2")
+    if isinstance(model.kind, ClassicalFK):
+        return _check_classical(model)
     return _check_tabulated(model, d, tol)
 
 

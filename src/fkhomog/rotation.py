@@ -16,10 +16,9 @@ Sups over tau are taken on the sampled grid only; the induced slack
 (sample_dt * max observed velocity, in lambda units divided by T) is reported
 rather than hidden.
 
-Every estimate carries the run its bracket was read from, as a
-:class:`fkhomog.chain.TrajectoryLog` that ends on the ring at tau = 2T, so a
-hull is extracted from the certified orbit itself, continued by
-:func:`fkhomog.chain.extend`, and not from a second march.
+Every estimate carries the run of 2T its bracket was read from, which a
+hull continues with :func:`fkhomog.chain.extend` instead of marching again.
+Tables march through :func:`fkhomog.chain._advance`.
 """
 
 from __future__ import annotations
@@ -27,16 +26,16 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .model import (ForceModel, ConstantsLedger, constants_ledger,
-                    require_monotone, with_extra_drive, _drive_column)
-from .chain import (TrajectoryLog, TwistedChain, cfl_dt, init_linear,
-                    NumericalError, _clock, _flat_gather, _march)
+                    require_monotone, with_extra_drive)
+from .chain import (TrajectoryLog, cfl_dt, init_linear, NumericalError,
+                    _advance, _clock, _start_log)
 
 
 class LogTooShort(ValueError):
@@ -126,24 +125,12 @@ def _solve_table(model: ForceModel, pairs, tol: float, T_cap: float, *,
     a generator of (index into pairs, RotationEstimate or NumericalError),
     one per pair, each yielded when its row retires.
 
-    The step, the sample spacing and the doubling schedule depend on the
-    model alone, so every pair is one row of a single ensemble with a
-    per-row drive.  Row b is the ring of its slope, N_b particles with twist
-    Q_b, and the live rows' rings lie one after another in one flat state,
-    read through one gather (:func:`fkhomog.chain._flat_gather`); the
-    tracked series takes each ring's first n particles.  The window of a
-    stage is K samples and its log 2K samples, all counted from the chains'
-    start as in one run: a stage marches each live row's series on from its
-    last sample to sample 2K.  Then each row takes its own bracket test and
-    retires once it passes (or once 2T would pass T_cap), and a row that
-    blows up retires with its error; the others go on, and the state drops
-    the rings of retired rows.  Per row the arithmetic is that of a lone
-    run, so every estimate is bitwise the one a one-pair table gives, and
-    its bracket is lambda_pm of one run of 2T.  That run is the estimate's
-    log: a copy of the row's series over samples 0 .. 2K and its ring at
-    tau = 2T under ``with_extra_drive(model, L)``, which
-    :func:`fkhomog.chain.extend` continues bitwise.  Only the retiring row
-    is copied, so a caller that keeps the numbers alone holds no series.
+    Row r is a log of its ring under ``with_extra_drive(model, L)``.  Each
+    stage marches the live rows' logs on to sample 2K (window K) through
+    :func:`fkhomog.chain._advance`, counted as one run counts them, and a
+    row retires on its error, on its bracket test or at T_cap, so every
+    estimate is bitwise that of a one-pair table.  Its log, the run of 2T,
+    is the only copy made of a row's series.
     """
     pairs = [(float(L), Fraction(p)) for L, p in pairs]
     driven = [with_extra_drive(model, L) for L, _ in pairs]
@@ -159,86 +146,45 @@ def _solve_table(model: ForceModel, pairs, tol: float, T_cap: float, *,
 
     chains = {p: init_linear(model, p, cells=cells, perturbation=perturbation)
               for p in sorted({p for _, p in pairs})}
-    # each row's ring at tau = 0, the start of every sample count below
-    rings = [chains[p] for _, p in pairs]
-    sizes = np.array([ring.N for ring in rings])
-    drives = _drive_column(model, [L for L, _ in pairs]).ravel()
-    n, B = model.n, len(pairs)
-    # the live rows' rings, one after another
-    U = np.concatenate([ring.U for ring in rings])
-    Xi = np.concatenate([ring.Xi for ring in rings])
-    # each live row's tracked series, (rows, 2n, samples so far)
-    series = np.stack([np.concatenate([ring.U[:n], ring.Xi[:n]])
-                       for ring in rings])[:, :, None]
-    rows = np.arange(B)            # the pair index of each live row
+    # each live row's log, from its ring at tau = 0
+    logs = {r: _start_log(replace(chains[p], model=driven[r]), clock)
+            for r, (_, p) in enumerate(pairs)}
     # running max |sample increment| per row: the sampling slack is
     # max velocity * sample_dt / T over the whole log so far
-    vmax = np.zeros(B)
-    histories = [[] for _ in range(B)]
-    gather = None                  # the live rings' gather, rebuilt as rows leave
-
-    def kept(keep):
-        # the rows keep of the live arrays, and of the state their rings
-        live = np.zeros(rows.size, dtype=bool)
-        live[keep] = True
-        cut = np.repeat(live, sizes[rows])
-        return rows[keep], U[cut], Xi[cut], vmax[keep], series[keep], None
-
-    while rows.size:
-        k = last = series.shape[2] - 1
-        grown = np.empty((rows.size, 2 * n, 2 * K + 1))
-        grown[:, :, :last + 1] = series
-        # the row filters below copy series; no other name may keep the old one
-        series = grown
-        del grown
-        while k < 2 * K and rows.size:
-            if gather is None:
-                gather = _flat_gather(model, [(rings[r].N, rings[r].Q)
-                                              for r in rows])
-                drive = np.repeat(drives[rows], sizes[rows])
-            k, errors = _march(model, U, Xi, gather, 0.0, k, 2 * K, clock,
-                               series, drive=drive)
-            for b, exc in errors.items():
-                yield int(rows[b]), exc
-            if errors:
-                rows, U, Xi, vmax, series, gather = kept(
-                    [b for b in range(rows.size) if b not in errors])
-
-        keep = []
-        bounds = np.cumsum([0, *sizes[rows]])
-        for b, r in enumerate(rows):
-            inc = np.abs(np.diff(series[b, :, last:], axis=1)).max()
-            vmax[b] = max(vmax[b], inc)
-            lam_lo, lam_hi = _window_rates(series[b], sample_dt, T)
+    vmax = dict.fromkeys(logs, 0.0)
+    histories = {r: [] for r in logs}
+    last = 0                       # the live logs' last sample
+    while logs:
+        rows = list(logs)
+        marched, errors = _advance(list(logs.values()), 2 * K - last, clock)
+        for b, exc in errors.items():
+            yield rows[b], exc
+        logs = {}
+        for r, log in zip(rows, marched):
+            if log is None:
+                continue
+            vmax[r] = max(vmax[r], np.abs(np.diff(log.tracked[:, last:], axis=1)).max())
+            lam_lo, lam_hi = _window_rates(log.tracked, sample_dt, T)
             width = lam_hi - lam_lo
             certified = ledgers[r].C2 / T
-            slack = float(vmax[b] / sample_dt) * sample_dt / T
+            slack = float(vmax[r] / sample_dt) * sample_dt / T
             histories[r].append({"T": T, "lambda_minus": lam_lo,
                                  "lambda_plus": lam_hi,
                                  "certified_halfwidth": certified,
                                  "slack": slack})
             converged = min(width, certified) <= 2.0 * tol
             if converged or 2.0 * T > T_cap:
-                times = sample_dt * np.arange(2 * K + 1)
-                ring, p = slice(bounds[b], bounds[b + 1]), pairs[r][1]
-                final = TwistedChain(rings[r].N, rings[r].Q, U[ring].copy(),
-                                     Xi[ring].copy(), float(times[-1]), p,
-                                     driven[r])
-                log = TrajectoryLog(sample_times=times, tracked=series[b].copy(),
-                                    snapshots=[], final_state=final,
-                                    sample_dt=sample_dt, dt=clock.dt)
-                yield int(r), RotationEstimate(
+                yield r, RotationEstimate(
                     lambda_minus=lam_lo, lambda_plus=lam_hi,
                     lambda_hat=0.5 * (lam_lo + lam_hi), T=T,
                     certified_halfwidth=certified, empirical_width=width,
-                    slack=slack, converged=converged, ledger=ledgers[r], p=p,
-                    history=tuple(histories[r]), log=log)
+                    slack=slack, converged=converged, ledger=ledgers[r],
+                    p=pairs[r][1], history=tuple(histories[r]),
+                    log=replace(log, sample_times=log.sample_times.copy(),
+                                tracked=log.tracked.copy()))
             else:
-                keep.append(b)
-        if len(keep) < rows.size:
-            rows, U, Xi, vmax, series, gather = kept(keep)
-        T = 2.0 * T
-        K = 2 * K
+                logs[r] = log
+        last, T, K = 2 * K, 2.0 * T, 2 * K
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +297,10 @@ def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
     """Fill the (L, p) table on the distinct grid values, in ascending order.
 
     The whole table is one ensemble: every (L, p) entry is a row of the
-    table solver, its ring one slice of one flat state, and all rows step
-    together, each retiring on its own bracket test.  Entries equal those of
-    per-entry :func:`rotation_number` calls bit for bit; an entry that blows
-    up becomes NaN and is listed in ``failures``, the other rows run on.
+    table solver, all rows step together and each retires on its own bracket
+    test.  Entries equal those of per-entry :func:`rotation_number` calls bit
+    for bit; an entry that blows up becomes NaN and is listed in
+    ``failures``, the other rows run on.
     """
     p_grid = sorted({Fraction(p) for p in p_grid})
     L_grid = np.array(sorted({float(L) for L in L_grid}))

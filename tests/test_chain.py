@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
-from fkhomog.chain import (NumericalError, TwistedChain, force_profile,
-                           snapshot_to_csv, trajectory_to_csv, _euler_coeff,
-                           _euler_update, _neighbours,
-                           _state_ordering_violation)
+from fkhomog.chain import (CHECK_BLOCK, NumericalError, TwistedChain,
+                           force_profile, snapshot_to_csv, trajectory_to_csv,
+                           _advance, _clock, _euler_coeff, _euler_update,
+                           _neighbours, _state_ordering_violation)
 from fkhomog.macro import _march_plan
 from fkhomog.model import ClassicalFK, ModelError, _drive_column
+from test_rotation import _blow_up_model
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -136,6 +137,20 @@ def test_run_flags_super_cfl_dt_at_zero_duration():
     assert log.sample_times.size == 1
     with pytest.raises(ModelError):
         fk.run(ch, 0.0, dt, delta=-1.0, check=False)
+
+
+def test_cfl_warning_names_the_caller_of_step_run_and_extend():
+    """Each super-CFL call warns at its own line, step's included."""
+    m = fkmodel()
+    ch = fk.init_linear(m, 1, cells=4)
+    dt = 2.0 / m.alpha0
+    with pytest.warns(UserWarning, match="CFL") as rec:
+        fk.step(ch, dt)
+        log = fk.run(ch, 2 * dt, dt, dt=dt, check=False)
+        fk.extend(log, 2 * dt)
+    assert len(rec) == 3
+    assert [w.filename for w in rec] == [__file__] * 3
+    assert len({w.lineno for w in rec}) == 3
 
 
 def test_delta_tightens_cfl_warning():
@@ -283,6 +298,41 @@ def test_marches_leave_the_caller_state_as_it_was():
                         ch.p, m)
     assert ints.U.tolist() == ch.U.tolist()
     _assert_logs_equal(fk.run(ints, 5.0, 0.25), ref)
+
+
+def test_advance_marches_each_log_as_it_would_alone():
+    """_advance marches logs of different slopes, ring sizes and drives as
+    one ensemble: each log that survives is bitwise its lone extend, and
+    each ring that blows up (in the first, second and third check block
+    after sample 4) fails with the error of its lone extend."""
+    m = _blow_up_model()
+    h = fk.cfl_dt(m, 0.5, check=False)
+    rows = [(0.5, Fraction(1, 2)), (-0.5, Fraction(1, 3)), (40.0, Fraction(1)),
+            (0.0, Fraction(2)), (0.25, Fraction(2, 3))]
+    logs = [fk.run(fk.init_linear(fk.with_extra_drive(m, L), p), 4 * h, h,
+                   dt=h, check=False) for L, p in rows]
+    S = 200
+    with np.errstate(over="ignore", invalid="ignore"):
+        marched, errors = _advance(logs, S, _clock(m, h, h))
+        assert sorted(errors) == [0, 2, 4]
+        assert [(round(errors[b].tau / h) - 5) // CHECK_BLOCK
+                for b in (2, 0, 4)] == [0, 1, 2]
+        for b, log in enumerate(logs):
+            if b in errors:
+                assert marched[b] is None
+                with pytest.raises(NumericalError) as lone:
+                    fk.extend(log, S * h)
+                assert errors[b].tau == lone.value.tau
+                assert [x.tobytes() for x in errors[b].snapshot] == \
+                    [x.tobytes() for x in lone.value.snapshot]
+                continue
+            got, want = marched[b], fk.extend(log, S * h)
+            assert got.sample_times.tobytes() == want.sample_times.tobytes()
+            assert got.tracked.tobytes() == want.tracked.tobytes()
+            assert got.final_state.tau == want.final_state.tau
+            assert got.final_state.U.tobytes() == want.final_state.U.tobytes()
+            assert got.final_state.Xi.tobytes() == want.final_state.Xi.tobytes()
+            assert got.final_state.model == want.final_state.model
 
 
 def test_pinned_lattice_is_stationary():

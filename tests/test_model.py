@@ -496,6 +496,33 @@ def test_sample_density_must_be_an_integer(density):
     assert fk.check_assumptions(m, sample_density=np.int64(4)).core_holds
 
 
+#: check_assumptions of the classical two-type model below at the default
+#: density, as recorded before the density was checked for both kinds
+CLASSICAL_REPORT = (
+    "AssumptionReport(a1=AssumptionCheck(holds=True, margin=inf, witness=None, "
+    "note='affine-plus-sine form, Lipschitz by construction'), "
+    "a2=AssumptionCheck(holds=True, margin=1.0, witness=None, note=''), "
+    "a3=AssumptionCheck(holds=True, margin=34.74690350851266, witness=None, "
+    "note=''), a4=AssumptionCheck(holds=True, margin=inf, witness=None, "
+    "note='exact by construction'), a5=AssumptionCheck(holds=True, margin=inf, "
+    "witness=None, note='spring table repeats with period n'), "
+    "a6=AssumptionCheck(holds=True, margin=33.54690350851266, witness=None, "
+    "note=''), critical_mass=0.032780229265516485)"
+)
+
+
+@pytest.mark.parametrize("density", [2.5, 1, "8"])
+def test_sample_density_is_checked_for_both_kinds(density):
+    """A classical model takes its closed forms, yet a bad sample_density
+    fails for it as it does for a tabulated one."""
+    classical = fk.build_classical_fk([1.0, 1.6], amplitude=0.8, drive=0.3, m0=0.01)
+    for m in (classical, fk.build_constant_force(1.5, m0=0.05)):
+        with pytest.raises(ModelError, match="sample_density"):
+            fk.check_assumptions(m, sample_density=density)
+    assert repr(fk.check_assumptions(classical)) == CLASSICAL_REPORT
+    assert repr(fk.check_assumptions(classical, sample_density=3)) == CLASSICAL_REPORT
+
+
 def test_batch_force_result_shape_rule():
     """A batch force's 0-d result is broadcast to (K,) on every path; any
     other shape but (K,) is a ModelError that names (K,)."""

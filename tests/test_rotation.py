@@ -278,6 +278,23 @@ def test_table_solver_logs_hold_their_own_ring():
     assert [err.snapshot[0].shape for err in errors.values()] == [(1,), (3,)]
 
 
+def test_table_estimates_own_their_logs():
+    """Rows that retire at one stage march in one buffer, yet every
+    estimate's log owns its arrays: no two share memory, and keeping one
+    estimate keeps no stage buffer alive."""
+    m = fkmodel(L=0.0, margin=1.15)
+    pairs = [(0.25 * k, p) for k in range(8) for p in (Fraction(1), Fraction(1, 2))]
+    ests = [est for _, est in _solve_table(m, pairs, 2e-3, 800.0, cells=2)]
+    assert len(ests) == len(pairs) > len({est.T for est in ests}) > 1
+    held = [(est.log.sample_times, est.log.tracked, est.log.final_state.U,
+             est.log.final_state.Xi) for est in ests]
+    for arrays in held:
+        assert all(x.base is None for x in arrays)
+    for i, a in enumerate(held):
+        for b in held[i + 1:]:
+            assert not any(np.shares_memory(x, y) for x in a for y in b)
+
+
 def test_sweep_marches_the_table_once(monkeypatch):
     """The eps_pipeline table takes as many force evaluations as its longest
     entry has Euler steps (2T / sample_dt), not one march per p column."""
