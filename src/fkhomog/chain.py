@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (ForceModel, ModelError, ConstantsLedger, check_assumptions,
-                    require_monotone, _drive_column, _force, _slot_theta)
+                    require_monotone, _drive_column, _force, _slot_theta, _stencil)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -126,9 +126,10 @@ def cfl_dt(model: ForceModel, safety: float = 1.0, check: bool = True,
 @lru_cache(maxsize=16)
 def _window_gather(N: int, Q: int, m: int, n: int):
     """Index, twist shift and 0-based type of the ring windows (U_{i-m}, ...,
-    U_{i+m}): window[i, k] = U[idx[i, k]] + shift[i, k].  A neighbour across
-    the seam adds its multiple of Q, any other adds -0.0, a no-op."""
-    pos = np.arange(N)[:, None] + np.arange(-m, m + 1)
+    U_{i+m}), window-major: row k holds U_{i+k-m} of every particle i, as
+    window[k, i] = U[idx[k, i]] + shift[k, i].  A neighbour across the seam
+    adds its multiple of Q, any other adds -0.0, a no-op."""
+    pos = np.arange(-m, m + 1)[:, None] + np.arange(N)
     idx = pos % N
     shift = float(Q) * (pos // N)
     shift[pos // N == 0] = -0.0
@@ -137,49 +138,50 @@ def _window_gather(N: int, Q: int, m: int, n: int):
     return idx, shift, types
 
 
-#: the windows of rings held one after another in one flat state: ring b is
-#: U[bounds[b]:bounds[b + 1]], the window of particle i is U[idx[i]] +
-#: shift[i] and its 0-based type types[i]; theta is :func:`_slot_theta` of
-#: types, for :func:`fkhomog.model._force`
-_Gather = namedtuple("_Gather", "rings bounds idx shift types theta")
+#: the windows of rings held one after another in one flat state, with
+#: everything a step needs built once per layout: ring b is
+#: U[bounds[b]:bounds[b + 1]]; the windows are W = U[idx] + shift,
+#: window-major (2m+1, K), read into the buffer W; types are 0-based;
+#: stencil is :func:`fkhomog.model._stencil` of W (None for a tabulated
+#: force) and work the scratch of :func:`_euler_views`
+_Gather = namedtuple("_Gather", "rings bounds idx shift types W stencil work")
 
 
 def _flat_gather(model: ForceModel, rings) -> _Gather:
     """The flat gather of rings, given as (N, Q) pairs: each ring's
-    :func:`_window_gather`, its indices offset by the ring's start."""
+    :func:`_window_gather`, its indices offset by the ring's start, with
+    the buffers and views of its steps."""
     parts = [_window_gather(N, Q, model.m, model.n) for N, Q in rings]
     bounds = np.cumsum([0] + [N for N, _ in rings])
-    idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)])
+    idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)], axis=1)
     types = np.concatenate([ring[2] for ring in parts])
+    W = np.empty(idx.shape)
     return _Gather(tuple(rings), bounds, idx,
-                   np.concatenate([ring[1] for ring in parts]), types,
-                   _slot_theta(model, types))
+                   np.concatenate([ring[1] for ring in parts], axis=1), types, W,
+                   _stencil(model, W, _slot_theta(model, types)),
+                   np.empty((2, 2, bounds[-1])))
 
 
 def _neighbours(V: np.ndarray, Q: int, k: int):
     """(V_{i+k}, V_{i-k}) for every i along the last axis of twisted rings,
     read through the ring gather :func:`_window_gather`."""
     idx, shift, _ = _window_gather(V.shape[-1], Q, k, 1)
-    return V[..., idx[:, -1]] + shift[:, -1], V[..., idx[:, 0]] + shift[:, 0]
+    return V[..., idx[-1]] + shift[-1], V[..., idx[0]] + shift[0]
 
 
 def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int,
-                  drive: Optional[np.ndarray] = None,
-                  gather: Optional[_Gather] = None) -> np.ndarray:
+                  drive: Optional[np.ndarray] = None) -> np.ndarray:
     """F_i(tau, window) for every particle of the ring, twist-aware.
 
     U has shape (N,) or (B, N) (B rings with the same twist Q).  drive, a
     (B, 1) column from :func:`fkhomog.model._drive_column`, gives each ring
-    its own drive, as :func:`fkhomog.model.with_extra_drive` does.  With a
-    gather from :func:`_flat_gather`, U is instead the flat state of its
-    rings (Q is unused) and drive holds one value per particle: this is the
-    per-step force of every march, :func:`run` included.
+    its own drive, as :func:`fkhomog.model.with_extra_drive` does.  The
+    marches of :func:`_march` read their windows through a
+    :func:`_flat_gather` instead.
     """
-    if gather is None:
-        idx, shift, types = _window_gather(U.shape[-1], Q, model.m, model.n)
-        return _force(model, tau, U[..., idx] + shift, types, drive)
-    return _force(model, tau, U[gather.idx] + gather.shift, gather.types, drive,
-                  gather.theta)
+    idx, shift, types = _window_gather(U.shape[-1], Q, model.m, model.n)
+    # (B, 2m+1, N) windows of a batch turn window-major, (2m+1, B, N)
+    return _force(model, tau, (U[..., idx] + shift).swapaxes(0, -2), types, drive)
 
 
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
@@ -238,24 +240,34 @@ def _transient_cut(model: ForceModel, t0: float,
     return t0 + transient
 
 
-def _euler_update(U: np.ndarray, Xi: np.ndarray, F: np.ndarray, c: float,
-                  beta: float, dt: float, a: np.ndarray, b: np.ndarray,
+def _euler_views(S: np.ndarray, work: Optional[np.ndarray] = None):
+    """The operands of :func:`_euler_update` on the stacked state S = (U, Xi)
+    of shape (2, K), built once per layout: S, S reversed, its Xi row and
+    scratch A, B shaped like S (the two halves of work, shape (2, 2, K),
+    fresh by default) with B's first row."""
+    if work is None:
+        work = np.empty((2,) + S.shape)
+    A, B = work
+    return S, S[::-1], S[1], A, B, B[0]
+
+
+def _euler_update(views, F: np.ndarray, c: float, beta: float, dt: float,
                   extra: Optional[np.ndarray] = None):
-    """The Euler update in place: U <- c U + beta Xi and Xi <- c Xi + beta U
-    + 2 dt F (+ dt extra) on (..., N) arrays, through the scratch arrays a
-    and b shaped like U; c, beta from :func:`_euler_coeff`, extra the
-    optional delta transport term.  Each of U and Xi is written only after
-    its last read.  F and extra are only read: a tabulated force may return
-    the user's own array.
+    """The Euler update in place on the stacked state S = (U, Xi):
+    S <- c S + beta S[::-1], then Xi <- Xi + 2 dt F (+ dt extra), in five
+    ufunc calls (seven with extra) on the operands views of
+    :func:`_euler_views`; c, beta from :func:`_euler_coeff`, extra the
+    optional delta transport term.  These are the operations of U <- c U +
+    beta Xi and Xi <- c Xi + beta U + 2 dt F (+ dt extra) in their textbook
+    order, so the result is bitwise theirs.  F and extra are only read: a
+    tabulated force may return the user's own array.
     """
-    np.multiply(Xi, c, a)
-    np.multiply(U, beta, b)
-    np.add(a, b, a)                     # c Xi + beta U
-    np.multiply(U, c, b)                # the last read of U
-    np.multiply(Xi, beta, U)            # the last read of Xi
-    np.add(b, U, U)                     # c U + beta Xi
+    S, R, Xi, A, B, b = views
+    np.multiply(S, c, A)
+    np.multiply(R, beta, B)
+    np.add(A, B, S)                     # (c U + beta Xi, c Xi + beta U)
     np.multiply(F, 2.0 * dt, b)
-    np.add(a, b, Xi)
+    np.add(Xi, b, Xi)
     if extra is not None:
         np.multiply(extra, dt, b)
         np.add(Xi, b, Xi)
@@ -324,22 +336,27 @@ class TrajectoryLog:
 CHECK_BLOCK = 64
 
 
-def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
-           tau0: float, s: int, S: int, clock: _Clock,
-           out: Optional[np.ndarray], *, drive: np.ndarray,
-           snaps: Optional[list] = None, snapshot_stride: int = 0,
-           block: int = CHECK_BLOCK):
+def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
+           s: int, S: int, clock: _Clock, out: Optional[np.ndarray], *,
+           drive: np.ndarray, snaps: Optional[list] = None,
+           snapshot_stride: int = 0, block: int = CHECK_BLOCK):
     """Advance the B rings of gather (:func:`_flat_gather`), held one after
-    another in the flat U and Xi, in place from sample s to sample S of a
-    march started at tau0 (sample k lands on tau0 + k sample_dt) in the Euler
-    steps of clock (:func:`_clock`).  Every step reads all windows at once
-    through the gather, in one :func:`force_profile` call, and writes U and
-    Xi through :func:`_euler_update` with one scratch pair per call.  Sample
-    k of the n reference particles of ring b goes to out[b, :n, k] (U) and
-    out[b, n:, k] (Xi); drive holds each particle's total drive.  A clock
-    with delta > 0 adds the transport term of the first ring (a march with
-    delta holds one ring).  snapshot_stride > 0 appends copies of the first
-    ring's (tau, U, Xi) to snaps every that many samples.
+    another in the stacked state (U, Xi) of shape (2, K), in place from
+    sample s to sample S of a march started at tau0 (sample k lands on tau0
+    + k sample_dt) in the Euler steps of clock (:func:`_clock`).  drive
+    holds each particle's total drive.
+
+    A step reads all windows window-major into gather.W (one take, one add
+    of the twist shift), evaluates them in one :func:`fkhomog.model._force`
+    call on gather's stencil and writes the state through one
+    :func:`_euler_update`; every buffer and view it uses is built once per
+    layout.  Sample k of the n reference particles of ring b goes to
+    out[b, :n, k] (U) and out[b, n:, k] (Xi), taken into a buffer of the
+    check block with one take per sample and written to out once per
+    block.  A clock with delta > 0 adds the transport term of the first
+    ring (a march with delta holds one ring).  snapshot_stride > 0 appends
+    copies of the first ring's (tau, U, Xi) to snaps every that many
+    samples.
 
     Finiteness is checked once per block of samples, and each block starts
     from a copy of the state.  The march stops at the end of the first block
@@ -351,29 +368,42 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
     """
     n = model.n
     sample_dt, n_sub, dt_eff, c, beta, delta, a0 = clock
-    bounds = gather.bounds
-    # the n reference particles of each ring
-    track = bounds[:-1, None] + np.arange(n)
+    bounds, idx, shift, types = gather.bounds, gather.idx, gather.shift, gather.types
+    W, stencil = gather.W, gather.stencil
+    U, Xi = state
+    views = _euler_views(state, gather.work)
     use_delta = delta > 0.0
     extra = None
-    wa, wb = np.empty((2, U.size))
+    if out is not None:
+        # the n reference particles of each ring, and the block's samples
+        track = bounds[:-1, None] + np.arange(n)
+        taken = np.empty((block, 2) + track.shape)
     while s < S:
         s_end = min(s + block, S)
-        U0, Xi0 = U.copy(), Xi.copy()
+        state0 = state.copy()
         for k in range(s + 1, s_end + 1):
+            t = tau0 + (k - 1) * sample_dt
             for j in range(n_sub):
-                tau = tau0 + (k - 1) * sample_dt + j * dt_eff
-                F = force_profile(model, tau, U, None, drive, gather)
+                # ndarray.take, in mode "clip" (the indices are in range):
+                # the np.take wrapper, and the buffered out of mode "raise",
+                # cost more than the gather itself on a few dozen particles
+                U.take(idx, None, W, "clip")
+                np.add(W, shift, W)
+                F = _force(model, t + j * dt_eff, W, types, drive, stencil)
                 if use_delta:
                     extra = _delta_term(model, U, Xi, gather.rings[0][1], delta, a0)
-                _euler_update(U, Xi, F, c, beta, dt_eff, wa, wb, extra)
+                _euler_update(views, F, c, beta, dt_eff, extra)
             if out is not None:
-                out[:, :n, k] = U[track]
-                out[:, n:, k] = Xi[track]
+                state.take(track, 1, taken[k - s - 1], "clip")
             if snapshot_stride > 0 and k % snapshot_stride == 0:
                 snaps.append((tau0 + sample_dt * k, U[:bounds[1]].copy(),
                               Xi[:bounds[1]].copy()))
-        finite = np.logical_and.reduceat(np.isfinite(U) & np.isfinite(Xi),
+        if out is not None:
+            # taken[i, r, b] is row r (U, Xi) of ring b at sample s + 1 + i
+            nb = s_end - s
+            out[:, :, s + 1:s_end + 1] = taken[:nb].transpose(2, 1, 3, 0).reshape(
+                len(out), 2 * n, nb)
+        finite = np.logical_and.reduceat(np.isfinite(state).all(axis=0),
                                          bounds[:-1])
         if not finite.all():
             bad = {b: slice(bounds[b], bounds[b + 1])
@@ -382,10 +412,10 @@ def _march(model: ForceModel, U: np.ndarray, Xi: np.ndarray, gather: _Gather,
                 tau = tau0 + sample_dt * s_end
                 return s_end, {
                     b: NumericalError(f"state blew up at tau = {tau}", tau=tau,
-                                      snapshot=(U0[ring], Xi0[ring]))
+                                      snapshot=(state0[0, ring], state0[1, ring]))
                     for b, ring in bad.items()}
             return s_end, {b: _march(
-                model, U0[ring], Xi0[ring], _flat_gather(model, gather.rings[b:b + 1]),
+                model, state0[:, ring], _flat_gather(model, gather.rings[b:b + 1]),
                 tau0, s, s_end, clock, None, drive=drive[ring], block=1)[1][0]
                 for b, ring in bad.items()}
         s = s_end
@@ -463,8 +493,8 @@ def _advance(logs: Sequence[TrajectoryLog], S: int, clock: _Clock,
     s = first.sample_times.size - 1
     times = first.sample_times[0] + first.sample_dt * np.arange(s + S + 1)
     rings = [(lg.final_state.N, lg.final_state.Q) for lg in logs]
-    U = np.concatenate([lg.final_state.U for lg in logs], dtype=float)
-    Xi = np.concatenate([lg.final_state.Xi for lg in logs], dtype=float)
+    state = np.stack([np.concatenate([getattr(lg.final_state, name) for lg in logs],
+                                     dtype=float) for name in ("U", "Xi")])
     out = np.empty((len(logs), first.tracked.shape[0], s + S + 1))
     for b, lg in enumerate(logs):
         out[b, :, :s + 1] = lg.tracked
@@ -474,7 +504,7 @@ def _advance(logs: Sequence[TrajectoryLog], S: int, clock: _Clock,
     live, errors, k = list(range(len(logs))), {}, s
     while True:
         gather = _flat_gather(model, [rings[b] for b in live])
-        k, failed = _march(model, U, Xi, gather, float(times[0]), k, s + S,
+        k, failed = _march(model, state, gather, float(times[0]), k, s + S,
                            clock, out, drive=drive, snaps=snaps[0],
                            snapshot_stride=snapshot_stride)
         errors.update((live[j], exc) for j, exc in failed.items())
@@ -484,14 +514,15 @@ def _advance(logs: Sequence[TrajectoryLog], S: int, clock: _Clock,
         ok = np.array([j not in failed for j in range(len(live))])
         cut = np.repeat(ok, np.diff(gather.bounds))
         live = [b for b, kept in zip(live, ok) if kept]
-        U, Xi, out, drive = U[cut], Xi[cut], out[ok], drive[cut]
+        state, out, drive = state[:, cut], out[ok], drive[cut]
     marched = [None] * len(logs)
     for j, b in enumerate(live):
         if b not in errors:
             ring = slice(gather.bounds[j], gather.bounds[j + 1])
             lg, ch = logs[b], logs[b].final_state
-            final = TwistedChain(ch.N, ch.Q, U[ring].copy(), Xi[ring].copy(),
-                                 float(times[-1]), ch.p, ch.model)
+            final = TwistedChain(ch.N, ch.Q, state[0, ring].copy(),
+                                 state[1, ring].copy(), float(times[-1]), ch.p,
+                                 ch.model)
             marched[b] = TrajectoryLog(times, out[j], snaps[b], final,
                                        lg.sample_dt, lg.dt, lg.delta, lg.a0)
     return marched, errors

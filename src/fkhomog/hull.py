@@ -327,11 +327,11 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
 
     r_h = float(np.abs(lam * d_z(h) - a0 * (g - h)).max())
 
-    # [h]_{j,m}(z) on the grid, shape (n, Z, 2m+1): the values h_{j+s}(z) for
-    # s in -m..m via the type-shift convention
+    # [h]_{j,m}(z) on the grid, window-major (2m+1, n, Z): the values
+    # h_{j+s}(z) for s in -m..m via the type-shift convention
     m = model.m
     win = np.array([[hull_value(hull, j + s, hull.z_grid, "h") for s in range(-m, m + 1)]
-                    for j in range(1, hull.n + 1)]).transpose(0, 2, 1)
+                    for j in range(1, hull.n + 1)]).transpose(1, 0, 2)
     F = _force(model, 0.0, win, np.arange(hull.n)[:, None])
     r_g = float(np.abs(lam * d_z(g) - (2.0 * F + a0 * (h - g))).max())
     return {"r_h": r_h, "r_g": r_g}

@@ -23,8 +23,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (ForceModel, with_extra_drive, require_monotone, _force,
-                    _slot_theta)
-from .chain import NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update
+                    _slot_theta, _stencil)
+from .chain import (NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update,
+                    _euler_views)
 
 
 class MacroError(ValueError):
@@ -426,41 +427,49 @@ def _plan_micro(model: ForceModel, L: float, eps: float, u0: Profile, T: float,
 
 def _rescale_micro(run: _MicroRun) -> Field:
     """March a planned run and record eps U on its particles at each time of
-    its plan: the body of :func:`rescale_micro`, checks done.  Each Euler
-    step writes the active slice in place through
-    :func:`fkhomog.chain._euler_update`, with two scratch rows sized for the
-    first, widest slice."""
+    its plan: the body of :func:`rescale_micro`, checks done.  The state is
+    one stacked (U, Xi) array; each Euler step evaluates the window-major
+    windows of the active slice in one :func:`fkhomog.model._force` call and
+    writes that slice of the state in place through
+    :func:`fkhomog.chain._euler_update`.  The windows are views of U and the
+    spring constants, force and update scratch are sized once for the
+    first, widest slice; each step takes its slice of them."""
     model2, eps, pad, plan = run.model, run.eps, run.pad, run.plan
     m = model2.m
     n_obs = run.i_hi - run.i_lo + 1
     total_steps = run.n_steps
 
     idx = np.arange(run.i_lo - pad, run.i_hi + pad + 1)
-    U = run.u0.value(idx * eps) / eps
-    Xi = U.copy() if run.xi0 is None else run.xi0.value(idx * eps) / eps
+    state = np.empty((2, idx.size))
+    U, Xi = state
+    U[:] = run.u0.value(idx * eps) / eps
+    Xi[:] = U if run.xi0 is None else run.xi0.value(idx * eps) / eps
 
-    # V[k] is the window centred on U[k + m], so the force on U[lo:hi] reads
-    # V[lo - m:hi - m]; U is only ever written in place, so V stays current
-    V = sliding_window_view(U, 2 * m + 1)
+    # column k of the window-major view W is the window centred on U[k + m],
+    # so the force on U[lo:hi] reads W[:, lo - m:hi - m]; U is only ever
+    # written in place, so W stays current
+    W = sliding_window_view(U, run.N_total - 2 * m)
     types = np.arange(run.N_total) % model2.n
-    # per-particle spring constants, sliced like types (scalars when n = 1)
+    # per-particle spring constants, sliced like types (a scalar when n = 1)
     theta = _slot_theta(model2, types)
     per_slot = theta is not None and model2.n > 1
 
     obs = slice(pad, pad + n_obs)
     reach = m * (total_steps - 1)
-    scratch = np.empty((2, n_obs + 2 * max(reach, 0)))
+    width = n_obs + 2 * max(reach, 0)
+    work, buf = np.empty((2, 2, width)), np.empty((3, width))
     particle_steps = 0
     vals = []
     for w, n_sub, dt, start in plan:
         c, beta = _euler_coeff(model2, dt)
         for k in range(n_sub):
             lo, hi = pad - reach, pad + n_obs + reach
-            th = (theta[0][lo:hi], theta[1][lo:hi]) if per_slot else theta
-            F = _force(model2, start + k * dt, V[lo - m:hi - m], types[lo:hi],
-                       theta=th)
-            _euler_update(U[lo:hi], Xi[lo:hi], F, c, beta, dt,
-                          *scratch[:, :hi - lo])
+            Wk = W[:, lo - m:hi - m]
+            th = theta[:, lo:hi] if per_slot else theta
+            F = _force(model2, start + k * dt, Wk, types[lo:hi],
+                       stencil=_stencil(model2, Wk, th, buf[:, :hi - lo]))
+            _euler_update(_euler_views(state[:, lo:hi], work[..., :hi - lo]),
+                          F, c, beta, dt)
             particle_steps += hi - lo
             reach -= m
         if not np.all(np.isfinite(U[obs])):

@@ -200,41 +200,83 @@ def _tabulated_force(kind: TabulatedForce, jj, tau: float, windows) -> np.ndarra
     return F
 
 
+@lru_cache(maxsize=16)
+def _theta_pairs(theta: tuple) -> np.ndarray:
+    """(theta_j, theta_{j+1}) of each 0-based type j as the columns of a
+    read-only (2, n) array."""
+    pairs = np.array([theta, theta[1:] + theta[:1]])
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _slot_theta(model: ForceModel, types):
     """(theta_j, theta_{j+1}) of the classical formula for 0-based types:
-    theta_1 twice as scalars when n = 1, else two arrays shaped like types;
-    None for a tabulated force.  Marches build it once per layout of their
-    types and hand it to :func:`_force`."""
+    theta_1 as one scalar when n = 1, else both stacked in one array of
+    shape (2, *types.shape); None for a tabulated force.  Marches build it
+    once per layout of their types, in :func:`_stencil`."""
     kind = model.kind
     if not isinstance(kind, ClassicalFK):
         return None
     if model.n == 1:
-        return kind.theta[0], kind.theta[0]
-    # types + 1 - n lies in [1 - n, 0]: theta_{j+1}, indexed from the end
-    th = np.asarray(kind.theta)
-    return th[types], th[types + (1 - model.n)]
+        return kind.theta[0]
+    return _theta_pairs(kind.theta).take(types, 1)
 
 
-def _force(model: ForceModel, tau: float, V, types, drive=None, theta=None):
-    """drive + F_j(tau, V), shape V.shape[:-1], on windows V of shape
-    (..., 2m+1) for 0-based types j that broadcast to V.shape[:-1]: the one
-    force evaluation every layer uses.  drive, a column from
-    :func:`_drive_column`, holds each row's total drive; it defaults to
-    model.drive.  theta, :func:`_slot_theta` of these types, spares the
-    classical formula its lookup by type.  A tabulated force gets a copy of
-    the windows with +0.0 added off the centre and -0.0 at it, so an
-    off-centre -0.0 always arrives as +0.0."""
+def _stencil(model: ForceModel, W: np.ndarray, theta, buf=None) -> Optional[tuple]:
+    """The views and buffers of the classical formula on window-major
+    windows W of shape (2m+1, *shape), at least 2-d, for spring constants
+    theta (:func:`_slot_theta` of types that broadcast to shape): the rows
+    (V_0, V_1) ahead and (V_{-1}, V_0) behind, theta, D = buf[:2] for theta
+    (ahead - behind) and its two rows, the centre row V_0 and s = buf[2] for
+    the onsite term; buf of shape (3, *shape) is fresh by default.  None
+    for a tabulated force.  A march builds it once per layout and hands it
+    to every :func:`_force` call on W (a plain tuple: :func:`_force`
+    unpacks it on every step)."""
+    if theta is None:
+        return None
+    m = model.m
+    if isinstance(theta, np.ndarray) and theta.ndim < W.ndim:
+        # types of fewer dimensions than the windows broadcast from the right
+        theta = theta.reshape((2,) + (1,) * (W.ndim - theta.ndim) + theta.shape[1:])
+    if buf is None:
+        buf = np.empty((3,) + W.shape[1:])
+    D = buf[:2]
+    return (W[m:m + 2], W[m - 1:m + 1], theta, D, D[0], D[1], W[m], buf[2])
+
+
+def _force(model: ForceModel, tau: float, W, types, drive=None, stencil=None):
+    """drive + F_j(tau, V), shape W.shape[1:], on window-major windows W of
+    shape (2m+1, ...), at least 2-d (row k holds V_{k-m} of every window),
+    for 0-based types j that broadcast to W.shape[1:]: the one force
+    evaluation every layer uses.  drive, which broadcasts to W.shape[1:],
+    holds each window's total drive; it defaults to model.drive.
+
+    The classical formula takes D = theta (V_{0,1} - V_{-1,0}) in one call
+    on two rows at once and returns F = D[1] - D[0] + A sin(2 pi V_0) +
+    drive written into the buffers of stencil (:func:`_stencil`, built here
+    when None), so with a stencil the result lives until the next call on
+    it.  A tabulated force gets a fresh C-order (K, 2m+1) copy of the
+    windows with +0.0 added off the centre and -0.0 at it, so an off-centre
+    -0.0 always arrives as +0.0."""
     kind, m = model.kind, model.m
     if isinstance(kind, ClassicalFK):
-        th_self, th_next = _slot_theta(model, types) if theta is None else theta
-        c = V[..., m]
-        F = th_next * (V[..., m + 1] - c) - th_self * (c - V[..., m - 1])
+        if stencil is None:
+            stencil = _stencil(model, W, _slot_theta(model, types))
+        ahead, behind, theta, D, d_self, F, c, s = stencil
+        np.subtract(ahead, behind, D)
+        np.multiply(theta, D, D)
+        np.subtract(F, d_self, F)
         if kind.amplitude != 0.0:
-            F += kind.amplitude * np.sin(TWO_PI * c)
+            np.multiply(TWO_PI, c, s)
+            np.sin(s, s)
+            np.multiply(kind.amplitude, s, s)
+            np.add(F, s, F)
         fresh = True
     else:
-        shape = V.shape[:-1]
-        windows = (V + _shift_row(m)).reshape(-1, 2 * m + 1)
+        shape = W.shape[1:]
+        # window-last; np.moveaxis costs more than a march step's gather
+        V = W.T if W.ndim == 2 else np.moveaxis(W, 0, -1)
+        windows = np.add(V, _shift_row(m), order="C").reshape(-1, 2 * m + 1)
         jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
         F = _tabulated_force(kind, jj, tau, windows).reshape(shape)
         fresh = False
@@ -253,7 +295,7 @@ def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
     w = np.asarray(window, dtype=float)
     if w.shape != (2 * model.m + 1,):
         raise ModelError(f"window must have exactly {2 * model.m + 1} entries, got {w.shape}")
-    return float(_force(model, tau, w, (int(j) - 1) % model.n))
+    return float(_force(model, tau, w[:, None], (int(j) - 1) % model.n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +414,7 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
         # windows (the mesh holds no -0.0, so its shift row changes no value)
         out = []
         for t, v in pieces:
-            F = _force(model, t, v, j - 1)
+            F = _force(model, t, v.T, j - 1)
             if not bad and not np.isfinite(F).all():
                 bad.append((j, float(t), *v[np.argmin(np.isfinite(F))]))
             out.append(F)
@@ -392,7 +434,7 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
         inner = d ** (w - 1 - k)
         first = [None, None]
         for i, t in enumerate(axis):
-            F = _force(model, t, lay, j - 1).reshape(-1, len(layers), inner)
+            F = _force(model, t, lay.T, j - 1).reshape(-1, len(layers), inner)
             piece = dF[i * blk:(i + 1) * blk].reshape(-1, d, inner)
             np.subtract(F[:, plus], F[:, minus], out=piece)
             if bad or np.isfinite(F).all():

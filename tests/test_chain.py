@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
+from fkhomog import chain as chn
 from fkhomog.chain import (CHECK_BLOCK, NumericalError, TwistedChain,
                            force_profile, snapshot_to_csv, trajectory_to_csv,
                            _advance, _clock, _euler_coeff, _euler_update,
-                           _neighbours, _state_ordering_violation)
+                           _euler_views, _flat_gather, _neighbours, _start_log,
+                           _state_ordering_violation)
 from fkhomog.macro import _march_plan
-from fkhomog.model import ClassicalFK, ModelError, _drive_column
+from fkhomog.model import ClassicalFK, ModelError, _drive_column, _force
 from test_rotation import _blow_up_model
 
 
@@ -493,6 +495,88 @@ def test_force_profile_bytes_match_reference(case):
         assert got.tobytes() == _force_profile_ref(model, tau, U[0], Q).tobytes()
 
 
+@pytest.mark.parametrize("theta", [(1.0,), (1.0, 2.0), (0.5, 1.5, 1.0)])
+def test_flat_gather_windows_match_reference_per_ring(theta):
+    """The window-major windows of a flat gather over mixed rings (N = n, 2n,
+    5n), differenced by the one classical formula on the gather's stencil,
+    give each ring bitwise the reference force, with +-0.0 at the seams and a
+    zero total drive stored as -0.0."""
+    model = fkmodel(theta, A=0.7, L=0.25)
+    n = model.n
+    rings = [(n, 1), (2 * n, 3), (5 * n, 0), (2 * n, 2)]
+    gather = _flat_gather(model, rings)
+    rng = np.random.default_rng(len(theta))
+    U = np.concatenate([_states_with_signed_zeros(rng, 2, N, Q)[1] for N, Q in rings])
+    for lo in gather.bounds[:-1]:
+        U[lo] = -0.0
+    U[gather.bounds[2] - 1] = 0.0
+    Ls = [0.5, -0.25, 0.0, 1.0]       # ring 1's total drive is 0
+    d = _drive_column(model, Ls)[:, 0]
+    assert np.signbit(d[1]) and d[1] == 0.0
+    drive = np.repeat(d, [N for N, _ in rings])
+    U.take(gather.idx, None, gather.W, "clip")
+    np.add(gather.W, gather.shift, gather.W)
+    F = _force(model, 0.3, gather.W, gather.types, drive, gather.stencil).copy()
+    for b, (N, Q) in enumerate(rings):
+        ring = slice(gather.bounds[b], gather.bounds[b + 1])
+        want = _force_profile_ref(model, 0.3, U[ring].copy(), Q, d[b])
+        assert F[ring].tobytes() == want.tobytes()
+
+
+def test_tabulated_march_hands_the_callable_fresh_windows():
+    """Every call of a batch callable in a march gets a fresh C-order
+    (K, 2m+1) array, sharing memory with no earlier one; a callable that
+    writes into it changes no byte of the march."""
+    seen = []
+
+    def checked(writes):
+        def fn(j, tau, w):
+            assert w.shape == (j.size, 5) and w.flags.c_contiguous
+            assert not any(np.shares_memory(w, v) for v in seen)
+            seen[:] = [w]
+            F = _signed_zero_force(j, tau, w)
+            if writes:
+                w[...] = np.nan
+            return F
+        return fk.build_tabulated(fn, n=2, m=2, m0=0.02, lip_V=10.0,
+                                  f_at_zero_sup=0.3, batch=True)
+
+    logs = []
+    for writes in (False, True):
+        model = checked(writes)
+        chains = [fk.init_linear(fk.with_extra_drive(model, L), Fraction(1, 2), cells=c)
+                  for L, c in ((0.0, 1), (0.4, 3))]
+        clock = _clock(model, 0.05, 0.02)
+        marched, errors = _advance([_start_log(ch, clock) for ch in chains], 20, clock)
+        assert not errors
+        logs.append(marched)
+    for a, b in zip(*logs):
+        assert a.tracked.tobytes() == b.tracked.tobytes()
+        assert a.final_state.U.tobytes() == b.final_state.U.tobytes()
+        assert a.final_state.Xi.tobytes() == b.final_state.Xi.tobytes()
+
+
+def test_run_evaluates_the_force_once_per_euler_step(monkeypatch):
+    """A run of S samples cut into n_sub = 3 Euler steps each makes exactly
+    3 S force evaluations: the tracked samples, written per check block,
+    add none and drop none."""
+    calls = []
+    force = chn._force
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return force(*args, **kwargs)
+
+    monkeypatch.setattr(chn, "_force", counted)
+    m = fkmodel((1.0, 2.0))
+    h = fk.cfl_dt(m, 0.5, check=False)
+    S = CHECK_BLOCK + 13
+    log = fk.run(fk.init_linear(m, Fraction(2, 3), cells=2), S * 2.5 * h, 2.5 * h,
+                 dt=h, check=False)
+    assert log.tracked.shape == (4, S + 1)
+    assert len(calls) == 3 * S
+
+
 def _neighbor_ref(U, Q, k):
     """U_{i+k} along the last axis with the twist added as an integer (k != 0)."""
     idx = np.arange(U.shape[-1]) + k
@@ -642,17 +726,49 @@ def test_euler_update_in_place_matches_fresh_arrays(with_extra):
     F_before = F.tobytes()
     extra_before = None if extra is None else extra.tobytes()
     for c, beta, dt in [(0.5, 0.5, 0.01), (0.0, 1.0, 0.125), (0.875, 0.125, 1e-3)]:
-        U2, Xi2 = U.copy(), Xi.copy()
+        U2, Xi2 = S2 = np.stack([U, Xi])
         with np.errstate(invalid="ignore"):      # 0 * inf at c = 0
             want_U = c * U + beta * Xi
             want_Xi = c * Xi + beta * U + (2.0 * dt) * F
             if extra is not None:
                 want_Xi += dt * extra
-            _euler_update(U2, Xi2, F, c, beta, dt, *np.empty((2, U.size)), extra)
+            _euler_update(_euler_views(S2), F, c, beta, dt, extra)
         assert want_U.tobytes() == U2.tobytes()
         assert want_Xi.tobytes() == Xi2.tobytes()
     assert F.tobytes() == F_before
     assert (None if extra is None else extra.tobytes()) == extra_before
+
+
+@pytest.mark.parametrize("with_extra", [False, True])
+def test_euler_update_on_a_strided_slice_writes_only_the_slice(with_extra):
+    """On the active slice S[:, lo:hi] of a wider stacked state, with scratch
+    cut from a wider buffer (as a rescaled run steps), the update is bitwise
+    the textbook expression on the slice, signed zeros and non-finite
+    entries included, and no entry outside the slice is written."""
+    rng = np.random.default_rng(11)
+    S = rng.normal(size=(2, 96)) * 1e3
+    S[:, ::7] = [[-0.0], [np.nan]]
+    lo, hi = 20, 60
+    S[0, lo:lo + 6] = [-0.0, 0.0, np.inf, -np.inf, np.nan, -0.0]
+    S[1, lo:lo + 6] = [-0.0, -0.0, 1.0, 2.0, -0.0, np.inf]
+    F = rng.normal(size=hi - lo)
+    F[:3] = [-0.0, np.inf, np.nan]
+    extra = rng.normal(size=hi - lo) if with_extra else None
+    work = np.empty((2, 2, 96))
+    for c, beta, dt in [(0.5, 0.5, 0.01), (0.0, 1.0, 0.125), (0.875, 0.125, 1e-3)]:
+        S2 = S.copy()
+        U, Xi = S[:, lo:hi]
+        with np.errstate(invalid="ignore"):
+            want_U = c * U + beta * Xi
+            want_Xi = c * Xi + beta * U + (2.0 * dt) * F
+            if extra is not None:
+                want_Xi += dt * extra
+            _euler_update(_euler_views(S2[:, lo:hi], work[..., :hi - lo]), F, c,
+                          beta, dt, extra)
+        assert S2[0, lo:hi].tobytes() == want_U.tobytes()
+        assert S2[1, lo:hi].tobytes() == want_Xi.tobytes()
+        for outside in (np.s_[:, :lo], np.s_[:, hi:]):
+            assert S2[outside].tobytes() == S[outside].tobytes()
 
 
 # ---------------------------------------------------------------------------
