@@ -55,8 +55,12 @@ class TabulatedForce:
     of 2m+1 positions.  With ``batch=True`` it is called instead with an
     integer array j of shape (K,) and a window array of shape (K, 2m+1), and
     returns shape (K,); a 0-d result is broadcast to (K,), and any other
-    shape raises ModelError.  A window's off-centre entries never arrive as
-    -0.0 (see ``_force``).
+    shape raises ModelError.  Every call gets a fresh C-order window array
+    of its own, which the callable may overwrite; the array j is read-only
+    (a march hands every step the same one) and a write to it raises.  A
+    window's off-centre entries never arrive as -0.0 (see ``_force``).  A
+    march calls a batch callable once per Euler step and a per-window one
+    once per window of the step.
     """
 
     fn: Callable
@@ -138,8 +142,11 @@ def build_classical_fk(theta, amplitude: float = 1.0, drive: float = 0.0,
 
 def build_tabulated(fn, n: int, m: int, m0: float, lip_V: float,
                     f_at_zero_sup: float, batch: bool = False) -> ForceModel:
-    """Wrap a user callable; lip_V and f_at_zero_sup are taken on trust and
-    cross-checked by sampling in :func:`check_assumptions`."""
+    """Wrap a user callable fn, called as :class:`TabulatedForce` says: with
+    a 1-based type and a window of 2m+1 positions, or with batch=True a
+    read-only (K,) type array and a fresh C-order (K, 2m+1) window array.
+    lip_V and f_at_zero_sup are taken on trust and cross-checked by sampling
+    in :func:`check_assumptions`."""
     if not m0 > 0:
         raise ModelError("mass m0 must be positive")
     return ForceModel(n=n, m=m, alpha0=1.0 / (2.0 * m0),
@@ -229,9 +236,10 @@ def _stencil(model: ForceModel, W: np.ndarray, theta, buf=None) -> Optional[tupl
     (V_0, V_1) ahead and (V_{-1}, V_0) behind, theta, D = buf[:2] for theta
     (ahead - behind) and its two rows, the centre row V_0 and s = buf[2] for
     the onsite term; buf of shape (3, *shape) is fresh by default.  None
-    for a tabulated force.  A march builds it once per layout and hands it
-    to every :func:`_force` call on W (a plain tuple: :func:`_force`
-    unpacks it on every step)."""
+    for a tabulated force, whose plan :func:`fkhomog.chain._flat_gather`
+    builds.  A march builds it once per layout and hands it to every
+    :func:`_force` call on W (a plain tuple: :func:`_force` unpacks it on
+    every step)."""
     if theta is None:
         return None
     m = model.m
@@ -246,38 +254,57 @@ def _stencil(model: ForceModel, W: np.ndarray, theta, buf=None) -> Optional[tupl
 
 def _force(model: ForceModel, tau: float, W, types, drive=None, stencil=None):
     """drive + F_j(tau, V), shape W.shape[1:], on window-major windows W of
-    shape (2m+1, ...), at least 2-d (row k holds V_{k-m} of every window),
-    for 0-based types j that broadcast to W.shape[1:]: the one force
-    evaluation every layer uses.  drive, which broadcasts to W.shape[1:],
-    holds each window's total drive; it defaults to model.drive.
+    shape (2m+1, ...) (row k holds V_{k-m} of every window), for 0-based
+    types j that broadcast to W.shape[1:]: the one force evaluation every
+    layer uses.  A 1-d W is one window, of one type j, and gives a scalar.
+    drive, which broadcasts to W.shape[1:], holds each window's total drive;
+    it defaults to model.drive.
 
     The classical formula takes D = theta (V_{0,1} - V_{-1,0}) in one call
     on two rows at once and returns F = D[1] - D[0] + A sin(2 pi V_0) +
     drive written into the buffers of stencil (:func:`_stencil`, built here
     when None), so with a stencil the result lives until the next call on
-    it.  A tabulated force gets a fresh C-order (K, 2m+1) copy of the
-    windows with +0.0 added off the centre and -0.0 at it, so an off-centre
-    -0.0 always arrives as +0.0."""
+    it; one window takes the same operations in the same order on floats.
+
+    A tabulated force gets a fresh C-order (K, 2m+1) copy of the windows
+    with +0.0 added off the centre and -0.0 at it, so an off-centre -0.0
+    always arrives as +0.0, and read-only 1-based types (K,).  A march's
+    plan passes stencil = (jj, out) instead (built once per layout by
+    :func:`fkhomog.chain._flat_gather`): W is then that fresh, shifted
+    (K, 2m+1) copy itself, handed over as it is with the types jj, and
+    drive + F is written into out."""
     kind, m = model.kind, model.m
+    out = None
     if isinstance(kind, ClassicalFK):
-        if stencil is None:
-            stencil = _stencil(model, W, _slot_theta(model, types))
-        ahead, behind, theta, D, d_self, F, c, s = stencil
-        np.subtract(ahead, behind, D)
-        np.multiply(theta, D, D)
-        np.subtract(F, d_self, F)
-        if kind.amplitude != 0.0:
-            np.multiply(TWO_PI, c, s)
-            np.sin(s, s)
-            np.multiply(kind.amplitude, s, s)
-            np.add(F, s, F)
+        if W.ndim == 1:
+            th, c = kind.theta, float(W[m])
+            F = (th[(types + 1) % model.n] * (float(W[m + 1]) - c)
+                 - th[types] * (c - float(W[m - 1])))
+            if kind.amplitude != 0.0:
+                F += kind.amplitude * float(np.sin(TWO_PI * c))
+        else:
+            if stencil is None:
+                stencil = _stencil(model, W, _slot_theta(model, types))
+            ahead, behind, theta, D, d_self, F, c, s = stencil
+            np.subtract(ahead, behind, D)
+            np.multiply(theta, D, D)
+            np.subtract(F, d_self, F)
+            if kind.amplitude != 0.0:
+                np.multiply(TWO_PI, c, s)
+                np.sin(s, s)
+                np.multiply(kind.amplitude, s, s)
+                np.add(F, s, F)
         fresh = True
     else:
-        shape = W.shape[1:]
-        # window-last; np.moveaxis costs more than a march step's gather
-        V = W.T if W.ndim == 2 else np.moveaxis(W, 0, -1)
-        windows = np.add(V, _shift_row(m), order="C").reshape(-1, 2 * m + 1)
-        jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
+        if stencil is not None:
+            (jj, out), windows, shape = stencil, W, W.shape[:1]
+        else:
+            shape = W.shape[1:]
+            # window-last; np.moveaxis costs more than a one-window call
+            V = W.T if W.ndim <= 2 else np.moveaxis(W, 0, -1)
+            windows = np.add(V, _shift_row(m), order="C").reshape(-1, 2 * m + 1)
+            jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
+        jj.flags.writeable = False
         F = _tabulated_force(kind, jj, tau, windows).reshape(shape)
         fresh = False
     if drive is None:
@@ -285,7 +312,7 @@ def _force(model: ForceModel, tau: float, W, types, drive=None, stencil=None):
             return F
         drive = model.drive
     if not fresh:       # the callable's result may alias the user's array
-        return F + drive
+        return np.add(F, drive, out)
     F += drive
     return F
 
@@ -295,7 +322,7 @@ def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
     w = np.asarray(window, dtype=float)
     if w.shape != (2 * model.m + 1,):
         raise ModelError(f"window must have exactly {2 * model.m + 1} entries, got {w.shape}")
-    return float(_force(model, tau, w[:, None], (int(j) - 1) % model.n)[0])
+    return float(_force(model, tau, w, (int(j) - 1) % model.n))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +436,18 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
     bad = []     # the first non-finite sample, as (j, tau, *window)
 
     def f(j, pieces):
-        # F_j on consecutive (tau, windows) pieces, one call per piece; _force
-        # hands each call its own copy, since a callable may write to its
-        # windows (the mesh holds no -0.0, so its shift row changes no value)
-        out = []
-        for t, v in pieces:
-            F = _force(model, t, v.T, j - 1)
-            if not bad and not np.isfinite(F).all():
-                bad.append((j, float(t), *v[np.argmin(np.isfinite(F))]))
-            out.append(F)
-        return np.concatenate(out)
+        # F_j on consecutive (tau, windows) pieces of one size, one call per
+        # piece, where a 1-d piece is one window; _force hands each call its
+        # own copy, since a callable may write to its windows (the mesh holds
+        # no -0.0, so its shift row changes no value)
+        pieces = list(pieces)
+        F = np.array([_force(model, t, v.T, j - 1) for t, v in pieces]).ravel()
+        if not bad and not np.isfinite(F).all():
+            # the first non-finite value, found in its piece
+            k, i = divmod(int(np.argmin(np.isfinite(F))), F.size // len(pieces))
+            t, v = pieces[k]
+            bad.append((j, float(t), *np.atleast_2d(v)[i]))
+        return F
 
     def f_mesh(j, shifted, dtau=0.0):
         return f(j, ((t + dtau, shifted) for t in axis))
@@ -492,8 +521,8 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
                 keep("a2", dF, j)
         keep("a1", model.lip_V + tol - grad_abs_sum, j)
 
-        lhs = 2.0 * f(j + 1, zip(ts, tup[:, None, 1:])) + model.alpha0 * tup[:, m + 1]
-        rhs = 2.0 * f(j, zip(ts, tup[:, None, :-1])) + model.alpha0 * tup[:, m]
+        lhs = 2.0 * f(j + 1, zip(ts, tup[:, 1:])) + model.alpha0 * tup[:, m + 1]
+        rhs = 2.0 * f(j, zip(ts, tup[:, :-1])) + model.alpha0 * tup[:, m]
         keep("a6", lhs - rhs, j, tuples=True)
 
     neg_res, a4_wit = worst["a4"]

@@ -577,6 +577,102 @@ def test_run_evaluates_the_force_once_per_euler_step(monkeypatch):
     assert len(calls) == 3 * S
 
 
+def _textbook_march(chain, S, clock):
+    """(tracked, U, Xi) of S samples marched one ring at a time with the
+    reference force and the Euler update as written on paper."""
+    n, model = chain.model.n, chain.model
+    drive = _drive_column(model)[0, 0]
+    U, Xi = chain.U.copy(), chain.Xi.copy()
+    tracked = [np.concatenate([U[:n], Xi[:n]])]
+    for k in range(1, S + 1):
+        for j in range(clock.n_sub):
+            t = chain.tau + (k - 1) * clock.sample_dt + j * clock.dt
+            F = _force_profile_ref(model, t, U, chain.Q, drive)
+            U, Xi = (clock.c * U + clock.beta * Xi,
+                     clock.c * Xi + clock.beta * U + (2.0 * clock.dt) * F)
+        tracked.append(np.concatenate([U[:n], Xi[:n]]))
+    return np.array(tracked).T, U, Xi
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_tabulated_advance_matches_textbook_march(batch):
+    """A tabulated _advance over mixed rings (n = 2, m = 2; Q = 0 and seams
+    at -0.0 and +0.0; zero and nonzero total drives) marches every ring
+    bitwise as the textbook per-step march on the reference force, across
+    check blocks and with three Euler steps per sample."""
+    model = fk.build_tabulated(_signed_zero_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                               f_at_zero_sup=0.3, batch=batch)
+    rng = np.random.default_rng(23)
+    chains = []
+    for (N, Q), L in zip([(2, 1), (4, 3), (10, 0), (4, 2), (6, 5)],
+                         [0.0, 0.6, -0.3, 0.0, 1.2]):
+        U, Xi = _states_with_signed_zeros(rng, 2, N, Q)
+        driven = fk.with_extra_drive(model, L)
+        chains.append(TwistedChain(N, Q, U, Xi + 0.01, 0.25, Fraction(2 * Q, N), driven))
+    clock = _clock(model, 0.006, 0.0025)
+    assert clock.n_sub == 3
+    S = CHECK_BLOCK + 9
+    marched, errors = _advance([_start_log(ch, clock) for ch in chains], S, clock)
+    assert not errors
+    for ch, log in zip(chains, marched):
+        tracked, U, Xi = _textbook_march(ch, S, clock)
+        assert log.tracked.tobytes() == tracked.tobytes()
+        assert log.final_state.U.tobytes() == U.tobytes()
+        assert log.final_state.Xi.tobytes() == Xi.tobytes()
+
+
+@pytest.mark.parametrize("result", [
+    lambda j, w: np.zeros((len(w), 1)),
+    lambda j, w: np.zeros(len(w) - 1),
+    lambda j, w: np.zeros(2 * len(w)),
+])
+def test_tabulated_march_rejects_a_wrong_shape_result(result):
+    model = fk.build_tabulated(lambda j, tau, w: result(j, w), n=2, m=2, m0=0.02,
+                               lip_V=0.0, f_at_zero_sup=0.0, batch=True)
+    chain = fk.init_linear(model, Fraction(1, 2), cells=2)
+    with pytest.raises(ModelError, match=r"for 8 windows; expected \(8,\)"):
+        fk.run(chain, 1.0, 0.1, check=False)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_tabulated_run_calls_the_user_once_per_euler_step(batch):
+    """A run of S samples cut into n_sub = 3 Euler steps each calls a batch
+    callable exactly 3 S times, and a per-window one once per window of each
+    of those steps."""
+    calls = []
+
+    def fn(j, tau, w):
+        calls.append(1)
+        return _wavy_force(j, tau, w)
+
+    model = fk.build_tabulated(fn, n=2, m=2, m0=0.02, lip_V=10.0,
+                               f_at_zero_sup=0.3, batch=batch)
+    chain = fk.init_linear(model, Fraction(3, 2), cells=2)
+    h = fk.cfl_dt(model, 0.5, check=False)
+    S = CHECK_BLOCK + 13
+    log = fk.run(chain, S * 2.5 * h, 2.5 * h, dt=h, check=False)
+    assert log.tracked.shape == (4, S + 1)
+    assert len(calls) == 3 * S * (1 if batch else chain.N)
+
+
+def test_tabulated_types_are_read_only():
+    """Every step of a march hands a batch callable the same 1-based types:
+    a write to them raises instead of shifting the types of later steps."""
+    def fn(j, tau, w):
+        j += 1
+        return _wavy_force(j, tau, w)
+
+    model = fk.build_tabulated(fn, n=2, m=2, m0=0.02, lip_V=10.0,
+                               f_at_zero_sup=0.3, batch=True)
+    chain = fk.init_linear(model, Fraction(1, 2), cells=2)
+    with pytest.raises(ValueError, match="read-only"):
+        fk.run(chain, 1.0, 0.1, check=False)
+    with pytest.raises(ValueError, match="read-only"):
+        force_profile(model, 0.0, chain.U, chain.Q)
+    with pytest.raises(ValueError, match="read-only"):
+        fk.eval_force(model, 1, 0.0, chain.U[:5])
+
+
 def _neighbor_ref(U, Q, k):
     """U_{i+k} along the last axis with the twist added as an integer (k != 0)."""
     idx = np.arange(U.shape[-1]) + k

@@ -422,6 +422,40 @@ def test_sampled_check_fails_non_finite_force_with_witness():
         fk.rotation_number(m, 1, T_cap=4.0)
 
 
+def _wide_nan_force(j, tau, w):
+    """Springs and a pinning sine, but NaN on windows wider than 1.5: no
+    window of the mesh or its layers is, only some a6 tuples."""
+    w = np.asarray(w, dtype=float)
+    c = w[..., 1]
+    F = (w[..., 2] - c) - (c - w[..., 0]) + 0.5 * np.sin(2 * math.pi * c)
+    return np.where(w[..., 2] - w[..., 0] > 1.5, np.nan, F)
+
+
+#: the report of _wide_nan_force at density 8, recorded before the a6
+#: samples went through the one-window path of _force: the witness is the
+#: first wide window of the type-2 side, (j + 1, tau, V_{-1}, V_0, V_1)
+WIDE_NAN_REPORT = (
+    "AssumptionReport(a1=AssumptionCheck(holds=True, margin=0.08012520466907347, "
+    "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+    "margin=0.9999999999999996, witness=None, note=''), "
+    "a3=AssumptionCheck(holds=True, margin=1.8770650821585626, witness=None, "
+    "note=''), a4=AssumptionCheck(holds=False, margin=-inf, "
+    "witness=(2, 0.34286637343206705, np.float64(0.1333800175342028), "
+    "np.float64(1.6826345592247665), np.float64(1.8582084415940123)), "
+    "note='non-finite force value at the witness'), "
+    "a5=AssumptionCheck(holds=True, margin=1e-08, witness=None, note=''), "
+    "a6=AssumptionCheck(holds=True, margin=inf, witness=None, note=''), "
+    "critical_mass=0.049392790140215324)"
+)
+
+
+@pytest.mark.parametrize("batch", [True, False])
+def test_sampled_check_witness_of_a_non_finite_a6_sample(batch):
+    m = build_tabulated(_wide_nan_force, n=1, m=1, m0=1 / 24, lip_V=4 + math.pi,
+                        f_at_zero_sup=0.0, batch=batch)
+    assert repr(fk.check_assumptions(m, sample_density=8)) == WIDE_NAN_REPORT
+
+
 def _nan_where(mask):
     """Springs and a pinning sine, NaN where mask(V_{-1}, V_0) holds."""
     def fn(j, tau, w):
@@ -544,6 +578,38 @@ def test_batch_force_result_shape_rule():
         fk.check_assumptions(bad, sample_density=4)
     with pytest.raises(ModelError, match=r"shape \(6, 1\) for 6 windows; expected \(6,\)"):
         force_profile(bad, 0.0, np.arange(6.0), 6)
+
+
+EVAL_FORCE_MODELS = {
+    "classical_n1": lambda: fk.build_classical_fk([1.3], amplitude=0.7, drive=0.4),
+    "classical_n1_flat": lambda: fk.build_classical_fk([1.3], amplitude=0.0),
+    "classical_n2": lambda: fk.build_classical_fk([1.0, 2.0], amplitude=0.7, drive=-0.2),
+    "classical_n3": lambda: fk.build_classical_fk([0.5, 1.5, 1.0], amplitude=1.0),
+    "tabulated_batch": lambda: fk.with_extra_drive(build_tabulated(
+        _wavy_force, n=2, m=2, m0=0.02, lip_V=10.0, f_at_zero_sup=0.3, batch=True), 0.3),
+    "tabulated_per_window": lambda: build_tabulated(
+        _wavy_force, n=2, m=2, m0=0.02, lip_V=10.0, f_at_zero_sup=0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_FORCE_MODELS))
+def test_eval_force_is_bitwise_force(name):
+    """eval_force on one window is bitwise _force on that window as a
+    window-major (2m+1, 1) array, for every type and for windows with
+    signed zeros, large entries and non-finite ones."""
+    from fkhomog.model import _force
+    m = EVAL_FORCE_MODELS[name]()
+    w = 2 * m.m + 1
+    rng = np.random.default_rng(sum(map(ord, name)))
+    windows = [*rng.uniform(-3.0, 3.0, (40, w)), *(rng.uniform(-1e6, 1e6, (10, w))),
+               np.zeros(w), np.full(w, -0.0), np.array([0.0, -0.0] * w)[:w],
+               np.array([-0.0, 0.0] * w)[:w], np.full(w, np.inf), np.full(w, np.nan)]
+    for k, win in enumerate(windows):
+        j, tau = k % (m.n + 1) + 1, 0.125 * k
+        with np.errstate(invalid="ignore"):
+            got = fk.eval_force(m, j, tau, win)
+            want = _force(m, tau, win[:, None], (j - 1) % m.n)
+        assert np.float64(got).tobytes() == want.tobytes(), (k, win)
 
 
 def test_one_drive_field_for_both_kinds():
