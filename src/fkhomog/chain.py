@@ -32,8 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (ForceModel, ModelError, ConstantsLedger, check_assumptions,
-                    require_monotone, _drive_column, _force, _shift_row, _slot_theta,
-                    _stencil)
+                    require_monotone, _drive_column, _force, _window_plan)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -141,42 +140,26 @@ def _window_gather(N: int, Q: int, m: int, n: int):
 
 #: the windows of rings held one after another in one flat state, with
 #: everything a step needs built once per layout: ring b is
-#: U[bounds[b]:bounds[b + 1]] and a step's windows are W = U[idx] + shift;
-#: types are 0-based, stencil is the plan of :func:`fkhomog.model._force`
-#: and work the scratch of :func:`_euler_views`.  For a classical force the
-#: windows are window-major (2m+1, K), read into the buffer W, and stencil
-#: is :func:`fkhomog.model._stencil` of W.  For a tabulated force they are
-#: window-last (K, 2m+1), read into a fresh array every step (W is None),
-#: and stencil is the 1-based types with the buffer of drive + F
+#: U[bounds[b]:bounds[b + 1]]; a step's windows are W = U[idx] + shift,
+#: read into the buffer W, or into a fresh array when W is None, in the
+#: layout of :func:`fkhomog.model._window_plan`, which also builds stencil,
+#: the plan of :func:`fkhomog.model._force`; types are 0-based and work is
+#: the scratch of :func:`_euler_views`
 _Gather = namedtuple("_Gather", "rings bounds idx shift types W stencil work")
 
 
 def _flat_gather(model: ForceModel, rings) -> _Gather:
     """The flat gather of rings, given as (N, Q) pairs: each ring's
     :func:`_window_gather`, its indices offset by the ring's start, with
-    the buffers and views of its steps.
-
-    A tabulated force takes the indices and shift window-last, C-order, and
-    the shift with the window's +0.0 off the centre and -0.0 at it added in
-    (:func:`fkhomog.model._shift_row`).  That one add changes the same bits
-    as the ring's shift and then the window's: off the seam the sum is +0.0
-    off the centre and -0.0 at it, across the seam it is Q k, never 0 for Q
-    != 0; for Q = 0 a seam entry is +-0.0 and both forms turn a -0.0 there
-    into +0.0 and leave every other value as it is."""
+    the buffers and views of its steps."""
     parts = [_window_gather(N, Q, model.m, model.n) for N, Q in rings]
     bounds = np.cumsum([0] + [N for N, _ in rings])
     idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)], axis=1)
     shift = np.concatenate([ring[1] for ring in parts], axis=1)
     types = np.concatenate([ring[2] for ring in parts])
-    work = np.empty((2, 2, bounds[-1]))
-    theta = _slot_theta(model, types)
-    if theta is not None:
-        W = np.empty(idx.shape)
-        return _Gather(tuple(rings), bounds, idx, shift, types, W,
-                       _stencil(model, W, theta), work)
-    return _Gather(tuple(rings), bounds, np.ascontiguousarray(idx.T),
-                   np.ascontiguousarray((shift + _shift_row(model.m)[:, None]).T),
-                   types, None, (types + 1, np.empty(bounds[-1])), work)
+    idx, shift, W, stencil = _window_plan(model, idx, shift, types)
+    return _Gather(tuple(rings), bounds, idx, shift, types, W, stencil,
+                   np.empty((2, 2, bounds[-1])))
 
 
 def _neighbours(V: np.ndarray, Q: int, k: int):
@@ -364,18 +347,19 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
     holds each particle's total drive.
 
     A step reads all windows in gather's layout (one take, one add of the
-    shift), evaluates them in one :func:`fkhomog.model._force` call on
-    gather's stencil and writes the state through one :func:`_euler_update`;
-    every buffer, view and index it uses is built once per layout.  The
-    classical windows go window-major into gather.W; the tabulated ones are
-    taken window-last into a fresh array, which _force hands to the callable
-    as it is, in one call of a batch callable per step.  Sample k of the n
-    reference particles of ring b goes to out[b, :n, k] (U) and out[b, n:,
-    k] (Xi), taken into a buffer of the check block with one take per
-    sample and written to out once per block.  A clock with delta > 0 adds
-    the transport term of the first ring (a march with delta holds one
-    ring).  snapshot_stride > 0 appends copies of the first ring's (tau, U,
-    Xi) to snaps every that many samples.
+    shift; :func:`fkhomog.model._window_plan`), evaluates them in one
+    :func:`fkhomog.model._force` call on gather's stencil and writes the
+    state through one :func:`_euler_update`; every buffer, view and index
+    it uses is built once per layout.  The classical windows go
+    window-major into gather.W; the tabulated ones are taken window-last
+    into a fresh array, which _force hands to the callable as it is, in one
+    call of a batch callable per step.  Sample k of the n reference
+    particles of ring b goes to out[b, :n, k] (U) and out[b, n:, k] (Xi),
+    taken into a buffer of the check block with one take per sample and
+    written to out once per block.  A clock with delta > 0 adds the
+    transport term of the first ring (a march with delta holds one ring).
+    snapshot_stride > 0 appends copies of the first ring's (tau, U, Xi) to
+    snaps every that many samples.
 
     Finiteness is checked once per block of samples, and each block starts
     from a copy of the state.  The march stops at the end of the first block

@@ -56,10 +56,10 @@ class TabulatedForce:
     integer array j of shape (K,) and a window array of shape (K, 2m+1), and
     returns shape (K,); a 0-d result is broadcast to (K,), and any other
     shape raises ModelError.  Every call gets a fresh C-order window array
-    of its own, which the callable may overwrite; the array j is read-only
-    (a march hands every step the same one) and a write to it raises.  A
-    window's off-centre entries never arrive as -0.0 (see ``_force``).  A
-    march calls a batch callable once per Euler step and a per-window one
+    of its own, which the callable may overwrite.  A march hands every
+    step the same array j, read-only, so a write to it raises; every other
+    call gets a fresh one.  A window's off-centre entries never arrive as
+    -0.0 (see ``_force``).  A march calls a batch callable once per Euler step and a per-window one
     once per window of the step.
     """
 
@@ -144,7 +144,8 @@ def build_tabulated(fn, n: int, m: int, m0: float, lip_V: float,
                     f_at_zero_sup: float, batch: bool = False) -> ForceModel:
     """Wrap a user callable fn, called as :class:`TabulatedForce` says: with
     a 1-based type and a window of 2m+1 positions, or with batch=True a
-    read-only (K,) type array and a fresh C-order (K, 2m+1) window array.
+    (K,) type array, read-only in a march, and a fresh C-order (K, 2m+1)
+    window array.
     lip_V and f_at_zero_sup are taken on trust and cross-checked by sampling
     in :func:`check_assumptions`."""
     if not m0 > 0:
@@ -236,10 +237,9 @@ def _stencil(model: ForceModel, W: np.ndarray, theta, buf=None) -> Optional[tupl
     (V_0, V_1) ahead and (V_{-1}, V_0) behind, theta, D = buf[:2] for theta
     (ahead - behind) and its two rows, the centre row V_0 and s = buf[2] for
     the onsite term; buf of shape (3, *shape) is fresh by default.  None
-    for a tabulated force, whose plan :func:`fkhomog.chain._flat_gather`
-    builds.  A march builds it once per layout and hands it to every
-    :func:`_force` call on W (a plain tuple: :func:`_force` unpacks it on
-    every step)."""
+    for a tabulated force (a march's plan is :func:`_window_plan`).  A march
+    builds it once per layout and hands it to every :func:`_force` call on
+    W (a plain tuple: :func:`_force` unpacks it on every step)."""
     if theta is None:
         return None
     m = model.m
@@ -252,48 +252,69 @@ def _stencil(model: ForceModel, W: np.ndarray, theta, buf=None) -> Optional[tupl
     return (W[m:m + 2], W[m - 1:m + 1], theta, D, D[0], D[1], W[m], buf[2])
 
 
+def _window_plan(model: ForceModel, idx, shift, types):
+    """(idx, shift, W, stencil): the layout in which a march's steps read
+    the windows U[idx] + shift, of window-major idx and shift (2m+1, K) and
+    0-based types (K,), and the stencil of :func:`_force` on them, built
+    once per layout.  A step takes W = U.take(idx, None, W) and adds shift
+    in place.
+
+    Classical: idx and shift as given, W a (2m+1, K) buffer and the
+    :func:`_stencil` of W.  Tabulated: idx and shift window-last, C-order
+    (K, 2m+1), W None, so every step takes a fresh array, and the stencil
+    (jj, out) of read-only 1-based types, the same for every step, and a
+    (K,) buffer for drive + F.  The shift has the window's +0.0 off the
+    centre and -0.0 at it (:func:`_shift_row`) added in.  That one add
+    changes the same bits as the ring's shift and then the window's: off
+    the seam the sum is +0.0 off the centre and -0.0 at it, across the seam
+    it is Q k, never 0 for Q != 0; for Q = 0 a seam entry is +-0.0 and both
+    forms turn a -0.0 there into +0.0 and leave every other value as it
+    is."""
+    theta = _slot_theta(model, types)
+    if theta is not None:
+        W = np.empty(idx.shape)
+        return idx, shift, W, _stencil(model, W, theta)
+    jj = types + 1
+    jj.flags.writeable = False
+    return (np.ascontiguousarray(idx.T),
+            np.ascontiguousarray((shift + _shift_row(model.m)[:, None]).T),
+            None, (jj, np.empty(types.shape)))
+
+
 def _force(model: ForceModel, tau: float, W, types, drive=None, stencil=None):
     """drive + F_j(tau, V), shape W.shape[1:], on window-major windows W of
     shape (2m+1, ...) (row k holds V_{k-m} of every window), for 0-based
     types j that broadcast to W.shape[1:]: the one force evaluation every
-    layer uses.  A 1-d W is one window, of one type j, and gives a scalar.
-    drive, which broadcasts to W.shape[1:], holds each window's total drive;
-    it defaults to model.drive.
+    layer uses.  drive, which broadcasts to W.shape[1:], holds each
+    window's total drive; it defaults to model.drive.
 
     The classical formula takes D = theta (V_{0,1} - V_{-1,0}) in one call
     on two rows at once and returns F = D[1] - D[0] + A sin(2 pi V_0) +
     drive written into the buffers of stencil (:func:`_stencil`, built here
     when None), so with a stencil the result lives until the next call on
-    it; one window takes the same operations in the same order on floats.
+    it.
 
-    A tabulated force gets a fresh C-order (K, 2m+1) copy of the windows
-    with +0.0 added off the centre and -0.0 at it, so an off-centre -0.0
-    always arrives as +0.0, and read-only 1-based types (K,).  A march's
-    plan passes stencil = (jj, out) instead (built once per layout by
-    :func:`fkhomog.chain._flat_gather`): W is then that fresh, shifted
-    (K, 2m+1) copy itself, handed over as it is with the types jj, and
-    drive + F is written into out."""
+    A tabulated force also takes a 1-d W as one window, of one type j,
+    with a 0-d result.  Its callable gets a fresh C-order (K, 2m+1) copy of
+    the windows with +0.0 added off the centre and -0.0 at it, so an
+    off-centre -0.0 always arrives as +0.0, and fresh 1-based types (K,).
+    A march passes the stencil (jj, out) of :func:`_window_plan` instead: W
+    is then that fresh, shifted (K, 2m+1) copy itself, handed over as it is
+    with the read-only types jj, and drive + F is written into out."""
     kind, m = model.kind, model.m
     out = None
     if isinstance(kind, ClassicalFK):
-        if W.ndim == 1:
-            th, c = kind.theta, float(W[m])
-            F = (th[(types + 1) % model.n] * (float(W[m + 1]) - c)
-                 - th[types] * (c - float(W[m - 1])))
-            if kind.amplitude != 0.0:
-                F += kind.amplitude * float(np.sin(TWO_PI * c))
-        else:
-            if stencil is None:
-                stencil = _stencil(model, W, _slot_theta(model, types))
-            ahead, behind, theta, D, d_self, F, c, s = stencil
-            np.subtract(ahead, behind, D)
-            np.multiply(theta, D, D)
-            np.subtract(F, d_self, F)
-            if kind.amplitude != 0.0:
-                np.multiply(TWO_PI, c, s)
-                np.sin(s, s)
-                np.multiply(kind.amplitude, s, s)
-                np.add(F, s, F)
+        if stencil is None:
+            stencil = _stencil(model, W, _slot_theta(model, types))
+        ahead, behind, theta, D, d_self, F, c, s = stencil
+        np.subtract(ahead, behind, D)
+        np.multiply(theta, D, D)
+        np.subtract(F, d_self, F)
+        if kind.amplitude != 0.0:
+            np.multiply(TWO_PI, c, s)
+            np.sin(s, s)
+            np.multiply(kind.amplitude, s, s)
+            np.add(F, s, F)
         fresh = True
     else:
         if stencil is not None:
@@ -304,7 +325,6 @@ def _force(model: ForceModel, tau: float, W, types, drive=None, stencil=None):
             V = W.T if W.ndim <= 2 else np.moveaxis(W, 0, -1)
             windows = np.add(V, _shift_row(m), order="C").reshape(-1, 2 * m + 1)
             jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
-        jj.flags.writeable = False
         F = _tabulated_force(kind, jj, tau, windows).reshape(shape)
         fresh = False
     if drive is None:
@@ -322,7 +342,7 @@ def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
     w = np.asarray(window, dtype=float)
     if w.shape != (2 * model.m + 1,):
         raise ModelError(f"window must have exactly {2 * model.m + 1} entries, got {w.shape}")
-    return float(_force(model, tau, w, (int(j) - 1) % model.n))
+    return float(_force(model, tau, w[:, None], (int(j) - 1) % model.n)[0])
 
 
 # ---------------------------------------------------------------------------

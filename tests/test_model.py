@@ -580,38 +580,6 @@ def test_batch_force_result_shape_rule():
         force_profile(bad, 0.0, np.arange(6.0), 6)
 
 
-EVAL_FORCE_MODELS = {
-    "classical_n1": lambda: fk.build_classical_fk([1.3], amplitude=0.7, drive=0.4),
-    "classical_n1_flat": lambda: fk.build_classical_fk([1.3], amplitude=0.0),
-    "classical_n2": lambda: fk.build_classical_fk([1.0, 2.0], amplitude=0.7, drive=-0.2),
-    "classical_n3": lambda: fk.build_classical_fk([0.5, 1.5, 1.0], amplitude=1.0),
-    "tabulated_batch": lambda: fk.with_extra_drive(build_tabulated(
-        _wavy_force, n=2, m=2, m0=0.02, lip_V=10.0, f_at_zero_sup=0.3, batch=True), 0.3),
-    "tabulated_per_window": lambda: build_tabulated(
-        _wavy_force, n=2, m=2, m0=0.02, lip_V=10.0, f_at_zero_sup=0.3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(EVAL_FORCE_MODELS))
-def test_eval_force_is_bitwise_force(name):
-    """eval_force on one window is bitwise _force on that window as a
-    window-major (2m+1, 1) array, for every type and for windows with
-    signed zeros, large entries and non-finite ones."""
-    from fkhomog.model import _force
-    m = EVAL_FORCE_MODELS[name]()
-    w = 2 * m.m + 1
-    rng = np.random.default_rng(sum(map(ord, name)))
-    windows = [*rng.uniform(-3.0, 3.0, (40, w)), *(rng.uniform(-1e6, 1e6, (10, w))),
-               np.zeros(w), np.full(w, -0.0), np.array([0.0, -0.0] * w)[:w],
-               np.array([-0.0, 0.0] * w)[:w], np.full(w, np.inf), np.full(w, np.nan)]
-    for k, win in enumerate(windows):
-        j, tau = k % (m.n + 1) + 1, 0.125 * k
-        with np.errstate(invalid="ignore"):
-            got = fk.eval_force(m, j, tau, win)
-            want = _force(m, tau, win[:, None], (j - 1) % m.n)
-        assert np.float64(got).tobytes() == want.tobytes(), (k, win)
-
-
 def test_one_drive_field_for_both_kinds():
     """with_extra_drive adds to the one drive field and keeps the kind: a
     driven tabulated model calls the user's own callable, and both kinds
