@@ -32,7 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (ForceModel, ModelError, ConstantsLedger, check_assumptions,
-                    require_monotone, _drive_column, _force, _window_plan)
+                    require_monotone, _drive, _force, _plan, _require_delta,
+                    _window_plan)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -118,6 +119,7 @@ def cfl_dt(model: ForceModel, safety: float = 1.0, check: bool = True,
     """
     if not 0 < safety <= 1:
         raise ModelError("safety must lie in (0, 1]")
+    _require_delta(delta)
     if check:
         require_monotone(model)
     return safety / (model.alpha0 + delta * max(a0, 0.0))
@@ -142,10 +144,10 @@ def _window_gather(N: int, Q: int, m: int, n: int):
 #: everything a step needs built once per layout: ring b is
 #: U[bounds[b]:bounds[b + 1]]; a step's windows are W = U[idx] + shift,
 #: read into the buffer W, or into a fresh array when W is None, in the
-#: layout of :func:`fkhomog.model._window_plan`, which also builds stencil,
-#: the plan of :func:`fkhomog.model._force`; types are 0-based and work is
-#: the scratch of :func:`_euler_views`
-_Gather = namedtuple("_Gather", "rings bounds idx shift types W stencil work")
+#: layout of :func:`fkhomog.model._window_plan`, which also builds the
+#: plan of :func:`fkhomog.model._force`; work is the scratch of
+#: :func:`_euler_views`
+_Gather = namedtuple("_Gather", "rings bounds idx shift W plan work")
 
 
 def _flat_gather(model: ForceModel, rings) -> _Gather:
@@ -157,8 +159,8 @@ def _flat_gather(model: ForceModel, rings) -> _Gather:
     idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)], axis=1)
     shift = np.concatenate([ring[1] for ring in parts], axis=1)
     types = np.concatenate([ring[2] for ring in parts])
-    idx, shift, W, stencil = _window_plan(model, idx, shift, types)
-    return _Gather(tuple(rings), bounds, idx, shift, types, W, stencil,
+    idx, shift, W, plan = _window_plan(model, idx, shift, types)
+    return _Gather(tuple(rings), bounds, idx, shift, W, plan,
                    np.empty((2, 2, bounds[-1])))
 
 
@@ -169,19 +171,16 @@ def _neighbours(V: np.ndarray, Q: int, k: int):
     return V[..., idx[-1]] + shift[-1], V[..., idx[0]] + shift[0]
 
 
-def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int,
-                  drive: Optional[np.ndarray] = None) -> np.ndarray:
-    """F_i(tau, window) for every particle of the ring, twist-aware.
-
-    U has shape (N,) or (B, N) (B rings with the same twist Q).  drive, a
-    (B, 1) column from :func:`fkhomog.model._drive_column`, gives each ring
-    its own drive, as :func:`fkhomog.model.with_extra_drive` does.  The
-    marches of :func:`_march` read their windows through a
-    :func:`_flat_gather` instead.
+def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int) -> np.ndarray:
+    """F_i(tau, window) for every particle of one ring U of shape (N,),
+    twist-aware, as a fresh array.  The marches of :func:`_march` read
+    their windows through a :func:`_flat_gather` instead.
     """
-    idx, shift, types = _window_gather(U.shape[-1], Q, model.m, model.n)
-    # (B, 2m+1, N) windows of a batch turn window-major, (2m+1, B, N)
-    return _force(model, tau, (U[..., idx] + shift).swapaxes(0, -2), types, drive)
+    if np.ndim(U) != 1:
+        raise ModelError(f"force_profile takes one ring U of shape (N,), "
+                         f"got shape {np.shape(U)}")
+    idx, shift, types = _window_gather(len(U), Q, model.m, model.n)
+    return _force(model, tau, *_plan(model, U[idx] + shift, types))
 
 
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
@@ -189,8 +188,7 @@ def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
     """Weights (1 - dt alpha0, dt alpha0) of the Euler map at step dt; warns
     past the monotone bound of :func:`cfl_dt`, where order is not preserved,
     at the caller of step, run, extend (through :func:`_clock`) or rescale_micro."""
-    if delta < 0:
-        raise ModelError("delta must be nonnegative")
+    _require_delta(delta)
     if dt * (model.alpha0 + delta * max(a0, 0.0)) > 1.0 + 1e-12:
         warnings.warn("dt exceeds the monotone CFL bound "
                       "1/(alpha0 + delta max(a0, 0)); comparison is no longer "
@@ -348,7 +346,7 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
 
     A step reads all windows in gather's layout (one take, one add of the
     shift; :func:`fkhomog.model._window_plan`), evaluates them in one
-    :func:`fkhomog.model._force` call on gather's stencil and writes the
+    :func:`fkhomog.model._force` call on gather's plan and writes the
     state through one :func:`_euler_update`; every buffer, view and index
     it uses is built once per layout.  The classical windows go
     window-major into gather.W; the tabulated ones are taken window-last
@@ -371,8 +369,7 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
     """
     n = model.n
     sample_dt, n_sub, dt_eff, c, beta, delta, a0 = clock
-    bounds, idx, shift, types = gather.bounds, gather.idx, gather.shift, gather.types
-    stencil = gather.stencil
+    bounds, idx, shift, plan = gather.bounds, gather.idx, gather.shift, gather.plan
     U, Xi = state
     views = _euler_views(state, gather.work)
     use_delta = delta > 0.0
@@ -392,7 +389,7 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
                 # cost more than the gather itself on a few dozen particles
                 W = U.take(idx, None, gather.W, "clip")
                 np.add(W, shift, W)
-                F = _force(model, t + j * dt_eff, W, types, drive, stencil)
+                F = _force(model, t + j * dt_eff, W, plan, drive)
                 if use_delta:
                     extra = _delta_term(model, U, Xi, gather.rings[0][1], delta, a0)
                 _euler_update(views, F, c, beta, dt_eff, extra)
@@ -485,7 +482,7 @@ def _advance(logs: Sequence[TrajectoryLog], S: int, clock: _Clock,
 
     The rings lie one after another in one flat state, a copy of the final
     states read through one :func:`_flat_gather`, and each particle adds
-    its log's total drive (:func:`fkhomog.model._drive_column`).  A failed
+    its log's total drive (:func:`fkhomog.model._drive`).  A failed
     ring leaves the state at the end of its check block and the others go
     on, each bitwise as alone.  The marched series are views of one buffer,
     each final state owns its ring, and delta and snapshots are the first
@@ -501,8 +498,8 @@ def _advance(logs: Sequence[TrajectoryLog], S: int, clock: _Clock,
     out = np.empty((len(logs), first.tracked.shape[0], s + S + 1))
     for b, lg in enumerate(logs):
         out[b, :, :s + 1] = lg.tracked
-    drive = np.repeat(np.concatenate([_drive_column(lg.final_state.model)
-                                      for lg in logs])[:, 0], [N for N, _ in rings])
+    drive = np.repeat([_drive(lg.final_state.model) for lg in logs],
+                      [N for N, _ in rings])
     snaps = [list(lg.snapshots) for lg in logs]
     live, errors, k = list(range(len(logs))), {}, s
     while True:

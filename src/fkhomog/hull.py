@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ForceModel, ConstantsLedger, _force
+from .model import ForceModel, ConstantsLedger, _force, _plan
 from .chain import TrajectoryLog, _transient_cut
 
 
@@ -327,12 +327,13 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
 
     r_h = float(np.abs(lam * d_z(h) - a0 * (g - h)).max())
 
-    # [h]_{j,m}(z) on the grid, window-major (2m+1, n, Z): the values
-    # h_{j+s}(z) for s in -m..m via the type-shift convention
+    # [h]_{j,m}(z) on the grid, window-major (2m+1, n Z): the values
+    # h_{j+s}(z) for s in -m..m via the type-shift convention, type-major
     m = model.m
-    win = np.array([[hull_value(hull, j + s, hull.z_grid, "h") for s in range(-m, m + 1)]
-                    for j in range(1, hull.n + 1)]).transpose(1, 0, 2)
-    F = _force(model, 0.0, win, np.arange(hull.n)[:, None])
+    win = np.array([[hull_value(hull, j + s, hull.z_grid, "h") for j in range(1, hull.n + 1)]
+                    for s in range(-m, m + 1)]).reshape(2 * m + 1, -1)
+    types = np.repeat(np.arange(hull.n), hull.Z)
+    F = _force(model, 0.0, *_plan(model, win, types)).reshape(hull.n, hull.Z)
     r_g = float(np.abs(lam * d_z(g) - (2.0 * F + a0 * (h - g))).max())
     return {"r_h": r_h, "r_g": r_g}
 

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import (ForceModel, with_extra_drive, require_monotone, _force,
-                    _slot_theta, _stencil)
+from .model import ForceModel, with_extra_drive, require_monotone, _force, _plan
 from .chain import (NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update,
                     _euler_views)
 
@@ -429,11 +428,11 @@ def _rescale_micro(run: _MicroRun) -> Field:
     """March a planned run and record eps U on its particles at each time of
     its plan: the body of :func:`rescale_micro`, checks done.  The state is
     one stacked (U, Xi) array; each Euler step evaluates the window-major
-    windows of the active slice in one :func:`fkhomog.model._force` call and
-    writes that slice of the state in place through
-    :func:`fkhomog.chain._euler_update`.  The windows are views of U and the
-    spring constants, force and update scratch are sized once for the
-    first, widest slice; each step takes its slice of them."""
+    windows of the active slice in one :func:`fkhomog.model._force` call on
+    the slice's :func:`fkhomog.model._plan` and writes that slice of the
+    state in place through :func:`fkhomog.chain._euler_update`.  The
+    windows are views of U and the force and update scratch are sized once
+    for the first, widest slice; each step takes its slice of them."""
     model2, eps, pad, plan = run.model, run.eps, run.pad, run.plan
     m = model2.m
     n_obs = run.i_hi - run.i_lo + 1
@@ -450,9 +449,6 @@ def _rescale_micro(run: _MicroRun) -> Field:
     # written in place, so W stays current
     W = sliding_window_view(U, run.N_total - 2 * m)
     types = np.arange(run.N_total) % model2.n
-    # per-particle spring constants, sliced like types (a scalar when n = 1)
-    theta = _slot_theta(model2, types)
-    per_slot = theta is not None and model2.n > 1
 
     obs = slice(pad, pad + n_obs)
     reach = m * (total_steps - 1)
@@ -464,10 +460,8 @@ def _rescale_micro(run: _MicroRun) -> Field:
         c, beta = _euler_coeff(model2, dt)
         for k in range(n_sub):
             lo, hi = pad - reach, pad + n_obs + reach
-            Wk = W[:, lo - m:hi - m]
-            th = theta[:, lo:hi] if per_slot else theta
-            F = _force(model2, start + k * dt, Wk, types[lo:hi],
-                       stencil=_stencil(model2, Wk, th, buf[:, :hi - lo]))
+            F = _force(model2, start + k * dt, *_plan(
+                model2, W[:, lo - m:hi - m], types[lo:hi], buf[:, :hi - lo]))
             _euler_update(_euler_views(state[:, lo:hi], work[..., :hi - lo]),
                           F, c, beta, dt)
             particle_steps += hi - lo

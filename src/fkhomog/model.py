@@ -58,8 +58,10 @@ class TabulatedForce:
     shape raises ModelError.  Every call gets a fresh C-order window array
     of its own, which the callable may overwrite.  A march hands every
     step the same array j, read-only, so a write to it raises; every other
-    call gets a fresh one.  A window's off-centre entries never arrive as
-    -0.0 (see ``_force``).  A march calls a batch callable once per Euler step and a per-window one
+    call gets a fresh one.  The result is copied (with the drive added)
+    before the callable runs again, so it may return an array it keeps.
+    A window's off-centre entries never arrive as -0.0 (see ``_plan``).  A
+    march calls a batch callable once per Euler step and a per-window one
     once per window of the step.
     """
 
@@ -144,8 +146,9 @@ def build_tabulated(fn, n: int, m: int, m0: float, lip_V: float,
                     f_at_zero_sup: float, batch: bool = False) -> ForceModel:
     """Wrap a user callable fn, called as :class:`TabulatedForce` says: with
     a 1-based type and a window of 2m+1 positions, or with batch=True a
-    (K,) type array, read-only in a march, and a fresh C-order (K, 2m+1)
-    window array.
+    (K,) type array, fresh except in a march, where it is read-only, and a
+    fresh C-order (K, 2m+1) window array; its result is never returned or
+    kept as it is.
     lip_V and f_at_zero_sup are taken on trust and cross-checked by sampling
     in :func:`check_assumptions`."""
     if not m0 > 0:
@@ -181,13 +184,10 @@ def _shift_row(m: int) -> np.ndarray:
     return row
 
 
-def _drive_column(model: ForceModel, L=0.0) -> np.ndarray:
-    """Per-row total drives model.drive + L for :func:`_force` as a (B, 1)
-    column (by default the model's own drive).  Zero drives are stored as
-    -0.0, whose addition changes no value, so every row matches
-    ``with_extra_drive(model, L)`` bit for bit."""
-    d = model.drive + np.asarray(L, dtype=float).reshape(-1, 1)
-    return np.where(d == 0.0, -0.0, d)
+def _drive(model: ForceModel) -> float:
+    """The drive :func:`_force` adds by default: model.drive, a zero one
+    stored as -0.0, whose addition changes no bit."""
+    return model.drive or -0.0
 
 
 def _tabulated_force(kind: TabulatedForce, jj, tau: float, windows) -> np.ndarray:
@@ -217,63 +217,62 @@ def _theta_pairs(theta: tuple) -> np.ndarray:
     return pairs
 
 
-def _slot_theta(model: ForceModel, types):
-    """(theta_j, theta_{j+1}) of the classical formula for 0-based types:
-    theta_1 as one scalar when n = 1, else both stacked in one array of
-    shape (2, *types.shape); None for a tabulated force.  Marches build it
-    once per layout of their types, in :func:`_stencil`."""
-    kind = model.kind
-    if not isinstance(kind, ClassicalFK):
-        return None
-    if model.n == 1:
-        return kind.theta[0]
-    return _theta_pairs(kind.theta).take(types, 1)
-
-
-def _stencil(model: ForceModel, W: np.ndarray, theta, buf=None) -> Optional[tuple]:
-    """The views and buffers of the classical formula on window-major
-    windows W of shape (2m+1, *shape), at least 2-d, for spring constants
-    theta (:func:`_slot_theta` of types that broadcast to shape): the rows
-    (V_0, V_1) ahead and (V_{-1}, V_0) behind, theta, D = buf[:2] for theta
-    (ahead - behind) and its two rows, the centre row V_0 and s = buf[2] for
-    the onsite term; buf of shape (3, *shape) is fresh by default.  None
-    for a tabulated force (a march's plan is :func:`_window_plan`).  A march
-    builds it once per layout and hands it to every :func:`_force` call on
-    W (a plain tuple: :func:`_force` unpacks it on every step)."""
-    if theta is None:
-        return None
-    m = model.m
-    if isinstance(theta, np.ndarray) and theta.ndim < W.ndim:
-        # types of fewer dimensions than the windows broadcast from the right
-        theta = theta.reshape((2,) + (1,) * (W.ndim - theta.ndim) + theta.shape[1:])
+def _stencil(model: ForceModel, W: np.ndarray, types, buf=None) -> tuple:
+    """The plan of the classical formula in :func:`_force` on window-major
+    windows W of shape (2m+1, K) of 0-based types (K,): the rows (V_0, V_1)
+    ahead and (V_{-1}, V_0) behind, the spring constants theta (theta_1 as
+    one scalar when n = 1, else (theta_j, theta_{j+1}) of each window as a
+    (2, K) array), D = buf[:2] for theta (ahead - behind) and its two rows,
+    the centre row V_0 and s = buf[2] for the onsite term; buf of shape
+    (3, K) is fresh by default.  No callable runs on it, so W is read in
+    place, and :func:`_force` writes its result into buf[1].  A plain
+    tuple: :func:`_force` unpacks it on every step."""
+    m, theta = model.m, model.kind.theta
+    theta = theta[0] if model.n == 1 else _theta_pairs(theta).take(types, 1)
     if buf is None:
         buf = np.empty((3,) + W.shape[1:])
     D = buf[:2]
     return (W[m:m + 2], W[m - 1:m + 1], theta, D, D[0], D[1], W[m], buf[2])
 
 
+def _plan(model: ForceModel, W: np.ndarray, types, buf=None) -> tuple:
+    """(W, plan) of one :func:`_force` call on windows the caller holds:
+    window-major W of shape (2m+1, K) (row k holds V_{k-m} of every window)
+    of 0-based types (K,), with buf of shape (3, K) as scratch (fresh by
+    default).  Classical: W itself and its :func:`_stencil`.  Tabulated: a
+    fresh window-last C-order (K, 2m+1) copy of W with the window's +0.0
+    added off the centre and -0.0 at it (:func:`_shift_row`), so an
+    off-centre -0.0 arrives as +0.0, and the plan (jj, out) of fresh
+    1-based types jj and out = buf[0] (fresh when buf is None), which
+    receives drive + F, so the result is never the callable's own array.
+    Marches build theirs with :func:`_window_plan`."""
+    if isinstance(model.kind, ClassicalFK):
+        return W, _stencil(model, W, types, buf)
+    out = np.empty(types.shape) if buf is None else buf[0]
+    return np.add(W.T, _shift_row(model.m), order="C"), (types + 1, out)
+
+
 def _window_plan(model: ForceModel, idx, shift, types):
-    """(idx, shift, W, stencil): the layout in which a march's steps read
-    the windows U[idx] + shift, of window-major idx and shift (2m+1, K) and
-    0-based types (K,), and the stencil of :func:`_force` on them, built
-    once per layout.  A step takes W = U.take(idx, None, W) and adds shift
-    in place.
+    """(idx, shift, W, plan): the layout in which a march's steps read the
+    windows U[idx] + shift, of window-major idx and shift (2m+1, K) and
+    0-based types (K,), and the plan of :func:`_force` on them, built once
+    per layout.  A step takes W = U.take(idx, None, W) and adds shift in
+    place.
 
     Classical: idx and shift as given, W a (2m+1, K) buffer and the
     :func:`_stencil` of W.  Tabulated: idx and shift window-last, C-order
-    (K, 2m+1), W None, so every step takes a fresh array, and the stencil
-    (jj, out) of read-only 1-based types, the same for every step, and a
-    (K,) buffer for drive + F.  The shift has the window's +0.0 off the
-    centre and -0.0 at it (:func:`_shift_row`) added in.  That one add
-    changes the same bits as the ring's shift and then the window's: off
-    the seam the sum is +0.0 off the centre and -0.0 at it, across the seam
-    it is Q k, never 0 for Q != 0; for Q = 0 a seam entry is +-0.0 and both
-    forms turn a -0.0 there into +0.0 and leave every other value as it
-    is."""
-    theta = _slot_theta(model, types)
-    if theta is not None:
+    (K, 2m+1), W None, so every step takes fresh windows, and the plan
+    (jj, out) of read-only 1-based types jj, the same for every step, and a
+    (K,) buffer out for drive + F, so the result is never the callable's
+    own array.  The shift has the window's +0.0 off the centre and -0.0 at
+    it (:func:`_shift_row`) added in.  That one add changes the same bits
+    as the ring's shift and then the window's: off the seam the sum is
+    +0.0 off the centre and -0.0 at it, across the seam it is Q k, never 0
+    for Q != 0; for Q = 0 a seam entry is +-0.0 and both forms turn a -0.0
+    there into +0.0 and leave every other value as it is."""
+    if isinstance(model.kind, ClassicalFK):
         W = np.empty(idx.shape)
-        return idx, shift, W, _stencil(model, W, theta)
+        return idx, shift, W, _stencil(model, W, types)
     jj = types + 1
     jj.flags.writeable = False
     return (np.ascontiguousarray(idx.T),
@@ -281,32 +280,26 @@ def _window_plan(model: ForceModel, idx, shift, types):
             None, (jj, np.empty(types.shape)))
 
 
-def _force(model: ForceModel, tau: float, W, types, drive=None, stencil=None):
-    """drive + F_j(tau, V), shape W.shape[1:], on window-major windows W of
-    shape (2m+1, ...) (row k holds V_{k-m} of every window), for 0-based
-    types j that broadcast to W.shape[1:]: the one force evaluation every
-    layer uses.  drive, which broadcasts to W.shape[1:], holds each
-    window's total drive; it defaults to model.drive.
+def _force(model: ForceModel, tau: float, W, plan, drive=None) -> np.ndarray:
+    """drive + F_j(tau, V) of shape (K,) on the K windows W in the layout
+    of plan, from :func:`_window_plan` in a march or :func:`_plan` for
+    windows the caller holds: the one force evaluation every layer uses.
+    drive, a scalar or (K,), holds each window's total drive; it defaults
+    to :func:`_drive` of the model.
 
-    The classical formula takes D = theta (V_{0,1} - V_{-1,0}) in one call
-    on two rows at once and returns F = D[1] - D[0] + A sin(2 pi V_0) +
-    drive written into the buffers of stencil (:func:`_stencil`, built here
-    when None), so with a stencil the result lives until the next call on
-    it.
+    Classical: W is window-major (2m+1, K) and plan its :func:`_stencil`.
+    D = theta (V_{0,1} - V_{-1,0}) is taken in one call on two rows at
+    once, and F = D[1] - D[0] + A sin(2 pi V_0) + drive is written into the
+    plan's buffers, where it lives until the next call on the plan.
 
-    A tabulated force also takes a 1-d W as one window, of one type j,
-    with a 0-d result.  Its callable gets a fresh C-order (K, 2m+1) copy of
-    the windows with +0.0 added off the centre and -0.0 at it, so an
-    off-centre -0.0 always arrives as +0.0, and fresh 1-based types (K,).
-    A march passes the stencil (jj, out) of :func:`_window_plan` instead: W
-    is then that fresh, shifted (K, 2m+1) copy itself, handed over as it is
-    with the read-only types jj, and drive + F is written into out."""
-    kind, m = model.kind, model.m
-    out = None
+    Tabulated: W is window-last (K, 2m+1), C-order, shifted, and plan is
+    (jj, out) of 1-based types jj.  The callable gets W and jj as they are
+    and drive + F is written into out.  Its windows are fresh on every
+    call, its types are fresh except in a march (the same read-only jj on
+    every step), and the result is never the callable's own array."""
+    kind = model.kind
     if isinstance(kind, ClassicalFK):
-        if stencil is None:
-            stencil = _stencil(model, W, _slot_theta(model, types))
-        ahead, behind, theta, D, d_self, F, c, s = stencil
+        ahead, behind, theta, D, d_self, F, c, s = plan
         np.subtract(ahead, behind, D)
         np.multiply(theta, D, D)
         np.subtract(F, d_self, F)
@@ -315,26 +308,11 @@ def _force(model: ForceModel, tau: float, W, types, drive=None, stencil=None):
             np.sin(s, s)
             np.multiply(kind.amplitude, s, s)
             np.add(F, s, F)
-        fresh = True
+        out = F
     else:
-        if stencil is not None:
-            (jj, out), windows, shape = stencil, W, W.shape[:1]
-        else:
-            shape = W.shape[1:]
-            # window-last; np.moveaxis costs more than a one-window call
-            V = W.T if W.ndim <= 2 else np.moveaxis(W, 0, -1)
-            windows = np.add(V, _shift_row(m), order="C").reshape(-1, 2 * m + 1)
-            jj = np.add(types, 1, out=np.empty(shape, dtype=int)).reshape(-1)
-        F = _tabulated_force(kind, jj, tau, windows).reshape(shape)
-        fresh = False
-    if drive is None:
-        if model.drive == 0.0:
-            return F
-        drive = model.drive
-    if not fresh:       # the callable's result may alias the user's array
-        return np.add(F, drive, out)
-    F += drive
-    return F
+        jj, out = plan
+        F = _tabulated_force(kind, jj, tau, W)
+    return np.add(F, _drive(model) if drive is None else drive, out)
 
 
 def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
@@ -342,7 +320,8 @@ def eval_force(model: ForceModel, j: int, tau: float, window) -> float:
     w = np.asarray(window, dtype=float)
     if w.shape != (2 * model.m + 1,):
         raise ModelError(f"window must have exactly {2 * model.m + 1} entries, got {w.shape}")
-    return float(_force(model, tau, w[:, None], (int(j) - 1) % model.n)[0])
+    types = np.array([(int(j) - 1) % model.n])
+    return float(_force(model, tau, *_plan(model, w[:, None], types))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -456,21 +435,23 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
     bad = []     # the first non-finite sample, as (j, tau, *window)
 
     def f(j, pieces):
-        # F_j on consecutive (tau, windows) pieces of one size, one call per
-        # piece, where a 1-d piece is one window; _force hands each call its
-        # own copy, since a callable may write to its windows (the mesh holds
-        # no -0.0, so its shift row changes no value)
+        # F_j on consecutive (tau, windows) pieces of one size K, window-major
+        # (2m+1, K), one call per piece; _plan hands each call its own copy,
+        # since a callable may write to its windows (the mesh holds no -0.0,
+        # so its shift row changes no value)
         pieces = list(pieces)
-        F = np.array([_force(model, t, v.T, j - 1) for t, v in pieces]).ravel()
+        types = np.full(pieces[0][1].shape[1], j - 1)
+        F = np.concatenate([_force(model, t, *_plan(model, v, types))
+                            for t, v in pieces])
         if not bad and not np.isfinite(F).all():
             # the first non-finite value, found in its piece
             k, i = divmod(int(np.argmin(np.isfinite(F))), F.size // len(pieces))
             t, v = pieces[k]
-            bad.append((j, float(t), *np.atleast_2d(v)[i]))
+            bad.append((j, float(t), *v[:, i]))
         return F
 
     def f_mesh(j, shifted, dtau=0.0):
-        return f(j, ((t + dtau, shifted) for t in axis))
+        return f(j, ((t + dtau, shifted.T) for t in axis))
 
     def derivative(j, k, dF):
         # (F_j(+h/2) - F_j(-h/2)) / h in slot k, written into dF in mesh
@@ -482,8 +463,10 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
         lay = np.stack([g.ravel() for g in grids], axis=-1)
         inner = d ** (w - 1 - k)
         first = [None, None]
+        types = np.full(len(lay), j - 1)
         for i, t in enumerate(axis):
-            F = _force(model, t, lay.T, j - 1).reshape(-1, len(layers), inner)
+            F = _force(model, t, *_plan(model, lay.T, types))
+            F = F.reshape(-1, len(layers), inner)
             piece = dF[i * blk:(i + 1) * blk].reshape(-1, d, inner)
             np.subtract(F[:, plus], F[:, minus], out=piece)
             if bad or np.isfinite(F).all():
@@ -541,8 +524,9 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
                 keep("a2", dF, j)
         keep("a1", model.lip_V + tol - grad_abs_sum, j)
 
-        lhs = 2.0 * f(j + 1, zip(ts, tup[:, 1:])) + model.alpha0 * tup[:, m + 1]
-        rhs = 2.0 * f(j, zip(ts, tup[:, :-1])) + model.alpha0 * tup[:, m]
+        # one window per sample, each a (2m+1, 1) column
+        lhs = 2.0 * f(j + 1, zip(ts, tup[:, 1:, None])) + model.alpha0 * tup[:, m + 1]
+        rhs = 2.0 * f(j, zip(ts, tup[:, :-1, None])) + model.alpha0 * tup[:, m]
         keep("a6", lhs - rhs, j, tuples=True)
 
     neg_res, a4_wit = worst["a4"]
@@ -631,8 +615,16 @@ class ConstantsLedger:
         return 13.0 + 6.0 * self.C4 / self.alpha0 + 7.0 * self.p + 2.0 * self.K1
 
 
+def _require_delta(delta) -> None:
+    """The one check of the delta transport weight, shared by the ledger,
+    :func:`fkhomog.chain.cfl_dt` and the Euler weights: delta >= 0."""
+    if delta < 0:
+        raise ModelError("delta must be nonnegative")
+
+
 def _ledger_arith(alpha0, lip_v, f0, n, m, p, K0, M0, delta, a0, C0, one):
     """Shared ledger arithmetic; ``one`` is 1 in the working number type."""
+    _require_delta(delta)
     if delta == 0:
         a0 = 0 * one
     L_F = lip_v

@@ -16,7 +16,7 @@ from fkhomog.chain import (CHECK_BLOCK, NumericalError, TwistedChain,
                            _euler_views, _flat_gather, _neighbours, _start_log,
                            _state_ordering_violation)
 from fkhomog.macro import _march_plan
-from fkhomog.model import ClassicalFK, ModelError, _drive_column, _force
+from fkhomog.model import ClassicalFK, ModelError, _drive, _force
 from test_rotation import _blow_up_model
 
 
@@ -88,6 +88,16 @@ def test_cfl_refuses_non_monotone_model():
     m = fk.build_classical_fk([1.0], amplitude=1.0, drive=0.0, m0=0.05)
     with pytest.raises(ModelError):
         fk.cfl_dt(m)
+
+
+@pytest.mark.parametrize("a0", [60.0, 50.0])
+def test_cfl_dt_refuses_negative_delta(a0):
+    """A negative delta would lengthen the step (a0 = 60 gave -0.1 at
+    alpha0 = 50) or divide by zero (a0 = 50); it is refused."""
+    m = fk.build_classical_fk([1.0], amplitude=0.0, m0=0.01)
+    assert m.alpha0 == 50.0
+    with pytest.raises(ModelError, match="delta must be nonnegative"):
+        fk.cfl_dt(m, delta=-1.0, a0=a0, check=False)
 
 
 def test_step_fixed_point_zero_force():
@@ -481,18 +491,64 @@ FORCE_PROFILE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FORCE_PROFILE_CASES))
 def test_force_profile_bytes_match_reference(case):
-    """force_profile on one ring and on (B, N) batches with per-row drives,
-    on states holding -0.0 and +0.0 entries, is bitwise the reference."""
+    """force_profile on rings holding -0.0 and +0.0 entries, with the
+    model's drive and with each row's extra drive, is bitwise the
+    reference."""
     model, tau, Q, Ls = FORCE_PROFILE_CASES[case]()
     rng = np.random.default_rng(sum(map(ord, case)))
     for N in (model.n, 2 * model.n, 6 * model.n):
         U = _states_with_signed_zeros(rng, len(Ls), N, Q)
-        drive = _drive_column(model, Ls)
-        got = force_profile(model, tau, U, Q, drive)
-        want = _force_profile_ref(model, tau, U, Q, drive)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for row, L in zip(U, Ls):
+            driven = fk.with_extra_drive(model, L)
+            got = force_profile(driven, tau, row, Q)
+            assert got.tobytes() == _force_profile_ref(driven, tau, row, Q).tobytes()
         got = force_profile(model, tau, U[0], Q)
         assert got.tobytes() == _force_profile_ref(model, tau, U[0], Q).tobytes()
+
+
+def test_force_profile_refuses_a_batch_of_rings():
+    m = fkmodel()
+    with pytest.raises(ModelError, match=r"got shape \(2, 4\)"):
+        force_profile(m, 0.0, np.zeros((2, 4)), 1)
+
+
+@pytest.mark.parametrize("model", [
+    fkmodel((1.0, 2.0), A=0.7, L=0.4),
+    fk.build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                       f_at_zero_sup=0.3, batch=True),
+])
+def test_force_profile_calls_share_no_memory(model):
+    """Each call returns an array of its own: a caller may hold one result
+    while it computes the next."""
+    chain = fk.init_linear(model, Fraction(1, 2), cells=2)
+    Fa = force_profile(model, 0.0, chain.U, chain.Q)
+    want = Fa.copy()
+    Fb = force_profile(model, 0.0, chain.U + 0.1, chain.Q)
+    assert not np.shares_memory(Fa, Fb)
+    assert Fa.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("drive", [0.0, 0.3])
+def test_force_profile_never_returns_the_callables_array(drive):
+    """A batch callable that returns an array it keeps gets back from
+    force_profile and from a march step a result that shares no memory
+    with it."""
+    kept = {}
+
+    def fn(j, tau, w):
+        F = kept.setdefault("F", np.empty(j.shape))
+        F[:] = _wavy_force(j, tau, w)
+        return F
+
+    model = fk.with_extra_drive(fk.build_tabulated(
+        fn, n=2, m=2, m0=0.02, lip_V=10.0, f_at_zero_sup=0.3, batch=True), drive)
+    chain = fk.init_linear(model, Fraction(1, 2), cells=2)
+    F = force_profile(model, 0.0, chain.U, chain.Q)
+    assert not np.shares_memory(F, kept["F"])
+    gather = _flat_gather(model, [(chain.N, chain.Q)])
+    W = chain.U.take(gather.idx)
+    np.add(W, gather.shift, W)
+    assert not np.shares_memory(_force(model, 0.0, W, gather.plan), kept["F"])
 
 
 @pytest.mark.parametrize("theta", [(1.0,), (1.0, 2.0), (0.5, 1.5, 1.0)])
@@ -511,12 +567,12 @@ def test_flat_gather_windows_match_reference_per_ring(theta):
         U[lo] = -0.0
     U[gather.bounds[2] - 1] = 0.0
     Ls = [0.5, -0.25, 0.0, 1.0]       # ring 1's total drive is 0
-    d = _drive_column(model, Ls)[:, 0]
+    d = np.array([_drive(fk.with_extra_drive(model, L)) for L in Ls])
     assert np.signbit(d[1]) and d[1] == 0.0
     drive = np.repeat(d, [N for N, _ in rings])
     U.take(gather.idx, None, gather.W, "clip")
     np.add(gather.W, gather.shift, gather.W)
-    F = _force(model, 0.3, gather.W, gather.types, drive, gather.stencil).copy()
+    F = _force(model, 0.3, gather.W, gather.plan, drive).copy()
     for b, (N, Q) in enumerate(rings):
         ring = slice(gather.bounds[b], gather.bounds[b + 1])
         want = _force_profile_ref(model, 0.3, U[ring].copy(), Q, d[b])
@@ -581,7 +637,7 @@ def _textbook_march(chain, S, clock):
     """(tracked, U, Xi) of S samples marched one ring at a time with the
     reference force and the Euler update as written on paper."""
     n, model = chain.model.n, chain.model
-    drive = _drive_column(model)[0, 0]
+    drive = _drive(model)
     U, Xi = chain.U.copy(), chain.Xi.copy()
     tracked = [np.concatenate([U[:n], Xi[:n]])]
     for k in range(1, S + 1):

@@ -655,6 +655,12 @@ def test_ledger_requires_valid_K0():
         fk.constants_ledger(m, p=2.0, K0=1.5)
 
 
+def test_ledger_refuses_negative_delta():
+    m = fk.build_classical_fk([1.0], m0=0.02)
+    with pytest.raises(ModelError, match="delta must be nonnegative"):
+        fk.constants_ledger(m, 1.0, delta=-1.0, a0=2.0)
+
+
 @given(th=st.lists(st.floats(0.1, 4.0), min_size=1, max_size=3),
        amp=st.floats(0.0, 2.0), drive=st.floats(-3.0, 3.0),
        m0=st.floats(0.001, 0.2), p=st.fractions(min_value="1/8", max_value=8))
