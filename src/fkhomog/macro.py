@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import ForceModel, with_extra_drive, require_monotone, _force, _plan
+from .model import (ClassicalFK, ForceModel, with_extra_drive, require_monotone,
+                    _force, _plan)
 from .chain import (NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update,
                     _euler_views)
 
@@ -327,13 +328,14 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times, one
     column per particle of the window at its cell edge x = eps i.
 
-    Influence travels at most m indices per Euler step, so the update of a
-    particle more than m k from the window, at a step with k steps after it,
-    never reaches the window.  Each step advances only the particles within
-    m k, a slice that shrinks by m per side per step and reads m neighbours
-    beyond itself; the pad of m (n_steps + 1) particles per side holds it.
-    Particles outside the slice keep stale values that never reach the
-    window, so values on the window are exactly those of the infinite chain.
+    An Euler step moves U by its own (U, Xi) and Xi by the U of m
+    neighbours per side, so influence travels m indices per two steps: a
+    step with k steps after it advances only the particles within
+    m floor(k / 2) of the window, a slice that reads m neighbours beyond
+    itself and shrinks by m per side every second step; the pad of
+    m ceil(n_steps / 2) particles per side holds it.  Particles outside the
+    slice keep stale values that never reach the window, so values on the
+    window are exactly those of the infinite chain.
     meta records the particles actually stepped, summed over steps, as
     particle_steps.  Euler steps are at most cfl_dt(model + L, 0.5), cut by
     ``_march_plan`` to land on each time of t_record (default [T]).  Each
@@ -388,10 +390,10 @@ class _MicroRun:
 
     @property
     def pad(self) -> int:
-        """The light-cone pad m (n_steps + 1) per side, widened so that the
-        array starts on a type boundary: array position k then holds a
+        """The light-cone pad m ceil(n_steps / 2) per side, widened so that
+        the array starts on a type boundary: array position k then holds a
         particle of type k mod n."""
-        pad = self.model.m * (self.n_steps + 1)
+        pad = self.model.m * ((self.n_steps + 1) // 2)
         return pad + (self.i_lo - pad) % self.model.n
 
     @property
@@ -432,11 +434,12 @@ def _rescale_micro(run: _MicroRun) -> Field:
     the slice's :func:`fkhomog.model._plan` and writes that slice of the
     state in place through :func:`fkhomog.chain._euler_update`.  The
     windows are views of U and the force and update scratch are sized once
-    for the first, widest slice; each step takes its slice of them."""
+    for all of W; each slice takes its part of them, and its update views
+    and a classical plan (which reads U in place) serve both of its steps.
+    A tabulated plan copies its windows, so every step builds one."""
     model2, eps, pad, plan = run.model, run.eps, run.pad, run.plan
     m = model2.m
     n_obs = run.i_hi - run.i_lo + 1
-    total_steps = run.n_steps
 
     idx = np.arange(run.i_lo - pad, run.i_hi + pad + 1)
     state = np.empty((2, idx.size))
@@ -449,23 +452,29 @@ def _rescale_micro(run: _MicroRun) -> Field:
     # written in place, so W stays current
     W = sliding_window_view(U, run.N_total - 2 * m)
     types = np.arange(run.N_total) % model2.n
+    copies = not isinstance(model2.kind, ClassicalFK)
 
     obs = slice(pad, pad + n_obs)
-    reach = m * (total_steps - 1)
-    width = n_obs + 2 * max(reach, 0)
-    work, buf = np.empty((2, 2, width)), np.empty((3, width))
+    left = run.n_steps
+    work, buf = np.empty((2, 2, W.shape[1])), np.empty((3, W.shape[1]))
+    span = None
     particle_steps = 0
     vals = []
     for w, n_sub, dt, start in plan:
         c, beta = _euler_coeff(model2, dt)
         for k in range(n_sub):
+            left -= 1
+            reach = m * (left // 2)
             lo, hi = pad - reach, pad + n_obs + reach
-            F = _force(model2, start + k * dt, *_plan(
-                model2, W[:, lo - m:hi - m], types[lo:hi], buf[:, :hi - lo]))
-            _euler_update(_euler_views(state[:, lo:hi], work[..., :hi - lo]),
-                          F, c, beta, dt)
+            if copies or (lo, hi) != span:
+                fplan = _plan(model2, W[:, lo - m:hi - m], types[lo:hi],
+                              buf[:, :hi - lo])
+            if (lo, hi) != span:
+                span = lo, hi
+                views = _euler_views(state[:, lo:hi], work[..., :hi - lo])
+            _euler_update(views, _force(model2, start + k * dt, *fplan),
+                          c, beta, dt)
             particle_steps += hi - lo
-            reach -= m
         if not np.all(np.isfinite(U[obs])):
             raise NumericalError(f"microscopic state blew up before t = {w}",
                                  tau=w / eps)
@@ -474,7 +483,7 @@ def _rescale_micro(run: _MicroRun) -> Field:
     return Field(t_grid=np.array([t for t, *_ in plan]),
                  x_grid=eps * (run.i_lo + np.arange(n_obs)),
                  values=np.reshape(vals, (len(vals), n_obs)),
-                 meta={"pad": pad, "n_steps": total_steps, "dt": run.dt,
+                 meta={"pad": pad, "n_steps": run.n_steps, "dt": run.dt,
                        "N_total": run.N_total, "K0": run.K0, "L": run.L,
                        "eps": eps, "particle_steps": particle_steps})
 

@@ -245,12 +245,17 @@ def test_rescale_micro_refuses_undersized_window():
         fk.rescale_micro(m, 0.0, 0.1, u0, T=0.1, window=(0.0, 1.0))
 
 
-def test_rescale_micro_refuses_oversized_pad():
+def _no_march(*args, **kw):
+    raise AssertionError("a run that should be refused was marched")
+
+
+def test_rescale_micro_refuses_oversized_pad(monkeypatch):
+    monkeypatch.setattr(fk.macro, "_force", _no_march)
     m = fkmodel(A=0.0, margin=1.2)
     u0 = Profile.linear(1.0, -6.0, 6.0)
-    with pytest.raises(MacroError, match=r"pad needs 7680243 particles "
+    with pytest.raises(MacroError, match=r"pad needs 7680241 particles "
                                          r"\(> 5000000\) at eps = 0.05"):
-        fk.rescale_micro(m, 0.0, 0.05, u0, T=2e4, window=(-6.0, 6.0))
+        fk.rescale_micro(m, 0.0, 0.05, u0, T=4e4, window=(-6.0, 6.0))
 
 
 def test_rescale_micro_integer_lift_commutes():
@@ -264,6 +269,19 @@ def test_rescale_micro_integer_lift_commutes():
     f1 = fk.rescale_micro(m, 0.0, eps, u0, T=0.3, window=(-5.0, 5.0), t_record=[0.3])
     f2 = fk.rescale_micro(m, 0.0, eps, shifted, T=0.3, window=(-5.0, 5.0), t_record=[0.3])
     assert np.allclose(f2.values, f1.values + eps * k, atol=1e-12)
+
+
+def _march_whole_array(model, U, Xi, n_steps, dt, start=0.0):
+    """n_steps Euler steps of dt from the clock value start, in place on the
+    whole arrays U and Xi, through the ring force (twist 0), the m particles
+    at each end frozen."""
+    m = model.m
+    c, beta = _euler_coeff(model, dt)
+    inner = slice(m, U.size - m)
+    for k in range(n_steps):
+        F = force_profile(model, start + k * dt, U, 0)[inner]
+        u, xi = U[inner], Xi[inner]
+        U[inner], Xi[inner] = c * u + beta * xi, c * xi + beta * u + (2.0 * dt) * F
 
 
 def _rescale_micro_full(model, L, eps, u0, T, window, *, xi0=None,
@@ -284,16 +302,9 @@ def _rescale_micro_full(model, L, eps, u0, T, window, *, xi0=None,
     x = eps * np.arange(i_lo - pad, i_lo + n_obs + pad)
     U = u0.value(x) / eps
     Xi = U.copy() if xi0 is None else xi0.value(x) / eps
-    inner = slice(m, N - m)
     vals = []
     for _, n_sub, dt, start in plan:
-        if n_sub:
-            c, beta = _euler_coeff(model2, dt)
-            for k in range(n_sub):
-                F = force_profile(model2, start + k * dt, U, 0)[inner]
-                u, xi = U[inner], Xi[inner]
-                U[inner], Xi[inner] = (c * u + beta * xi,
-                                       c * xi + beta * u + (2.0 * dt) * F)
+        _march_whole_array(model2, U, Xi, n_sub, dt, start)
         vals.append(eps * U[pad:pad + n_obs].copy())
     meta = {"pad": pad, "n_steps": total, "dt": dt_max, "N_total": N,
             "K0": u0.slope_frame(), "L": L, "eps": eps}
@@ -357,9 +368,37 @@ def test_rescale_micro_trimmed_equals_full_window_march(case):
     assert field.t_grid.tobytes() == t_ref.tobytes()
     assert field.values.shape == v_ref.shape
     assert field.values.tobytes() == v_ref.tobytes()
+    # the reference pads m (S + 1), past the claimed cone; the run pads
+    # m ceil(S / 2), widened to a type boundary
     meta = dict(field.meta)
     meta.pop("particle_steps")
-    assert meta == meta_ref
+    S, n, m = meta["n_steps"], model.n, model.m
+    pad = m * ((S + 1) // 2)
+    pad += (round(field.x_grid[0] / eps) - pad) % n
+    assert (meta.pop("pad"), meta.pop("N_total")) == (pad, v_ref.shape[1] + 2 * pad)
+    assert meta == {k: v for k, v in meta_ref.items() if k not in ("pad", "N_total")}
+
+
+@pytest.mark.parametrize("S", [1, 2, 5, 6])
+@pytest.mark.parametrize("model", [lambda: fkmodel(L=1.0, margin=1.2),
+                                   _two_type_batch_model], ids=["m1", "m2"])
+def test_euler_map_moves_influence_m_sites_per_two_steps(model, S):
+    """The cone rescale_micro's pad and slices are cut to, pinned from both
+    sides on a whole-array march: a NaN in U(0) at distance m floor(S / 2)
+    from the window reaches it after S steps and one site further does not;
+    for Xi(0) the distance is m floor((S - 1) / 2)."""
+    model = model()
+    m, n_obs = model.m, 10
+    pad = m * (S + 2)
+    N = n_obs + 2 * pad
+    for row, reach in ((0, m * (S // 2)), (1, m * ((S - 1) // 2))):
+        for d, hits in ((reach, True), (reach + 1, False)):
+            for at in (pad - d, pad + n_obs - 1 + d):
+                state = np.tile(0.9 * np.arange(N), (2, 1))
+                state[row, at] = np.nan
+                U, Xi = state
+                _march_whole_array(model, U, Xi, S, 0.5 / model.alpha0)
+                assert np.isnan(U[pad:pad + n_obs]).any() == hits, (row, d, at)
 
 
 def test_rescale_micro_counts_particle_steps():
@@ -369,8 +408,8 @@ def test_rescale_micro_counts_particle_steps():
     meta = field.meta
     S, n_obs = meta["n_steps"], field.values.shape[1]
     assert meta["particle_steps"] < meta["N_total"] * S
-    # a step with k steps after it advances n_obs + 2 m k particles
-    assert meta["particle_steps"] == S * n_obs + m.m * S * (S - 1)
+    # a step with k steps after it advances n_obs + 2 m floor(k / 2) particles
+    assert meta["particle_steps"] == S * n_obs + 2 * m.m * ((S - 1) ** 2 // 4)
 
 
 def test_rescale_micro_records_no_rows_for_empty_t_record():
@@ -540,8 +579,9 @@ STUDY_CASES = {
 @pytest.mark.parametrize("case", sorted(STUDY_CASES))
 def test_convergence_study_marches_the_compact_light_cone(case, monkeypatch):
     """Marching only the compact set's light cone leaves the report bitwise
-    that of marching the whole window, and steps S n_compact + m S (S - 1)
-    particles per level, fewer than the whole window's."""
+    that of marching the whole window, and steps
+    S n_compact + 2 m floor((S - 1)^2 / 4) particles per level, fewer than
+    the whole window's."""
     model, L, eps_list, T, window = STUDY_CASES[case]()
     u0 = wavy_profile(amp=0.15)
     H = HamiltonianInterp.from_points([0.25, 1.0, 4.0], [0.1, 0.6, 0.9])
@@ -560,29 +600,29 @@ def test_convergence_study_marches_the_compact_light_cone(case, monkeypatch):
             assert round(xs[0] / eps) % 2 == 1
         S = field.meta["n_steps"]
         steps = field.meta["particle_steps"]
-        assert steps == S * xs.size + model.m * S * (S - 1)
+        assert steps == S * xs.size + 2 * model.m * ((S - 1) ** 2 // 4)
         assert steps < full_steps
 
 
 def test_convergence_study_plans_every_level_before_marching(monkeypatch):
     """A level past the pad cap, or outside the gap bound M0 eps, fails
     before the first level is marched: no force is evaluated."""
-    calls = []
     force = fk.macro._force
-    monkeypatch.setattr(fk.macro, "_force",
-                        lambda *a, **kw: calls.append(1) or force(*a, **kw))
+    monkeypatch.setattr(fk.macro, "_force", _no_march)
     m = fkmodel()
     u0 = wavy_profile(amp=0.18)
     H = HamiltonianInterp.from_points([0.5, 1.0, 2.0], [0.3, 0.5, 0.4])
     with pytest.raises(MacroError, match=r"pad needs \d+ particles \(> 5000000\) "
-                                         r"at eps = 1e-05; increase eps or shrink T$"):
-        fk.convergence_study(m, 2.0, u0, [0.0125, 0.00625, 1e-5], 1.0,
+                                         r"at eps = 5e-06; increase eps or shrink T$"):
+        fk.convergence_study(m, 2.0, u0, [0.0125, 0.00625, 5e-6], 1.0,
                              (-5.0, 5.0), H)
     xi0 = Profile(x=u0.x, u=u0.u + 0.004)
     with pytest.raises(MacroError, match="slope frame"):
         fk.convergence_study(m, 2.0, u0, [0.1, 0.05, 0.025], 0.2, (-5.0, 5.0),
                              H, xi0=xi0, M0=0.1)
-    assert calls == []
+    calls = []
+    monkeypatch.setattr(fk.macro, "_force",
+                        lambda *a, **kw: calls.append(1) or force(*a, **kw))
     # the gap 0.004 is within M0 eps down to eps = 0.05
     rep = fk.convergence_study(m, 2.0, u0, [0.1, 0.05], 0.2, (-5.0, 5.0), H,
                                xi0=xi0, M0=0.1)
