@@ -575,7 +575,8 @@ def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None) -> Invaria
     Ordering is checked at every state; the u-Xi gap and space oscillation
     only after the relaxation transient (5/alpha0 past the first monitored
     time), matching how the a-priori bounds are stated for data
-    started on the exact traveling line.
+    started on the exact traveling line.  A state holding NaN or inf raises
+    :class:`NumericalError` naming its tau.
     """
     if isinstance(obj, TwistedChain):
         chain, t0, states = obj, obj.tau, []
@@ -590,6 +591,9 @@ def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None) -> Invaria
     osc = 0.0
     dgrad = 0.0
     for tau, U, Xi in states:
+        # max() drops a NaN, so a non-finite state would read as clean
+        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(Xi))):
+            raise NumericalError(f"non-finite state at tau = {tau}", tau=tau)
         ordering = max(ordering, _state_ordering_violation(U, Xi, Q))
         if tau >= cut or len(states) == 1:
             gap = max(gap, float(np.abs(U - Xi).max()))

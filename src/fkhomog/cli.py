@@ -560,6 +560,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+            validate_config(cfg)
         return COMMANDS[args.command](cfg, args)
     except (ConfigError, mdl.ModelError, mac.MacroError, rot.LogTooShort,
             hl.HullExtractionError) as exc:

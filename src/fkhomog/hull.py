@@ -19,9 +19,11 @@ refinement.  That stagnation is reported, not hidden.
 
 There is one hull type and one extraction.  A force F_j(tau, .) that is
 1-periodic in tau has a hull h_j(tau, z): :class:`HullFunction` stores it on
-n_tau strata of frac(tau), and :func:`extract_hull` grids each stratum from
-the snapshots that fall in it.  An autonomous force is the one-stratum case
-(n_tau = 1), which the stationary residuals and the CSV file take.
+n_tau strata of frac(tau).  :func:`extract_hull` makes one array pass: it
+stacks the settled snapshots, computes every phase and lift at once, and
+grids each (stratum, type) from its rows.  An autonomous force is the
+one-stratum case (n_tau = 1), which the stationary residuals and the CSV
+file take.
 :func:`extract_hull_periodic` is the same extraction with the tau-periodic
 defaults, kept under its own name for existing callers.
 """
@@ -113,10 +115,10 @@ class HullFunction:
         return self.h.shape[2]
 
 
-def _stratum(tau: float, n_tau: int) -> int:
-    """The k with frac(tau) in [k / n_tau, (k + 1) / n_tau); a time within
-    1e-9 below a stratum edge counts as lying on that edge."""
-    return int(math.floor((tau % 1.0 + 1e-9) * n_tau)) % n_tau
+def _stratum(tau, n_tau: int):
+    """The k with frac(tau) in [k / n_tau, (k + 1) / n_tau), elementwise; a
+    time within 1e-9 below a stratum edge counts as lying on that edge."""
+    return np.floor((np.asarray(tau) % 1.0 + 1e-9) * n_tau).astype(int) % n_tau
 
 
 def _interp_wrapped(row: np.ndarray, z_grid: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -132,9 +134,11 @@ def _interp_wrapped(row: np.ndarray, z_grid: np.ndarray, z: np.ndarray) -> np.nd
 def hull_value(hull: HullFunction, j: int, z, which: str = "h", tau: float = 0.0):
     """h_j(tau, z) (or g_j) for any integer j via the type shift
     h_{j + n}(z) = h_j(z + p), on the stratum of tau."""
+    if which not in ("h", "g"):
+        raise ValueError(f"which must be 'h' or 'g', not {which!r}")
     shift, j0 = divmod(int(j) - 1, hull.n)
     rows = hull.h if which == "h" else hull.g
-    row = rows[_stratum(tau, hull.n_tau), j0]
+    row = rows[int(_stratum(tau, hull.n_tau)), j0]
     zz = np.asarray(z, dtype=float) + shift * float(hull.p)
     out = _interp_wrapped(row, hull.z_grid, zz)
     return float(out) if np.isscalar(z) else out
@@ -164,8 +168,8 @@ def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64, n_tau: int =
         raise HullExtractionError("hull extraction needs full snapshots; "
                                   "rerun with snapshot_stride > 0")
     cut = _transient_cut(model, float(log.sample_times[0]), transient)
-    snaps = [s for s in log.snapshots if s[0] >= cut]
-    if not snaps:
+    settled = [s for s in log.snapshots if s[0] >= cut]
+    if not settled:
         raise HullExtractionError("no snapshots past the relaxation transient")
 
     if n_tau == 1 and not model.is_autonomous:
@@ -182,30 +186,48 @@ def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64, n_tau: int =
             f"dynamics not in the traveling regime: bracket width {hi - lo:.3g} "
             f"exceeds {WIDTH_THRESHOLD}")
 
+    tau, U, Xi = (np.array(a) for a in zip(*settled))   # (S,), (S, N), (S, N)
     if lambda_halfwidth > 0.0:
         tau_window = (1.0 / Z) / lambda_halfwidth
-        t_end = snaps[-1][0]
-        windowed = [s for s in snaps if s[0] >= t_end - tau_window]
-        if windowed:
-            snaps = windowed
+        keep = tau >= tau[-1] - tau_window
+        tau, U, Xi = tau[keep], U[keep], Xi[keep]
 
-    strata = [[] for _ in range(n_tau)]
-    for s in snaps:
-        strata[_stratum(s[0], n_tau)].append(s)
+    # phase z = frac(p y + lambda tau) of every particle in every snapshot,
+    # and the integer lift that puts its position on the graph of h
+    n = model.n
+    q, r = p.numerator, p.denominator
+    y = np.arange(U.shape[1]) // n   # integer cell index of each particle
+    w = ((q * y) % r) / r + (lam * tau)[:, None]   # exact rational part + lambda tau
+    fl = np.floor(w)
+    z = w - fl
+    lift = (q * y) // r + fl
+    hs, gs = U - lift, Xi - lift
+
+    strata = _stratum(tau, n_tau)
     z_grid = (np.arange(Z) + 0.5) / Z  # cell midpoints on [0, 1)
-    h = np.empty((n_tau, model.n, Z))
-    g = np.empty((n_tau, model.n, Z))
+    h, g = np.empty((n_tau, n, Z)), np.empty((n_tau, n, Z))
     worst_iso = 0.0
-    for k, group in enumerate(strata):
-        if not group:
+    for k in range(n_tau):
+        rows = strata == k
+        count = int(rows.sum())
+        if not count:
             raise HullExtractionError(
                 f"tau stratum {k}/{n_tau} received no snapshots; sample "
                 f"faster or longer")
-        h[k], g[k], iso = _grid_snapshots(group, model, p, lam, Z, z_grid)
-        worst_iso = max(worst_iso, iso)
+        for t in range(n):
+            # snapshot-major, then particle order within type t
+            zt = z[rows, t::n].ravel()
+            if zt.size < Z:
+                need = math.ceil(Z / max(1, zt.size // count))
+                raise HullExtractionError(
+                    f"type {t + 1} supplies {zt.size} phase samples < Z = {Z}; "
+                    f"need about {need} snapshots")
+            h[k, t], g[k, t], iso = _grid_type(zt, hs[rows, t::n].ravel(),
+                                               gs[rows, t::n].ravel(), Z, z_grid)
+            worst_iso = max(worst_iso, iso)
     return HullFunction(p=p, lam=float(lam), z_grid=z_grid, h=h, g=g,
                         diagnostics={"isotonic_residual": worst_iso,
-                                     "snapshots_used": len(snaps),
+                                     "snapshots_used": len(tau),
                                      "lambda_halfwidth": lambda_halfwidth})
 
 
@@ -215,62 +237,24 @@ def extract_hull_periodic(log: TrajectoryLog, lam: float, p, *, Z: int = 32,
     return extract_hull(log, lam, p, Z=Z, n_tau=n_tau)
 
 
-def _grid_snapshots(snaps, model, p: Fraction, lam: float, Z: int,
-                    z_grid: np.ndarray):
-    """Pool lifted phase samples from snapshots and grid them per type."""
-    n = model.n
-    q, r = p.numerator, p.denominator
-    N = snaps[0][1].size
-    idx = np.arange(N)
-    types = idx % n
-    y = idx // n                      # integer cell index of each particle
-    qk = (q * y) % r
-    z_rat = qk / r                    # exact rational part of p*y mod 1
-    z_int = (q * y) // r
-
-    per_type = {t: ([], [], []) for t in range(n)}
-    for tau, U, Xi in snaps:
-        s = lam * tau
-        w = z_rat + s
-        fl = np.floor(w)
-        z = w - fl
-        lift = z_int + fl
-        hs = U - lift
-        gs = Xi - lift
-        for t in range(n):
-            sel = types == t
-            per_type[t][0].append(z[sel])
-            per_type[t][1].append(hs[sel])
-            per_type[t][2].append(gs[sel])
-
-    h = np.empty((n, Z))
-    g = np.empty((n, Z))
-    iso_residual = 0.0
-    for t in range(n):
-        z = np.concatenate(per_type[t][0])
-        hv = np.concatenate(per_type[t][1])
-        gv = np.concatenate(per_type[t][2])
-        if z.size < Z:
-            need = math.ceil(Z / max(1, z.size // max(1, len(snaps))))
-            raise HullExtractionError(
-                f"type {t + 1} supplies {z.size} phase samples < Z = {Z}; "
-                f"need about {need} snapshots")
-        order = np.argsort(z, kind="stable")
-        z, hv, gv = z[order], hv[order], gv[order]
-        viol_h = float(np.maximum(hv[:-1] - hv[1:], 0.0).max()) if z.size > 1 else 0.0
-        viol_g = float(np.maximum(gv[:-1] - gv[1:], 0.0).max()) if z.size > 1 else 0.0
-        iso_residual = max(iso_residual, viol_h, viol_g)
-        # collapse repeated phases (pinned orbits revisit few of them) before
-        # the weighted monotone projection
-        z_u, inv, counts = np.unique(z, return_inverse=True, return_counts=True)
-        hv = np.bincount(inv, weights=hv) / counts
-        gv = np.bincount(inv, weights=gv) / counts
-        wts = counts.astype(float)
-        hv = _isotonic_periodic(hv, wts)
-        gv = _isotonic_periodic(gv, wts)
-        h[t] = _resample(z_u, hv, wts, Z, z_grid)
-        g[t] = _resample(z_u, gv, wts, Z, z_grid)
-    return h, g, iso_residual
+def _grid_type(z: np.ndarray, hv: np.ndarray, gv: np.ndarray, Z: int,
+               z_grid: np.ndarray):
+    """Grid one type's pooled (phase, h, g) samples: sort by phase, measure
+    the isotonic residual, collapse repeated phases, project monotone with
+    the +1 lift and resample on z_grid.  Returns (h row, g row, residual)."""
+    order = np.argsort(z, kind="stable")
+    z = z[order]
+    # collapse repeated phases (pinned orbits revisit few of them) before
+    # the weighted monotone projection
+    z_u, inv, counts = np.unique(z, return_inverse=True, return_counts=True)
+    wts = counts.astype(float)
+    rows, iso = [], 0.0
+    for v in (hv[order], gv[order]):
+        if z.size > 1:
+            iso = max(iso, float(np.maximum(v[:-1] - v[1:], 0.0).max()))
+        v = _isotonic_periodic(np.bincount(inv, weights=v) / counts, wts)
+        rows.append(_resample(z_u, v, wts, Z, z_grid))
+    return rows[0], rows[1], iso
 
 
 def _resample(z: np.ndarray, v: np.ndarray, w: np.ndarray, Z: int,

@@ -710,6 +710,8 @@ def model_from_config(cfg: dict) -> ForceModel:
         raise ModelError("config.model must give m0 or alpha0")
     kind = force["kind"]
     if kind == "classical_fk":
+        if "theta" not in force:
+            raise ModelError("config.model.force.theta: required for classical_fk")
         model = build_classical_fk(theta=force["theta"],
                                    amplitude=force.get("amplitude", 1.0), m0=m0)
     elif kind == "constant":

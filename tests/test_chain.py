@@ -981,6 +981,23 @@ def test_monitor_fresh_state_all_zero():
     assert not inv.gap_exceeded and not inv.osc_exceeded
 
 
+@pytest.mark.parametrize("array", ["U", "Xi"])
+def test_monitor_refuses_a_non_finite_state(array):
+    """max() would drop the NaN and report the state clean."""
+    m = fkmodel()
+    ch = fk.init_linear(m, 1, cells=4)
+    getattr(ch, array)[2] = np.nan
+    with pytest.raises(NumericalError, match="tau = 0.0") as exc:
+        fk.monitor_invariants(ch)
+    assert exc.value.tau == 0.0
+    log = fk.run(fk.init_linear(m, 1, cells=4), 2.0, 0.5, snapshot_stride=1)
+    tau, U, Xi = log.snapshots[2]
+    (U if array == "U" else Xi)[1] = np.nan
+    with pytest.raises(NumericalError) as exc:
+        fk.monitor_invariants(log)
+    assert exc.value.tau == tau and f"tau = {tau}" in str(exc.value)
+
+
 def test_monitor_bounds_after_long_run():
     m = fkmodel(L=2.0, margin=1.2)
     ch = fk.init_linear(m, 1, cells=6)

@@ -802,3 +802,36 @@ def test_config_file_missing_is_validation_error(tmp_path, capsys):
     rc = cli.main(["check", "--config", str(tmp_path / "nope.json")])
     assert rc == cli.EXIT_VALIDATION
     assert "cannot read" in capsys.readouterr().err
+
+
+def _perturbed_simulate(seed=None):
+    cfg = {"model": base_model(),
+           "simulate": {"p": [1, 1], "cells": 4, "T": 2.0, "sample_dt": 0.5,
+                        "perturbation_scale": 0.05}}
+    if seed is not None:
+        cfg["seed"] = seed
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_negative_seed_override_exits_validation(tmp_path, capsys, command):
+    """--seed is validated like the config seed it overrides."""
+    rc, out = run_cli(tmp_path, _perturbed_simulate(), command, ["--seed", "-1"])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.seed:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_seed_override_equals_the_config_seed(tmp_path):
+    for sub in ("flag", "cfg", "zero"):
+        (tmp_path / sub).mkdir()
+    rc, out = run_cli(tmp_path / "flag", _perturbed_simulate(), "simulate",
+                      ["--seed", "3"])
+    assert rc == 0
+    rc, ref = run_cli(tmp_path / "cfg", _perturbed_simulate(seed=3), "simulate")
+    assert rc == 0
+    rc, zero = run_cli(tmp_path / "zero", _perturbed_simulate(), "simulate")
+    traj = (out / "trajectory.csv").read_bytes()
+    assert traj == (ref / "trajectory.csv").read_bytes()
+    assert traj != (zero / "trajectory.csv").read_bytes()

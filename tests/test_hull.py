@@ -1,5 +1,6 @@
 """Hull extraction, residuals, axioms, and reconstruction."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -11,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 import fkhomog as fk
 from fkhomog.model import ClassicalFK
 from fkhomog.chain import _transient_cut
-from fkhomog.hull import (HullExtractionError, HullFunction, _grid_snapshots,
-                          _stratum, extract_hull, extract_hull_periodic,
+from fkhomog.hull import (HullExtractionError, HullFunction, _isotonic_periodic,
+                          _resample, _stratum, extract_hull, extract_hull_periodic,
                           hull_residual, hull_to_csv, hull_value, isotonic_fit,
                           reconstruct_traveling_wave, verify_hull_axioms)
 from fkhomog.rotation import lambda_pm
+from test_tabulated_parity import _model as _two_type_model
 
 
 def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
@@ -257,6 +259,12 @@ def test_identity_hull_axioms_and_values():
     assert hull_value(hull, 1, -0.75) == pytest.approx(-0.75)
 
 
+@pytest.mark.parametrize("which", ["H", "x", ""])
+def test_hull_value_refuses_an_unknown_profile(which):
+    with pytest.raises(ValueError, match="which must be 'h' or 'g'"):
+        hull_value(make_identity_hull(), 1, 0.25, which)
+
+
 def test_hull_type_shift_convention():
     hull = make_identity_hull(p=Fraction(1, 2), n=2)
     z = 0.3
@@ -398,6 +406,15 @@ def test_tau_stratum_edge_absorbs_an_ulp():
         hull_value(hull, 1, 0.5, tau=246.75) == 6.5
 
 
+def test_tau_stratum_of_an_array_is_the_scalar_rule_elementwise():
+    """The extraction bins its stacked snapshot times in one call; each
+    time lands where the scalar rule puts it, edges included."""
+    tau = np.array([0.0, 246.74999999999997, 246.75, 246.7499, 246.99999999999997,
+                    247.0, 3.125, 1e-10, 0.9999999999])
+    want = [int(math.floor((t % 1.0 + 1e-9) * 8)) % 8 for t in tau.tolist()]
+    assert _stratum(tau, 8).tolist() == want
+
+
 def test_decrease_in_one_stratum_fails_the_axioms():
     z = (np.arange(16) + 0.5) / 16
     h = np.tile(z, (8, 2, 1)) + np.array([0.0, 0.25])[:, None]
@@ -413,6 +430,66 @@ def test_decrease_in_one_stratum_fails_the_axioms():
 # ---------------------------------------------------------------------------
 # Parity with the two extractions that the one extraction replaced
 # ---------------------------------------------------------------------------
+
+def _grid_snapshots_ref(snaps, model, p: Fraction, lam: float, Z: int,
+                        z_grid: np.ndarray):
+    """Pool lifted phase samples from snapshots and grid them per type: the
+    per-stratum pass that the extraction made before it phased every
+    snapshot at once, kept here unchanged as its reference."""
+    n = model.n
+    q, r = p.numerator, p.denominator
+    N = snaps[0][1].size
+    idx = np.arange(N)
+    types = idx % n
+    y = idx // n                      # integer cell index of each particle
+    qk = (q * y) % r
+    z_rat = qk / r                    # exact rational part of p*y mod 1
+    z_int = (q * y) // r
+
+    per_type = {t: ([], [], []) for t in range(n)}
+    for tau, U, Xi in snaps:
+        s = lam * tau
+        w = z_rat + s
+        fl = np.floor(w)
+        z = w - fl
+        lift = z_int + fl
+        hs = U - lift
+        gs = Xi - lift
+        for t in range(n):
+            sel = types == t
+            per_type[t][0].append(z[sel])
+            per_type[t][1].append(hs[sel])
+            per_type[t][2].append(gs[sel])
+
+    h = np.empty((n, Z))
+    g = np.empty((n, Z))
+    iso_residual = 0.0
+    for t in range(n):
+        z = np.concatenate(per_type[t][0])
+        hv = np.concatenate(per_type[t][1])
+        gv = np.concatenate(per_type[t][2])
+        if z.size < Z:
+            need = math.ceil(Z / max(1, z.size // max(1, len(snaps))))
+            raise HullExtractionError(
+                f"type {t + 1} supplies {z.size} phase samples < Z = {Z}; "
+                f"need about {need} snapshots")
+        order = np.argsort(z, kind="stable")
+        z, hv, gv = z[order], hv[order], gv[order]
+        viol_h = float(np.maximum(hv[:-1] - hv[1:], 0.0).max()) if z.size > 1 else 0.0
+        viol_g = float(np.maximum(gv[:-1] - gv[1:], 0.0).max()) if z.size > 1 else 0.0
+        iso_residual = max(iso_residual, viol_h, viol_g)
+        # collapse repeated phases (pinned orbits revisit few of them) before
+        # the weighted monotone projection
+        z_u, inv, counts = np.unique(z, return_inverse=True, return_counts=True)
+        hv = np.bincount(inv, weights=hv) / counts
+        gv = np.bincount(inv, weights=gv) / counts
+        wts = counts.astype(float)
+        hv = _isotonic_periodic(hv, wts)
+        gv = _isotonic_periodic(gv, wts)
+        h[t] = _resample(z_u, hv, wts, Z, z_grid)
+        g[t] = _resample(z_u, gv, wts, Z, z_grid)
+    return h, g, iso_residual
+
 
 def _settled_ref(log, transient=None):
     cut = _transient_cut(log.final_state.model, float(log.sample_times[0]), transient)
@@ -434,7 +511,7 @@ def _extract_hull_ref(log, lam, p, *, Z=64, lambda_halfwidth=0.0):
         if windowed:
             snaps = windowed
     z_grid = (np.arange(Z) + 0.5) / Z
-    h, g, iso = _grid_snapshots(snaps, model, p, lam, Z, z_grid)
+    h, g, iso = _grid_snapshots_ref(snaps, model, p, lam, Z, z_grid)
     return h, g, {"isotonic_residual": iso, "snapshots_used": len(snaps),
                   "lambda_halfwidth": lambda_halfwidth}
 
@@ -454,7 +531,7 @@ def _extract_hull_periodic_ref(log, lam, p, *, Z=32, n_tau=8):
     worst_iso = 0.0
     for k, group in enumerate(bins):
         assert group
-        h[k], g[k], iso = _grid_snapshots(group, model, p, lam, Z, z_grid)
+        h[k], g[k], iso = _grid_snapshots_ref(group, model, p, lam, Z, z_grid)
         worst_iso = max(worst_iso, iso)
     return h, g, {"isotonic_residual": worst_iso, "snapshots_used": len(snaps)}
 
@@ -496,3 +573,80 @@ def test_two_type_extraction_matches_reference_bytes():
     h, g, diag = _extract_hull_periodic_ref(log, est.lambda_hat, p, Z=16, n_tau=4)
     _assert_same_bytes(extract_hull_periodic(log, est.lambda_hat, p, Z=16, n_tau=4),
                        (h, g, dict(diag, lambda_halfwidth=0.0)))
+
+
+# ---------------------------------------------------------------------------
+# Byte pins of the extraction, recorded before it became one array pass
+# ---------------------------------------------------------------------------
+
+def _two_type_periodic_model():
+    """The tau-periodic two-type m = 2 batch force of the tabulated parity
+    pins, driven at L = 2."""
+    return fk.with_extra_drive(_two_type_model(), 2.0)
+
+
+def _two_type_periodic_log():
+    """The two-type model marched at p = 3/2 past its transient, then 20
+    units with a snapshot every Euler step."""
+    driven = _two_type_periodic_model()
+    dt = fk.cfl_dt(driven, 0.5, check=False)
+    log = fk.run(fk.init_linear(driven, Fraction(3, 2), cells=1),
+                 10.0 / driven.alpha0 + 20.0, dt, dt=dt, check=False)
+    return fk.extend(log, 20.0, snapshot_stride=1)
+
+
+def _hull_digests(hull):
+    return {name: hashlib.sha256(data).hexdigest() for name, data in (
+        ("h", hull.h.tobytes()), ("g", hull.g.tobytes()),
+        ("z_grid", hull.z_grid.tobytes()),
+        ("diagnostics", json.dumps(hull.diagnostics, sort_keys=True).encode()))}
+
+
+# case: sha256 of the bytes of h, g and z_grid and of the diagnostics JSON
+HULL_PINS = {
+    "two_type_periodic": {
+        "h": "6189c35d258aea44de562b6976b51696da9b78fe2b557e71676ed0b33297417f",
+        "g": "fa93fcd83151b8134783ded701e9c329ac4fde84c97975952a955bc1a13618a3",
+        "z_grid": "3285628dfaf21fbb1309344cd190962a18f1879911b56defbef8fdfe5881f552",
+        "diagnostics": "c0f243dd0d2d4f1284ebd089d86eceba3725256ac581aa2d48c33896b508c9dc",
+    },
+    "classical_windowed": {
+        "h": "f3cfd2989340485ac42ca21f6c1e8e1159e489153ce72b8dcab152e8b31605cc",
+        "g": "2fad9e997ce96ad28f44c3be9cf72490606a01c9832b1b3054b76f06bc5f4f05",
+        "z_grid": "3285628dfaf21fbb1309344cd190962a18f1879911b56defbef8fdfe5881f552",
+        "diagnostics": "a37ce0f72beb6fab81f00b2e931c7de8178fdadeef9329763a91d57bfb7f5ff9",
+    },
+}
+
+
+def test_two_type_periodic_extraction_is_pinned():
+    hull = extract_hull(_two_type_periodic_log(), 1.82, Fraction(3, 2), Z=32, n_tau=8)
+    assert _hull_digests(hull) == HULL_PINS["two_type_periodic"]
+
+
+def test_classical_windowed_extraction_is_pinned():
+    """n = 2 classical at p = 1/2, one stratum, windowed by a lambda
+    half-width of 0.005 (tau window 6.25)."""
+    m = fkmodel(theta=(1.0, 2.0), L=2.0)
+    p = Fraction(1, 2)
+    dt = fk.cfl_dt(m, 0.5)
+    log = fk.run(fk.init_linear(m, p, cells=2), 30.0, dt, dt=dt, snapshot_stride=1)
+    hull = extract_hull(log, 1.71, p, Z=32, lambda_halfwidth=0.005)
+    assert _hull_digests(hull) == HULL_PINS["classical_windowed"]
+
+
+def test_extraction_refusals_are_pinned():
+    log = _two_type_periodic_log()
+    with pytest.raises(HullExtractionError) as exc:
+        extract_hull(log, 1.82, Fraction(3, 2), Z=4096, n_tau=8)
+    assert str(exc.value) == ("type 1 supplies 174 phase samples < Z = 4096; "
+                              "need about 2048 snapshots")
+    # snapshots every quarter unit fill the even strata of eight only
+    driven = _two_type_periodic_model()
+    dt = fk.cfl_dt(driven, 0.5, check=False)
+    sparse = fk.run(fk.init_linear(driven, Fraction(3, 2), cells=1), 30.0, 0.25,
+                    dt=dt, snapshot_stride=1, check=False)
+    with pytest.raises(HullExtractionError) as exc:
+        extract_hull(sparse, 1.82, Fraction(3, 2), Z=8, n_tau=8)
+    assert str(exc.value) == ("tau stratum 1/8 received no snapshots; sample "
+                              "faster or longer")

@@ -699,6 +699,12 @@ def test_model_config_alpha0_form_and_errors():
                            "force": {"kind": "classical_fk", "theta": [1.0]}})
 
 
+def test_model_config_without_theta_names_the_key():
+    with pytest.raises(ModelError) as exc:
+        model_from_config({"m0": 0.05, "force": {"kind": "classical_fk"}})
+    assert str(exc.value) == "config.model.force.theta: required for classical_fk"
+
+
 def test_assumption_report_serializes():
     import json
     m = fk.build_classical_fk([1.0], m0=0.02)
