@@ -34,7 +34,10 @@ def main():
     model = fk.build_classical_fk(args.theta, amplitude=args.amplitude,
                                   m0=1.0 / (2.0 * alpha_min * args.margin))
     p = Fraction(args.p)
-    L_grid = [k * args.L_step for k in range(int(args.L_max / args.L_step) + 1)]
+    # the drives k L_step <= L_max, where a ratio that rounding put a hair
+    # (relative 1e-12) below an integer counts as that integer
+    n_steps = math.floor(args.L_max / args.L_step + 1e-12)
+    L_grid = [k * args.L_step for k in range(n_steps + 1)]
 
     print(f"model: n={model.n} alpha0={model.alpha0:.4f} "
           f"(critical mass {fk.check_assumptions(model).critical_mass:.5f})")

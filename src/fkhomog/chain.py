@@ -322,10 +322,6 @@ class TrajectoryLog:
         return self.tracked[self.tracked.shape[0] // 2:]
 
     @property
-    def p(self) -> Fraction:
-        return self.final_state.p
-
-    @property
     def span(self) -> float:
         return float(self.sample_times[-1] - self.sample_times[0])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -158,15 +159,22 @@ class ConfigError(ValueError):
     pass
 
 
-def _reject_constant(name: str):
-    # json accepts NaN and +-Infinity, which no schema bound rejects
-    raise ValueError(f"{name} is not a finite number")
+def _finite(parse):
+    """The json hook parse(literal), refusing what is not a finite float:
+    NaN, +-Infinity, 1e999 and too large integers pass every schema bound."""
+    def hook(literal: str):
+        # float reads an overflowing literal, integer or not, as +-inf
+        if not math.isfinite(float(literal)):
+            raise ValueError(f"{literal} is not a finite number")
+        return parse(literal)
+    return hook
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path) as f:
-            cfg = json.load(f, parse_constant=_reject_constant)
+            cfg = json.load(f, parse_float=_finite(float), parse_int=_finite(int),
+                            parse_constant=_finite(float))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}")
     validate_config(cfg)
@@ -220,6 +228,14 @@ def validate_config(cfg: dict):
 
 def _frac(pair) -> Fraction:
     return Fraction(pair[0], pair[1])
+
+
+def _block(cfg: dict, key: str) -> dict:
+    """The config block a command needs; ConfigError if it is absent."""
+    blk = cfg.get(key)
+    if not blk:
+        raise ConfigError(f"config.{key}: block required")
+    return blk
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +325,7 @@ def cmd_check(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    blk = cfg.get("simulate")
-    if not blk:
-        raise ConfigError("config.simulate: block required for this command")
+    blk = _block(cfg, "simulate")
     model = mdl.model_from_config(cfg["model"])
     p = _frac(blk["p"])
     cells = blk.get("cells", 1)
@@ -341,9 +355,7 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def _effham(cfg: dict, model: mdl.ForceModel, cache: Cache | None):
     """The effham table and its CSV text, from one sweep or one cache read."""
-    blk = cfg.get("effham")
-    if not blk:
-        raise ConfigError("config.effham: block required")
+    blk = _block(cfg, "effham")
     p_grid = [_frac(p) for p in blk["p_grid"]]
 
     def compute():
@@ -381,9 +393,7 @@ def cmd_effham(cfg: dict, args) -> int:
 
 def cmd_hull(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
-    blk = cfg.get("hull")
-    if not blk:
-        raise ConfigError("config.hull: block required")
+    blk = _block(cfg, "hull")
     model = mdl.model_from_config(cfg["model"])
     p = _frac(blk["p"])
     L = blk.get("L", 0.0)
@@ -447,9 +457,7 @@ def _report_unconverged(table: rot.EffectiveTable, L: float, n: int, K0: float) 
 
 
 def _homogenize(cfg: dict, out: Path, model: mdl.ForceModel, table=None) -> int:
-    blk = cfg.get("homogenize")
-    if not blk:
-        raise ConfigError("config.homogenize: block required")
+    blk = _block(cfg, "homogenize")
     u0 = _load_profile(blk, "u0_file")
     K0 = u0.slope_frame()
     table = _table_for(cfg, blk, model, table)
@@ -469,9 +477,7 @@ def cmd_homogenize(cfg: dict, args) -> int:
 
 def _converge(cfg: dict, out: Path, model: mdl.ForceModel, table=None,
               cache: Cache | None = None) -> int:
-    blk = cfg.get("converge")
-    if not blk:
-        raise ConfigError("config.converge: block required")
+    blk = _block(cfg, "converge")
     u0 = _load_profile(blk, "u0_file")
     xi0 = _load_profile(blk, "xi0_file") if "xi0_file" in blk else None
     K0 = u0.slope_frame()

@@ -41,6 +41,7 @@ import numpy as np
 
 from .model import ForceModel, ConstantsLedger, _force, _plan
 from .chain import TrajectoryLog, _transient_cut
+from .rotation import lambda_pm, LogTooShort
 
 
 class HullExtractionError(ValueError):
@@ -87,6 +88,9 @@ def _isotonic_periodic(v: np.ndarray, w: Optional[np.ndarray] = None) -> np.ndar
 
 # widest rotation bracket [lambda-, lambda+] of a log in the traveling regime
 WIDTH_THRESHOLD = 0.25
+
+# slack of every hull axiom test (monotone, ordered, displacement)
+AXIOM_TOL = 1e-9
 
 
 @dataclass
@@ -153,15 +157,16 @@ def extract_hull(log: TrajectoryLog, lam: float, p, *, Z: int = 64, n_tau: int =
     Snapshots before the relaxation transient (default 5/alpha0 after the
     first sample) are dropped, and the rest are windowed so that the phase
     smear tau_window * halfwidth of the lambda estimate stays below one grid
-    cell.  Refuses logs without snapshots or without any past the transient,
-    one stratum for a tau-dependent force, logs that have not reached the
-    traveling regime (bracket width above WIDTH_THRESHOLD), a stratum that
-    receives no snapshot, and fewer than Z samples per particle type.  A
-    tau-periodic force needs n_tau > 1 and a log that samples
+    cell.  Refuses Z or n_tau below 1, logs without snapshots or without any
+    past the transient, one stratum for a tau-dependent force, logs that have
+    not reached the traveling regime (bracket width above WIDTH_THRESHOLD), a
+    stratum that receives no snapshot, and fewer than Z samples per particle
+    type.  A tau-periodic force needs n_tau > 1 and a log that samples
     incommensurately enough to fill every stratum.
     """
-    from .rotation import lambda_pm, LogTooShort
-
+    for name, size in (("Z", Z), ("n_tau", n_tau)):
+        if size < 1:
+            raise HullExtractionError(f"{name} must be >= 1, got {size}")
     p = Fraction(p)
     model = log.final_state.model
     if not log.snapshots:
@@ -346,11 +351,10 @@ class HullAxiomReport:
         return d
 
 
-def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger,
-                       tol: float = 1e-9) -> HullAxiomReport:
-    """Check, on every tau stratum, monotonicity (with the +1 wrap at the
-    seam), ordering in j (including h_1(z + p) >= h_n(z) across the type
-    period), and the displacement bound |h - id| <= 2 ceil(C3).  The
+def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger) -> HullAxiomReport:
+    """Check, on every tau stratum and up to AXIOM_TOL, monotonicity (with the
+    +1 wrap at the seam), ordering in j (including h_1(z + p) >= h_n(z) across
+    the type period), and the displacement bound |h - id| <= 2 ceil(C3).  The
     monotone witness names the tau stratum, the type and the z cell of the
     worst decrease."""
     worst = 0.0
@@ -376,10 +380,10 @@ def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger,
                float(np.abs(hull.g - hull.z_grid).max()))
     bound = 2.0 * math.ceil(ledger.C3)
     return HullAxiomReport(
-        monotone_ok=worst >= -tol, monotone_worst=worst, monotone_witness=witness,
-        ordering_ok=ord_worst >= -tol, ordering_worst=ord_worst,
+        monotone_ok=worst >= -AXIOM_TOL, monotone_worst=worst, monotone_witness=witness,
+        ordering_ok=ord_worst >= -AXIOM_TOL, ordering_worst=ord_worst,
         displacement=disp, displacement_bound=bound,
-        displacement_ok=disp <= bound + tol)
+        displacement_ok=disp <= bound + AXIOM_TOL)
 
 
 def reconstruct_traveling_wave(hull: HullFunction, tau: float, y: float,

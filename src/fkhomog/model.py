@@ -68,9 +68,6 @@ class TabulatedForce:
     fn: Callable
     batch: bool = False
 
-    def __hash__(self):  # callables hash by identity, which is what we want
-        return hash((id(self.fn), self.batch))
-
 
 @dataclass(frozen=True)
 class ForceModel:
@@ -406,7 +403,7 @@ def _check_classical(model: ForceModel) -> AssumptionReport:
     )
 
 
-def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
+def _check_tabulated(model: ForceModel, d: int) -> AssumptionReport:
     """Centered finite differences with step 1/d on [0,1)^{2m+2}; periodicity
     reduces every check to one cell.
 
@@ -511,7 +508,7 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
         # type periodicity; the sample is the largest residual, since tol - res
         # can round distinct residuals to one margin
         res = np.abs(f_mesh(j + n, wins) - base)
-        keep("a5", tol - res, j, at=-res)
+        keep("a5", SAMPLING_TOL - res, j, at=-res)
 
         grad_abs_sum = np.zeros(d * blk)
         for slot in range(w):
@@ -522,7 +519,7 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
                 sup_neg_d0 = max(sup_neg_d0, float(np.max(-dF)))
             else:
                 keep("a2", dF, j)
-        keep("a1", model.lip_V + tol - grad_abs_sum, j)
+        keep("a1", model.lip_V + SAMPLING_TOL - grad_abs_sum, j)
 
         # one window per sample, each a (2m+1, 1) column
         lhs = 2.0 * f(j + 1, zip(ts, tup[:, 1:, None])) + model.alpha0 * tup[:, m + 1]
@@ -530,9 +527,9 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
         keep("a6", lhs - rhs, j, tuples=True)
 
     neg_res, a4_wit = worst["a4"]
-    worst["a4"] = (tol + neg_res, a4_wit)     # tol minus the largest residual
+    worst["a4"] = (SAMPLING_TOL + neg_res, a4_wit)  # tol minus the largest residual
 
-    def chk(key, floor=-tol):
+    def chk(key, floor=-SAMPLING_TOL):
         mval, wit = worst[key]
         return AssumptionCheck(mval >= floor, mval, wit if mval < floor else None)
 
@@ -544,8 +541,7 @@ def _check_tabulated(model: ForceModel, d: int, tol: float) -> AssumptionReport:
                             a5=chk("a5"), a6=chk("a6"), critical_mass=critical)
 
 
-def check_assumptions(model: ForceModel, sample_density: int = 8,
-                      tol: float = SAMPLING_TOL) -> AssumptionReport:
+def check_assumptions(model: ForceModel, sample_density: int = 8) -> AssumptionReport:
     """Verify the structural assumptions.
 
     Classical models use closed forms; tabulated ones are sampled with
@@ -563,7 +559,7 @@ def check_assumptions(model: ForceModel, sample_density: int = 8,
         raise ModelError("sample_density must be >= 2")
     if isinstance(model.kind, ClassicalFK):
         return _check_classical(model)
-    return _check_tabulated(model, d, tol)
+    return _check_tabulated(model, d)
 
 
 def require_monotone(model: ForceModel) -> AssumptionReport:
@@ -622,8 +618,10 @@ def _require_delta(delta) -> None:
         raise ModelError("delta must be nonnegative")
 
 
-def _ledger_arith(alpha0, lip_v, f0, n, m, p, K0, M0, delta, a0, C0, one):
-    """Shared ledger arithmetic; ``one`` is 1 in the working number type."""
+def _ledger_arith(alpha0, lip_v, f0, n, m, p, K0, M0, delta, a0, one):
+    """Shared ledger arithmetic; ``one`` is 1 in the working number type,
+    which is also the window oscillation constant C0."""
+    C0 = one
     _require_delta(delta)
     if delta == 0:
         a0 = 0 * one
@@ -645,12 +643,12 @@ def _ledger_arith(alpha0, lip_v, f0, n, m, p, K0, M0, delta, a0, C0, one):
 
 
 def constants_ledger(model: ForceModel, p: float, K0: Optional[float] = None,
-                     M0: float = 0.0, delta: float = 0.0, a0: float = 0.0,
-                     C0: float = 1.0) -> ConstantsLedger:
+                     M0: float = 0.0, delta: float = 0.0,
+                     a0: float = 0.0) -> ConstantsLedger:
     """Evaluate the full ledger at slope p.
 
     For delta = 0 the transport coefficients vanish (L1 = L2 = 0, a0 forced
-    to 0) and the window oscillation constant C0 defaults to 1.
+    to 0); the window oscillation constant C0 is 1.
     """
     if not p > 0:
         raise ModelError("slope p must be positive")
@@ -661,15 +659,15 @@ def constants_ledger(model: ForceModel, p: float, K0: Optional[float] = None,
         raise ModelError(f"K0 must be >= max(p, 1/p) = {k0_min}")
     Gbar, K1, C1, C2, C3, C4, closed, a0_eff = _ledger_arith(
         model.alpha0, model.lip_V, model.f_at_zero_sup, model.n, model.m,
-        float(p), float(K0), float(M0), float(delta), float(a0), float(C0), 1.0)
-    ledger = ConstantsLedger(p=float(p), K0=float(K0), M0=float(M0), C0=float(C0),
+        float(p), float(K0), float(M0), float(delta), float(a0), 1.0)
+    ledger = ConstantsLedger(p=float(p), K0=float(K0), M0=float(M0), C0=1.0,
                              Gbar=Gbar, K1=K1, C1=C1, C2=C2, C3=C3, C4=C4,
                              alpha0=model.alpha0, delta=float(delta), a0=a0_eff)
     assert abs(ledger.c3_closed_form() - C3) <= 1e-12 * max(1.0, abs(C3))
     return ledger
 
 
-def ledger_identity_exact(model: ForceModel, p, K0=None, M0=0, delta=0, a0=0, C0=1) -> bool:
+def ledger_identity_exact(model: ForceModel, p, K0=None, M0=0, delta=0, a0=0) -> bool:
     """Recompute the ledger in exact rationals and compare C2 + 1 with the
     closed form for C3 bit for bit."""
     p = Fraction(p)
@@ -679,8 +677,7 @@ def ledger_identity_exact(model: ForceModel, p, K0=None, M0=0, delta=0, a0=0, C0
                          (model.alpha0, model.lip_V, model.f_at_zero_sup))
     _, _, _, C2, C3, _, closed, _ = _ledger_arith(
         alpha0, lip_v, f0, Fraction(model.n), Fraction(model.m),
-        p, Fraction(K0), Fraction(M0), Fraction(delta), Fraction(a0),
-        Fraction(C0), Fraction(1))
+        p, Fraction(K0), Fraction(M0), Fraction(delta), Fraction(a0), Fraction(1))
     return C3 == closed and C3 == C2 + 1
 
 

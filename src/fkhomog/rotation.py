@@ -57,11 +57,7 @@ FIRST_WINDOW_SAMPLES = 64.0
 def lambda_pm(log: TrajectoryLog, T: float) -> tuple[float, float]:
     """Window rates (lambda_minus, lambda_plus) over all tracked U and Xi
     series; T snaps to the sample grid."""
-    return _window_rates(log.tracked, log.sample_dt, T)
-
-
-def _window_rates(series: np.ndarray, h: float, T: float) -> tuple[float, float]:
-    """lambda_pm on tracked series of shape (2n, S+1) sampled every h."""
+    series, h = log.tracked, log.sample_dt
     K = int(round(T / h))
     if K < 1:
         raise LogTooShort(f"window T = {T} is below one sample spacing {h}")
@@ -137,8 +133,11 @@ def _solve_table(model: ForceModel, pairs, tol: float, T_cap: float, *,
     :func:`fkhomog.chain._advance`, counted as one run counts them, and a
     row retires on its error, on its bracket test or at T_cap, so every
     estimate is bitwise that of a one-pair table.  Its log, the run of 2T,
-    is the only copy made of a row's series.
+    is the only copy made of a row's series.  T_cap must be finite, or a
+    row that misses tol would never stop.
     """
+    if not math.isfinite(T_cap):
+        raise ValueError(f"T_cap must be finite, got {T_cap}")
     pairs = [(float(L), Fraction(p)) for L, p in pairs]
     driven = [with_extra_drive(model, L) for L, _ in pairs]
     ledgers = [constants_ledger(m, p=float(p))
@@ -171,7 +170,7 @@ def _solve_table(model: ForceModel, pairs, tol: float, T_cap: float, *,
             if log is None:
                 continue
             vmax[r] = max(vmax[r], np.abs(np.diff(log.tracked[:, last:], axis=1)).max())
-            lam_lo, lam_hi = _window_rates(log.tracked, sample_dt, T)
+            lam_lo, lam_hi = lambda_pm(log, T)
             width = lam_hi - lam_lo
             certified = ledgers[r].C2 / T
             slack = float(vmax[r] / sample_dt) * sample_dt / T
@@ -237,7 +236,20 @@ class EffectiveTable:
 
     @property
     def diagnostics(self) -> dict:
-        return _table_diagnostics(self)
+        """Monotonicity-in-L and continuity-in-p summaries."""
+        diag = {}
+        if self.L_grid.size >= 2:
+            jumps = self.lam[:-1, :] - self.lam[1:, :]   # positive = downward in L
+            with np.errstate(invalid="ignore"):
+                diag["max_downward_jump_in_L"] = float(np.nanmax(np.maximum(jumps, 0.0))) \
+                    if np.isfinite(jumps).any() else float("nan")
+        if len(self.p_grid) >= 2:
+            dp = np.diff([float(p) for p in self.p_grid])
+            dl = np.abs(np.diff(self.lam, axis=1))
+            with np.errstate(invalid="ignore"):
+                diag["max_p_increment"] = float(np.nanmax(dl)) if np.isfinite(dl).any() else float("nan")
+                diag["min_p_spacing"] = float(dp.min())
+        return diag
 
     def column(self, p) -> np.ndarray:
         j = self.p_grid.index(Fraction(p))
@@ -282,23 +294,6 @@ class EffectiveTable:
         }
 
 
-def _table_diagnostics(table: EffectiveTable) -> dict:
-    """Monotonicity-in-L and continuity-in-p summaries."""
-    diag = {}
-    if table.L_grid.size >= 2:
-        jumps = table.lam[:-1, :] - table.lam[1:, :]   # positive = downward in L
-        with np.errstate(invalid="ignore"):
-            diag["max_downward_jump_in_L"] = float(np.nanmax(np.maximum(jumps, 0.0))) \
-                if np.isfinite(jumps).any() else float("nan")
-    if len(table.p_grid) >= 2:
-        dp = np.diff([float(p) for p in table.p_grid])
-        dl = np.abs(np.diff(table.lam, axis=1))
-        with np.errstate(invalid="ignore"):
-            diag["max_p_increment"] = float(np.nanmax(dl)) if np.isfinite(dl).any() else float("nan")
-            diag["min_p_spacing"] = float(dp.min())
-    return diag
-
-
 def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
           T_cap: float = 2000.0, **kw) -> EffectiveTable:
     """Fill the (L, p) table on the distinct grid values, in ascending order.
@@ -332,14 +327,13 @@ def sweep(model: ForceModel, p_grid, L_grid, tol: float = 1e-3,
     return EffectiveTable._from_entries(pairs, failures)
 
 
-def monotone_in_L_violation(table: EffectiveTable, j: Optional[int] = None) -> float:
-    """Worst downward step of L -> lambda beyond the summed half-widths
-    (negative or zero means monotone within certification)."""
-    cols = range(len(table.p_grid)) if j is None else [j]
+def monotone_in_L_violation(table: EffectiveTable) -> float:
+    """Worst downward step of L -> lambda beyond the summed half-widths over
+    every p column (negative or zero means monotone within certification)."""
     worst = -math.inf
-    for jj in cols:
-        lam = table.lam[:, jj]
-        hwc = table.halfwidths[:, jj]
+    for j in range(len(table.p_grid)):
+        lam = table.lam[:, j]
+        hwc = table.halfwidths[:, j]
         for i in range(lam.size - 1):
             if np.isnan(lam[i]) or np.isnan(lam[i + 1]):
                 continue

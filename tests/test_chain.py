@@ -70,6 +70,33 @@ def test_init_linear_rejects_bad_slope():
         fk.init_linear(m, 1, cells=0)
 
 
+def test_init_linear_rejects_a_bad_perturbation():
+    m = fkmodel()
+    with pytest.raises(ModelError, match="perturbation must have length N = 2"):
+        fk.init_linear(m, 1, cells=2, perturbation=[0.0])
+    # U = (0, -0.5, 2): out of order inside the ring, not at the seam
+    with pytest.raises(ModelError, match="initial U not strictly increasing at i=0"):
+        fk.init_linear(m, 1, cells=3, perturbation=[0.0, -1.5, 0.0])
+
+
+def test_twisted_chain_refuses_inconsistent_data():
+    m2 = fkmodel((1.0, 2.0))
+    ch = fk.init_linear(m2, Fraction(1, 2), cells=2)
+    with pytest.raises(ModelError, match="positive multiple of n"):
+        TwistedChain(3, 1, np.arange(3.0), np.arange(3.0), 0.0, Fraction(2, 3), m2)
+    with pytest.raises(ModelError, match="twist/slope mismatch"):
+        TwistedChain(ch.N, ch.Q + 1, ch.U, ch.Xi, 0.0, ch.p, m2)
+    with pytest.raises(ModelError, match="state arrays must have shape"):
+        TwistedChain(ch.N, ch.Q, ch.U[:-1], ch.Xi, 0.0, ch.p, m2)
+
+
+@pytest.mark.parametrize("sample_dt", [0.0, -0.5])
+def test_run_refuses_a_nonpositive_sample_spacing(sample_dt):
+    ch = fk.init_linear(fkmodel(), 1, cells=2)
+    with pytest.raises(ModelError, match="sample_dt must be positive"):
+        fk.run(ch, 1.0, sample_dt)
+
+
 # ---------------------------------------------------------------------------
 # CFL and single steps
 # ---------------------------------------------------------------------------
@@ -197,7 +224,7 @@ def test_negative_delta_rejected():
 def test_step_detects_blowup():
     m = fk.build_constant_force(1e200, m0=0.05)
     ch = fk.init_linear(m, 1, cells=4)
-    with pytest.raises(NumericalError) as ei:
+    with pytest.raises(NumericalError) as ei, np.errstate(over="ignore"):
         ch2 = fk.step(ch, 0.05)
         fk.step(ch2, 1e160)
     assert ei.value.tau is not None

@@ -790,6 +790,49 @@ def test_non_finite_config_constant_exits_validation(tmp_path, capsys, constant)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400],
+                         ids=["1e999", "-1e999", "int400"])
+@pytest.mark.parametrize("command,key", [("simulate", "T"), ("effham", "T_cap")])
+def test_config_number_that_overflows_a_float_exits_validation(tmp_path, capsys,
+                                                               command, key, literal):
+    """1e999 reads as inf and a 400-digit integer overflows a float: both are
+    refused at load, naming the literal."""
+    cfg = {"model": base_model(A=0.0),
+           "simulate": {"p": [1, 1], "T": 5.0, "sample_dt": 0.5},
+           "effham": {"p_grid": [[1, 1]], "L_grid": [0.8], "T_cap": 100.0}}
+    cfg[command][key] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"@"', literal))
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_VALIDATION
+    assert f"{literal} is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,block", [
+    ("simulate", "simulate"), ("effham", "effham"), ("hull", "hull"),
+    ("homogenize", "homogenize"), ("converge", "converge"), ("pipeline", "effham")])
+def test_command_without_its_block_exits_validation(tmp_path, capsys, command, block):
+    rc, _ = run_cli(tmp_path, {"model": base_model()}, command)
+    assert rc == cli.EXIT_VALIDATION
+    assert f"error: config.{block}: block required\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L_grid,code", [([0.0, 1e307], cli.EXIT_PARTIAL),
+                                         ([1e307], cli.EXIT_NUMERICAL)])
+def test_effham_exit_code_counts_the_entries_that_fail(tmp_path, capsys, L_grid, code):
+    """A drive of 1e307 overflows its row: exit 4 while another entry stands,
+    exit 3 when every entry failed."""
+    cfg = {"model": {"m0": 0.05, "force": {"kind": "constant", "value": 0.5}},
+           "effham": {"p_grid": [[1, 1]], "L_grid": L_grid, "tol": 1e-3}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc, out = run_cli(tmp_path, cfg, "effham")
+    assert rc == code
+    assert "1 entries failed numerically" in capsys.readouterr().out
+    table = json.loads((out / "effective_table.json").read_text())
+    assert [f["L"] for f in table["failures"]] == [1e307]
+
+
 def test_config_file_not_utf8_is_validation_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_bytes(b"\xff\xfe{}")

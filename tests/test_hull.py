@@ -89,6 +89,23 @@ def test_extract_refuses_without_snapshots():
         extract_hull(log, 0.0, 1)
 
 
+def _linear_log():
+    m = fkmodel(A=0.0, margin=1.2)
+    return fk.run(fk.init_linear(m, 1, cells=2), 10.0, 0.1, snapshot_stride=1)
+
+
+@pytest.mark.parametrize("kw", [dict(Z=0), dict(Z=-3), dict(n_tau=0), dict(n_tau=-1)])
+def test_extract_refuses_sizes_below_one(kw):
+    (name, size), = kw.items()
+    with pytest.raises(HullExtractionError, match=f"^{name} must be >= 1, got {size}$"):
+        extract_hull(_linear_log(), 0.0, 1, **kw)
+
+
+def test_extract_refuses_a_log_inside_the_transient():
+    with pytest.raises(HullExtractionError, match="no snapshots past the relaxation"):
+        extract_hull(_linear_log(), 0.0, 1, Z=8, transient=1e6)
+
+
 def test_extract_refuses_unconverged_dynamics():
     # strongly driven but observed far too briefly: wide bracket
     m = fkmodel(L=3.0, margin=1.2)
@@ -263,6 +280,33 @@ def test_identity_hull_axioms_and_values():
 def test_hull_value_refuses_an_unknown_profile(which):
     with pytest.raises(ValueError, match="which must be 'h' or 'g'"):
         hull_value(make_identity_hull(), 1, 0.25, which)
+
+
+def test_stationary_readers_refuse_a_tau_dependent_hull():
+    zg = (np.arange(8) + 0.5) / 8
+    rows = np.tile(zg, (2, 1, 1))
+    hull = HullFunction(p=Fraction(1), lam=0.3, z_grid=zg, h=rows, g=rows.copy())
+    with pytest.raises(HullExtractionError, match="residuals need an autonomous "
+                                                  "hull; this one has 2 tau strata"):
+        hull_residual(hull, fkmodel())
+    with pytest.raises(HullExtractionError, match="CSV files need an autonomous"):
+        hull_to_csv(hull)
+
+
+def test_hull_residual_differences_downwind_for_negative_lambda():
+    """For lambda < 0, D_z is the forward difference across the +1 wrap."""
+    Z = 16
+    zg = (np.arange(Z) + 0.5) / Z
+    h = zg + 0.05 * np.sin(2 * np.pi * zg)
+    g = h + 0.02 * np.sin(4 * np.pi * zg) + 0.01 * zg
+    lam, m = -0.5, fk.build_constant_force(0.0)
+    hull = HullFunction(p=Fraction(1), lam=lam, z_grid=zg, h=h[None, None],
+                        g=g[None, None])
+    fwd = (np.append(h[1:], h[0] + 1.0) - h) * Z
+    bwd = (h - np.insert(h[:-1], 0, h[-1] - 1.0)) * Z
+    r_h = hull_residual(hull, m)["r_h"]
+    assert r_h == pytest.approx(np.abs(lam * fwd - m.alpha0 * (g - h)).max(), rel=1e-12)
+    assert r_h != pytest.approx(np.abs(lam * bwd - m.alpha0 * (g - h)).max(), rel=1e-3)
 
 
 def test_hull_type_shift_convention():

@@ -115,6 +115,22 @@ def test_classical_periodicity_is_exact(th, amp, drive, base, shift, tshift):
         assert a == b
 
 
+def test_models_of_one_bound_method_hash_equal():
+    """Each read of obj.force makes a new bound-method object; two models
+    built from it compare equal, so they hash equal and find each other as
+    dict keys."""
+    class Force:
+        def force(self, j, tau, w):
+            return 0.0
+
+    obj = Force()
+    a, b = (fk.build_tabulated(obj.force, n=1, m=1, m0=0.05, lip_V=0.0,
+                               f_at_zero_sup=0.0) for _ in range(2))
+    assert a.kind.fn is not b.kind.fn
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}.get(b) == 1
+
+
 def test_check_assumptions_critical_mass_closed_form():
     m = fk.build_classical_fk([1.0], amplitude=1.0, drive=0.0, m0=0.02)
     rep = fk.check_assumptions(m)

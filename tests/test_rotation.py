@@ -588,3 +588,18 @@ def test_table_from_csv_rejects_bad_keys(row, needle):
             "0.0,1/1,0.0,0.001,1\n1.0,1/1,0.5,0.001,1\n")
     with pytest.raises(ValueError, match=needle):
         EffectiveTable.from_csv(text + row + "\n")
+
+
+@pytest.mark.parametrize("T_cap", [math.nan, math.inf])
+def test_non_finite_T_cap_is_refused_before_any_march(monkeypatch, T_cap):
+    """2T > T_cap is never true for these, so a row that misses tol (tol = 0
+    here) would march forever."""
+    def no_march(*args, **kw):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr("fkhomog.rotation._advance", no_march)
+    m = fkmodel()
+    with pytest.raises(ValueError, match="T_cap must be finite"):
+        fk.rotation_number(m, 1, L_extra=2.0, tol=0.0, T_cap=T_cap)
+    with pytest.raises(ValueError, match="T_cap must be finite"):
+        fk.sweep(m, [1], [0.0, 2.0], tol=0.0, T_cap=T_cap)

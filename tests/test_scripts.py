@@ -23,6 +23,14 @@ def test_depinning_sweep_script(tmp_path, monkeypatch):
     assert table.converged.all()
 
 
+def test_depinning_sweep_script_keeps_the_last_drive(tmp_path, monkeypatch):
+    """0.3 / 0.1 rounds a hair below 3, and the drive 3 * 0.1 stays in."""
+    run_script(monkeypatch, "run_depinning_sweep.py", "--L-max", 0.3,
+               "--L-step", 0.1, "--out", tmp_path)
+    table = EffectiveTable.from_csv((tmp_path / "depinning_table.csv").read_text())
+    assert table.L_grid.tolist() == [0.0, 0.1, 0.2, 3 * 0.1]
+
+
 def test_convergence_study_script(tmp_path, monkeypatch):
     run_script(monkeypatch, "run_convergence_study.py", "--levels", 2,
                "--out", tmp_path)
