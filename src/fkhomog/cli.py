@@ -160,8 +160,9 @@ class ConfigError(ValueError):
 
 
 def _finite(parse):
-    """The json hook parse(literal), refusing what is not a finite float:
-    NaN, +-Infinity, 1e999 and too large integers pass every schema bound."""
+    """A json number hook: parse(literal), refusing NaN, +-Infinity and
+    literals that overflow a float (1e999, huge integers), which pass every
+    schema bound."""
     def hook(literal: str):
         # float reads an overflowing literal, integer or not, as +-inf
         if not math.isfinite(float(literal)):
