@@ -374,47 +374,50 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
         # the n reference particles of each ring, and the block's samples
         track = bounds[:-1, None] + np.arange(n)
         taken = np.empty((block, 2) + track.shape)
-    while s < S:
-        s_end = min(s + block, S)
-        state0 = state.copy()
-        for k in range(s + 1, s_end + 1):
-            t = tau0 + (k - 1) * sample_dt
-            for j in range(n_sub):
-                # ndarray.take, in mode "clip" (the indices are in range):
-                # the np.take wrapper, and the buffered out of mode "raise",
-                # cost more than the gather itself on a few dozen particles
-                W = U.take(idx, None, gather.W, "clip")
-                np.add(W, shift, W)
-                F = _force(model, t + j * dt_eff, W, plan, drive)
-                if use_delta:
-                    extra = _delta_term(model, U, Xi, gather.rings[0][1], delta, a0)
-                _euler_update(views, F, c, beta, dt_eff, extra)
+    # a ring that blows up overflows on its way to inf or NaN; the
+    # finiteness check of its block finds it and reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < S:
+            s_end = min(s + block, S)
+            state0 = state.copy()
+            for k in range(s + 1, s_end + 1):
+                t = tau0 + (k - 1) * sample_dt
+                for j in range(n_sub):
+                    # ndarray.take, in mode "clip" (the indices are in range):
+                    # the np.take wrapper, and the buffered out of mode "raise",
+                    # cost more than the gather itself on a few dozen particles
+                    W = U.take(idx, None, gather.W, "clip")
+                    np.add(W, shift, W)
+                    F = _force(model, t + j * dt_eff, W, plan, drive)
+                    if use_delta:
+                        extra = _delta_term(model, U, Xi, gather.rings[0][1], delta, a0)
+                    _euler_update(views, F, c, beta, dt_eff, extra)
+                if out is not None:
+                    state.take(track, 1, taken[k - s - 1], "clip")
+                if snapshot_stride > 0 and k % snapshot_stride == 0:
+                    snaps.append((tau0 + sample_dt * k, U[:bounds[1]].copy(),
+                                  Xi[:bounds[1]].copy()))
             if out is not None:
-                state.take(track, 1, taken[k - s - 1], "clip")
-            if snapshot_stride > 0 and k % snapshot_stride == 0:
-                snaps.append((tau0 + sample_dt * k, U[:bounds[1]].copy(),
-                              Xi[:bounds[1]].copy()))
-        if out is not None:
-            # taken[i, r, b] is row r (U, Xi) of ring b at sample s + 1 + i
-            nb = s_end - s
-            out[:, :, s + 1:s_end + 1] = taken[:nb].transpose(2, 1, 3, 0).reshape(
-                len(out), 2 * n, nb)
-        finite = np.logical_and.reduceat(np.isfinite(state).all(axis=0),
-                                         bounds[:-1])
-        if not finite.all():
-            bad = {b: slice(bounds[b], bounds[b + 1])
-                   for b in np.flatnonzero(~finite).tolist()}
-            if block == 1:
-                tau = tau0 + sample_dt * s_end
-                return s_end, {
-                    b: NumericalError(f"state blew up at tau = {tau}", tau=tau,
-                                      snapshot=(state0[0, ring], state0[1, ring]))
+                # taken[i, r, b] is row r (U, Xi) of ring b at sample s + 1 + i
+                nb = s_end - s
+                out[:, :, s + 1:s_end + 1] = taken[:nb].transpose(2, 1, 3, 0).reshape(
+                    len(out), 2 * n, nb)
+            finite = np.logical_and.reduceat(np.isfinite(state).all(axis=0),
+                                             bounds[:-1])
+            if not finite.all():
+                bad = {b: slice(bounds[b], bounds[b + 1])
+                       for b in np.flatnonzero(~finite).tolist()}
+                if block == 1:
+                    tau = tau0 + sample_dt * s_end
+                    return s_end, {
+                        b: NumericalError(f"state blew up at tau = {tau}", tau=tau,
+                                          snapshot=(state0[0, ring], state0[1, ring]))
+                        for b, ring in bad.items()}
+                return s_end, {b: _march(
+                    model, state0[:, ring], _flat_gather(model, gather.rings[b:b + 1]),
+                    tau0, s, s_end, clock, None, drive=drive[ring], block=1)[1][0]
                     for b, ring in bad.items()}
-            return s_end, {b: _march(
-                model, state0[:, ring], _flat_gather(model, gather.rings[b:b + 1]),
-                tau0, s, s_end, clock, None, drive=drive[ring], block=1)[1][0]
-                for b, ring in bad.items()}
-        s = s_end
+            s = s_end
     return s, {}
 
 

@@ -300,7 +300,11 @@ def _get_or_compute(cache: Cache | None, stage: str, payload: dict, compute, par
 # Commands
 # ---------------------------------------------------------------------------
 
-def _out_dir(cfg: dict, args) -> Path:
+def _out_dir(cfg: dict, args, *blocks) -> Path:
+    """The output directory, created once the config blocks the command
+    reads (:func:`_block`) are known to be there."""
+    for key in blocks:
+        _block(cfg, key)
     out = Path(args.out or cfg.get("out_dir", "out"))
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -325,7 +329,7 @@ def cmd_check(cfg: dict, args) -> int:
 
 
 def cmd_simulate(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, "simulate")
     blk = _block(cfg, "simulate")
     model = mdl.model_from_config(cfg["model"])
     p = _frac(blk["p"])
@@ -376,7 +380,7 @@ def _effham(cfg: dict, model: mdl.ForceModel, cache: Cache | None):
 
 
 def cmd_effham(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, "effham")
     table, text = _effham(cfg, mdl.model_from_config(cfg["model"]), None)
     (out / "effective_table.csv").write_text(text)
     (out / "effective_table.json").write_text(rot.table_to_json(table))
@@ -393,7 +397,7 @@ def cmd_effham(cfg: dict, args) -> int:
 
 
 def cmd_hull(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, "hull")
     blk = _block(cfg, "hull")
     model = mdl.model_from_config(cfg["model"])
     p = _frac(blk["p"])
@@ -473,7 +477,8 @@ def _homogenize(cfg: dict, out: Path, model: mdl.ForceModel, table=None) -> int:
 
 
 def cmd_homogenize(cfg: dict, args) -> int:
-    return _homogenize(cfg, _out_dir(cfg, args), mdl.model_from_config(cfg["model"]))
+    return _homogenize(cfg, _out_dir(cfg, args, "homogenize"),
+                       mdl.model_from_config(cfg["model"]))
 
 
 def _converge(cfg: dict, out: Path, model: mdl.ForceModel, table=None,
@@ -513,11 +518,12 @@ def _converge(cfg: dict, out: Path, model: mdl.ForceModel, table=None,
 
 
 def cmd_converge(cfg: dict, args) -> int:
-    return _converge(cfg, _out_dir(cfg, args), mdl.model_from_config(cfg["model"]))
+    return _converge(cfg, _out_dir(cfg, args, "converge"),
+                     mdl.model_from_config(cfg["model"]))
 
 
 def cmd_pipeline(cfg: dict, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, "effham", "homogenize", "converge")
     cache = Cache(out / "cache")
     stage = "effham"
     try:

@@ -237,16 +237,20 @@ def _plan(model: ForceModel, W: np.ndarray, types, buf=None) -> tuple:
     window-major W of shape (2m+1, K) (row k holds V_{k-m} of every window)
     of 0-based types (K,), with buf of shape (3, K) as scratch (fresh by
     default).  Classical: W itself and its :func:`_stencil`.  Tabulated: a
-    fresh window-last C-order (K, 2m+1) copy of W with the window's +0.0
-    added off the centre and -0.0 at it (:func:`_shift_row`), so an
-    off-centre -0.0 arrives as +0.0, and the plan (jj, out) of fresh
-    1-based types jj and out = buf[0] (fresh when buf is None), which
-    receives drive + F, so the result is never the callable's own array.
-    Marches build theirs with :func:`_window_plan`."""
+    fresh window-last C-order (K, 2m+1) copy V of W with the window's +0.0
+    added off the centre and -0.0 at it (the bytes of adding
+    :func:`_shift_row`), so an off-centre -0.0 arrives as +0.0, and the plan
+    (jj, out) of fresh 1-based types jj and out = buf[0] (fresh when buf is
+    None), which receives drive + F, so the result is never the callable's
+    own array.  Marches build theirs with :func:`_window_plan`."""
     if isinstance(model.kind, ClassicalFK):
         return W, _stencil(model, W, types, buf)
     out = np.empty(types.shape) if buf is None else buf[0]
-    return np.add(W.T, _shift_row(model.m), order="C"), (types + 1, out)
+    # a scalar add is one pass; a broadcast (2m+1,) row would run NumPy's
+    # inner loop 2m+1 elements at a time
+    V = np.add(W.T, 0.0, order="C")
+    np.add(W[model.m], -0.0, out=V[:, model.m])
+    return V, (types + 1, out)
 
 
 def _window_plan(model: ForceModel, idx, shift, types):
@@ -407,76 +411,49 @@ def _check_tabulated(model: ForceModel, d: int) -> AssumptionReport:
     """Centered finite differences with step 1/d on [0,1)^{2m+2}; periodicity
     reduces every check to one cell.
 
-    Per type the check evaluates the base (tau, window) mesh, its shifts by
-    one period in the window and in tau, the type-shifted mesh, and, for each
+    Per type the check walks the (tau, window) mesh one tau value at a time.
+    At each it evaluates the d^(2m+1) base windows, their shifts by one
+    period in the window and in tau, the type-shifted windows, and, for each
     window slot, every distinct +-h/2 layer of that slot once: the minus
     layer axis[a] - h/2 is the plus layer axis[a-1] + h/2, so a slot costs
-    (d + 1)/d meshes for dyadic d instead of 2.  The layers are the sorted distinct
-    values of axis +- h/2; where axis[a] - h/2 and axis[a-1] + h/2 differ by
-    an ulp (d not dyadic) both are kept, so every difference reads exactly
-    the points a plus and a minus mesh would.
+    (d + 1)/d meshes for dyadic d instead of 2.  The layers are the sorted
+    distinct values of axis +- h/2; where axis[a] - h/2 and axis[a-1] + h/2
+    differ by an ulp (d not dyadic) both are kept, so every difference reads
+    exactly the points a plus and a minus mesh would.  Each block is folded
+    into running worst cases and dropped, so the check holds one tau block
+    of d^(2m+1) windows per call, plus what the callable allocates.
+
+    The callable sees its calls in tau-major order: per type and tau the
+    base, window-shift, tau-shift and type-shift calls, then one per slot,
+    and after the mesh one per a6 sample on each side.  Every call gets
+    fresh windows.  The reports are those of a whole-mesh scan: per check
+    phase the worst case is the first minimum in (tau, window) order, a NaN
+    there, as np.argmin would find it, voids the phase for that type, and
+    the phases merge per type in a fixed order, an earlier one winning ties.
     """
     n, m = model.n, model.m
     w = 2 * m + 1
     h = 1.0 / d
     axis = np.arange(d) * h
-    # the (tau, window) mesh is tau-major: row k*blk + r pairs tau = axis[k]
-    # with window wins[r], so every tau block shares one window array
-    wins = np.stack([g.ravel() for g in np.meshgrid(*[axis] * w, indexing="ij")],
-                    axis=-1)
-    blk = wins.shape[0]
     layers, inv = np.unique(np.concatenate((axis + h / 2, axis - h / 2)),
                             return_inverse=True)
     plus, minus = inv[:d], inv[d:]   # layer index of axis[a] + h/2, axis[a] - h/2
+    # the base windows, (d^(2m+1), 2m+1) in row-major mesh order; every call
+    # gets a fresh C-order array made from them, and since no window holds
+    # -0.0, no shift row is added (see _plan)
+    wins = np.empty((d,) * w + (w,))
+    for s in range(w):
+        wins[..., s] = axis.reshape([-1 if r == s else 1 for r in range(w)])
+    wins = wins.reshape(-1, w)
 
-    bad = []     # the first non-finite sample, as (j, tau, *window)
-
-    def f(j, pieces):
-        # F_j on consecutive (tau, windows) pieces of one size K, window-major
-        # (2m+1, K), one call per piece; _plan hands each call its own copy,
-        # since a callable may write to its windows (the mesh holds no -0.0,
-        # so its shift row changes no value)
-        pieces = list(pieces)
-        types = np.full(pieces[0][1].shape[1], j - 1)
-        F = np.concatenate([_force(model, t, *_plan(model, v, types))
-                            for t, v in pieces])
-        if not bad and not np.isfinite(F).all():
-            # the first non-finite value, found in its piece
-            k, i = divmod(int(np.argmin(np.isfinite(F))), F.size // len(pieces))
-            t, v = pieces[k]
-            bad.append((j, float(t), *v[:, i]))
-        return F
-
-    def f_mesh(j, shifted, dtau=0.0):
-        return f(j, ((t + dtau, shifted.T) for t in axis))
-
-    def derivative(j, k, dF):
-        # (F_j(+h/2) - F_j(-h/2)) / h in slot k, written into dF in mesh
-        # order: one call per tau value on the slot's layers, differenced
-        # piece by piece.  A non-finite witness follows the order of a plus
-        # mesh scanned before a minus mesh: the first of the plus side, else
-        # the first of the minus side.
-        grids = np.meshgrid(*[axis] * k, layers, *[axis] * (w - 1 - k), indexing="ij")
-        lay = np.stack([g.ravel() for g in grids], axis=-1)
-        inner = d ** (w - 1 - k)
-        first = [None, None]
-        types = np.full(len(lay), j - 1)
-        for i, t in enumerate(axis):
-            F = _force(model, t, *_plan(model, lay.T, types))
-            F = F.reshape(-1, len(layers), inner)
-            piece = dF[i * blk:(i + 1) * blk].reshape(-1, d, inner)
-            np.subtract(F[:, plus], F[:, minus], out=piece)
-            if bad or np.isfinite(F).all():
-                continue
-            for s, side in enumerate((plus, minus)):
-                ok = np.isfinite(F[:, side]).ravel()
-                if first[s] is None and not ok.all():
-                    p, a, q = np.unravel_index(np.argmin(ok), piece.shape)
-                    row = (p * len(layers) + side[a]) * inner + q
-                    first[s] = (j, float(t), *lay[row])
-        if first[0] or first[1]:       # set only while bad is empty
-            bad.append(first[0] or first[1])
-        dF /= h
+    def layer_windows(s):
+        # slot s's layer mesh: one block of base windows per layer, with
+        # slot s overwritten by the layer
+        inner = d ** (w - 1 - s)
+        V = np.empty((d ** s, len(layers), inner, w))
+        V[...] = wins.reshape(d ** s, d, inner, w)[:, :1]
+        V[..., s] = layers[:, None]
+        return V.reshape(-1, w)
 
     # the a6 samples: ordered tuples (V_{-m}, ..., V_{m+1}), each at its own tau
     rng = np.random.default_rng(0)
@@ -487,44 +464,113 @@ def _check_tabulated(model: ForceModel, d: int) -> AssumptionReport:
     # largest periodicity residual, starting from 0
     worst = dict.fromkeys(("a1", "a2", "a3", "a5", "a6"), (math.inf, None))
     worst["a4"] = (-0.0, None)
+    bad = None   # the first non-finite sample, as (j, tau, *window)
+    # per type: phases in the order their non-finite witnesses rank (a slot
+    # has a plus and a minus side), and (key, phase) in the order the
+    # phases' worst cases merge
+    nonfinite_order = (["base", "a4w", "a4t", "a5"]
+                       + [(s, side) for s in range(w) for side in (0, 1)] + ["a6l", "a6r"])
+    merge_order = ([("a4", "a4w"), ("a4", "a4t"), ("a5", "a5")]
+                   + [("a3" if s == m else "a2", s) for s in range(w)] + [("a1", "a1")])
 
-    def keep(key, vals, j, at=None, tuples=False):
-        # the first index of the minimum of ``at`` (default vals) replaces the
-        # key's worst case if its value is smaller; witness (j, tau, *window)
-        i = int(np.argmin(vals if at is None else at))
-        if vals[i] < worst[key][0]:
-            tau, win = (ts[i], tup[i]) if tuples else (axis[i // blk], wins[i % blk])
-            worst[key] = (float(vals[i]), (j, float(tau), *win))
+    first = {}   # per type: phase -> its first non-finite sample
+    track = {}   # per type: phase -> (at, value, tau index, window index) of its worst case
+
+    def note(phase, F, witness):
+        if phase not in first and not np.isfinite(F).all():
+            first[phase] = witness(int(np.argmin(np.isfinite(F))))
+
+    def on(j, t, V):
+        # F_j at tau t on the fresh windows V, in the plan of _plan
+        return _force(model, t, V, (np.full(len(V), j), np.empty(len(V))))
+
+    def f(phase, j, t, V, shift=0.0):
+        # on() of base windows V; the phase notes its first non-finite
+        # sample, at base window i + shift (no -0.0 in wins, so a shift of
+        # 0.0 changes no bit)
+        F = on(j, t, V)
+        note(phase, F, lambda i: (j, float(t), *(wins[i] + shift)))
+        return F
+
+    def f6(phase, j, tuples):
+        # one call per a6 sample, each at its own tau, on a (2m+1, 1) column
+        types = np.full(1, j - 1)
+        F = np.concatenate([_force(model, t, *_plan(model, v[:, None], types))
+                            for t, v in zip(ts, tuples)])
+        note(phase, F, lambda i: (j, float(ts[i]), *tuples[i]))
+        return F
+
+    def keep(phase, vals, k, at=None):
+        # the first index of the phase's minimum of at (default vals) over the
+        # tau blocks so far, strict <; the first NaN wins and stays
+        at = vals if at is None else at
+        i = int(np.argmin(at))
+        old = track.get(phase)
+        if old is None or at[i] < old[0] or (np.isnan(at[i]) and not np.isnan(old[0])):
+            track[phase] = (at[i], vals[i], k, i)
+
+    def slot_derivative(j, t, s):
+        # (F_j(+h/2) - F_j(-h/2)) / h in slot s on the tau block t, in mesh
+        # order.  A non-finite witness follows the order of a plus mesh over
+        # all tau values scanned before a minus mesh.
+        inner = d ** (w - 1 - s)
+        F = on(j, t, layer_windows(s)).reshape(-1, len(layers), inner)
+        sides = F[:, plus], F[:, minus]
+        finite = np.isfinite(F).all()
+        for side, rows in enumerate(() if finite else (plus, minus)):
+            def witness(i):
+                p, a, q = np.unravel_index(i, sides[side].shape)
+                win = wins[p * d * inner + q].copy()
+                win[s] = layers[rows[a]]
+                return (j, float(t), *win)
+            note((s, side), sides[side], witness)
+        dF = np.subtract(*sides).reshape(-1)
+        dF /= h
+        return dF
 
     sup_neg_d0 = 0.0
-    dF = np.empty(d * blk)
     for j in range(1, n + 1):
-        base = f_mesh(j, wins)
+        first.clear()
+        track.clear()
+        top = -np.inf   # the largest -dF of slot m, NaN once one is NaN
+        for k, t in enumerate(axis):
+            base = f("base", j, t, wins.copy())
 
-        # periodicity in the window and in tau
-        keep("a4", -np.abs(f_mesh(j, wins + 1.0) - base), j)
-        keep("a4", -np.abs(f_mesh(j, wins, dtau=1.0) - base), j)
+            # periodicity in the window and in tau
+            keep("a4w", -np.abs(f("a4w", j, t, wins + 1.0, 1.0) - base), k)
+            keep("a4t", -np.abs(f("a4t", j, t + 1.0, wins.copy()) - base), k)
 
-        # type periodicity; the sample is the largest residual, since tol - res
-        # can round distinct residuals to one margin
-        res = np.abs(f_mesh(j + n, wins) - base)
-        keep("a5", SAMPLING_TOL - res, j, at=-res)
+            # type periodicity; the sample is the largest residual, since tol
+            # - res can round distinct residuals to one margin
+            res = np.abs(f("a5", j + n, t, wins.copy()) - base)
+            keep("a5", SAMPLING_TOL - res, k, at=-res)
 
-        grad_abs_sum = np.zeros(d * blk)
-        for slot in range(w):
-            derivative(j, slot, dF)
-            grad_abs_sum += np.abs(dF)
-            if slot == m:
-                keep("a3", model.alpha0 + 2.0 * dF, j)
-                sup_neg_d0 = max(sup_neg_d0, float(np.max(-dF)))
-            else:
-                keep("a2", dF, j)
-        keep("a1", model.lip_V + SAMPLING_TOL - grad_abs_sum, j)
+            grad_abs_sum = np.zeros(len(wins))
+            for s in range(w):
+                dF = slot_derivative(j, t, s)
+                grad_abs_sum += np.abs(dF)
+                if s == m:
+                    keep(s, model.alpha0 + 2.0 * dF, k)
+                    top = np.maximum(top, np.max(-dF))
+                else:
+                    keep(s, dF, k)
+            keep("a1", model.lip_V + SAMPLING_TOL - grad_abs_sum, k)
 
-        # one window per sample, each a (2m+1, 1) column
-        lhs = 2.0 * f(j + 1, zip(ts, tup[:, 1:, None])) + model.alpha0 * tup[:, m + 1]
-        rhs = 2.0 * f(j, zip(ts, tup[:, :-1, None])) + model.alpha0 * tup[:, m]
-        keep("a6", lhs - rhs, j, tuples=True)
+        for key, phase in merge_order:
+            if phase in track:
+                _, val, k, i = track[phase]
+                if val < worst[key][0]:
+                    worst[key] = (float(val), (j, float(axis[k]), *wins[i]))
+        sup_neg_d0 = max(sup_neg_d0, float(top))
+
+        lhs = 2.0 * f6("a6l", j + 1, tup[:, 1:]) + model.alpha0 * tup[:, m + 1]
+        rhs = 2.0 * f6("a6r", j, tup[:, :-1]) + model.alpha0 * tup[:, m]
+        gap = lhs - rhs
+        i = int(np.argmin(gap))
+        if gap[i] < worst["a6"][0]:
+            worst["a6"] = (float(gap[i]), (j, float(ts[i]), *tup[i]))
+        if bad is None:
+            bad = next((first[p] for p in nonfinite_order if p in first), None)
 
     neg_res, a4_wit = worst["a4"]
     worst["a4"] = (SAMPLING_TOL + neg_res, a4_wit)  # tol minus the largest residual
@@ -534,8 +580,8 @@ def _check_tabulated(model: ForceModel, d: int) -> AssumptionReport:
         return AssumptionCheck(mval >= floor, mval, wit if mval < floor else None)
 
     # a non-finite value loses every comparison above, so it fails a4 here
-    a4 = chk("a4", floor=0.0) if not bad else AssumptionCheck(
-        False, -math.inf, bad[0], note="non-finite force value at the witness")
+    a4 = chk("a4", floor=0.0) if bad is None else AssumptionCheck(
+        False, -math.inf, bad, note="non-finite force value at the witness")
     critical = 1.0 / (4.0 * sup_neg_d0) if sup_neg_d0 > 0 else math.inf
     return AssumptionReport(a1=chk("a1"), a2=chk("a2"), a3=chk("a3"), a4=a4,
                             a5=chk("a5"), a6=chk("a6"), critical_mass=critical)

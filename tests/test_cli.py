@@ -813,9 +813,10 @@ def test_config_number_that_overflows_a_float_exits_validation(tmp_path, capsys,
     ("simulate", "simulate"), ("effham", "effham"), ("hull", "hull"),
     ("homogenize", "homogenize"), ("converge", "converge"), ("pipeline", "effham")])
 def test_command_without_its_block_exits_validation(tmp_path, capsys, command, block):
-    rc, _ = run_cli(tmp_path, {"model": base_model()}, command)
+    rc, out = run_cli(tmp_path, {"model": base_model()}, command)
     assert rc == cli.EXIT_VALIDATION
     assert f"error: config.{block}: block required\n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("L_grid,code", [([0.0, 1e307], cli.EXIT_PARTIAL),
@@ -829,6 +830,23 @@ def test_effham_exit_code_counts_the_entries_that_fail(tmp_path, capsys, L_grid,
         rc, out = run_cli(tmp_path, cfg, "effham")
     assert rc == code
     assert "1 entries failed numerically" in capsys.readouterr().out
+    table = json.loads((out / "effective_table.json").read_text())
+    assert [f["L"] for f in table["failures"]] == [1e307]
+
+
+def test_effham_blow_up_reports_itself_without_a_numpy_warning(tmp_path, capsys):
+    """The march finds the ring that overflows and reports it; NumPy's own
+    overflow warning would name no row, drive or tau."""
+    cfg = {"model": {"m0": 0.05, "force": {"kind": "constant", "value": 0.5}},
+           "effham": {"p_grid": [[1, 1]], "L_grid": [0.0, 1e307], "tol": 1e-3}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = run_cli(tmp_path, cfg, "effham")
+    assert rc == cli.EXIT_PARTIAL
+    assert [str(w.message) for w in caught] == []
+    captured = capsys.readouterr()
+    assert "1 entries failed numerically" in captured.out
+    assert "RuntimeWarning" not in captured.err
     table = json.loads((out / "effective_table.json").read_text())
     assert [f["L"] for f in table["failures"]] == [1e307]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -536,6 +537,112 @@ def test_sampled_check_evaluates_each_derivative_layer_once(d, layers, batch):
     assert counting.windows == n * (d ** w * (4 * d + w * layers) + 2 * tuples)
     if batch:
         assert counting.calls == n * (4 * d + w * d + 2 * tuples)
+
+
+def _quarters(v):
+    """floor(4 frac(v)) / 4: 1-periodic, and exact on the dyadic mesh."""
+    return np.floor(4 * (v % 1.0)) / 4
+
+
+def _tied_a4_force(j, tau, w):
+    """V_{-1} q(tau) + tau q(V_0): the window shift leaves a residual q(tau)
+    and the tau shift one q(V_0), both at most 0.75, reached first at
+    tau = 0.75 and at tau = 0, V_0 = 0.75."""
+    w = np.asarray(w, dtype=float)
+    return w[..., 0] * _quarters(tau) + tau * _quarters(w[..., 1])
+
+
+def _tied_a2_force(j, tau, w):
+    """-q(V_{-1}) and -q(V_1), weighted 1 and 1/2 for tau mod 1 >= 1/2 and
+    the other way round before: both neighbour derivatives reach -2, slot 2
+    at tau = 0, slot 0 only at tau = 0.5."""
+    w = np.asarray(w, dtype=float)
+    late = 1.0 if tau % 1.0 >= 0.5 else 0.5
+    return -late * _quarters(w[..., 0]) - (1.5 - late) * _quarters(w[..., 2])
+
+
+def _one_tau_nan_force(j, tau, w):
+    """Springs, stiffer for odd types, and a pinning sine; NaN for odd types
+    at tau = 0.375 on odd sixteenths of V_0, which only the +-h/2 layers of
+    the centre slot reach at density 8."""
+    w = np.asarray(w, dtype=float)
+    odd = np.asarray(j) % 2 == 1
+    c = w[..., 1]
+    F = (np.where(odd, 1.5, 1.0) * ((w[..., 2] - c) - (c - w[..., 0]))
+         + 0.5 * np.sin(2 * math.pi * c))
+    return np.where(_odd_sixteenth(c) & odd & (tau == 0.375), np.nan, F)
+
+
+#: reports of the sampled check at density 8, recorded on the whole-mesh scan
+#: before the check went one tau block at a time: ties go to the phase that
+#: comes first (the window shift before the tau shift, slot 0 before slot 2)
+#: wherever the tau order puts them, and a NaN in one tau block of a type's
+#: centre-slot differences drops that type's a1, a3 and critical mass, so
+#: those come from type 2 alone
+ORDER_REPORTS = {
+    "tied_a4": (
+        lambda: build_tabulated(_tied_a4_force, n=1, m=1, m0=1 / 24, lip_V=1.0,
+                                f_at_zero_sup=0.0, batch=True),
+        "AssumptionReport(a1=AssumptionCheck(holds=False, margin=-4.99999999, "
+        "witness=(1, 0.875, np.float64(0.0), np.float64(0.0), np.float64(0.0)), "
+        "note=''), a2=AssumptionCheck(holds=True, margin=0.0, witness=None, "
+        "note=''), a3=AssumptionCheck(holds=True, margin=1.5, witness=None, "
+        "note=''), a4=AssumptionCheck(holds=False, margin=-0.74999999, "
+        "witness=(1, 0.75, np.float64(0.0), np.float64(0.0), np.float64(0.0)), "
+        "note=''), a5=AssumptionCheck(holds=True, margin=1e-08, witness=None, "
+        "note=''), a6=AssumptionCheck(holds=True, margin=0.1681366970340008, "
+        "witness=None, note=''), critical_mass=0.047619047619047616)"),
+    "tied_a2": (
+        lambda: build_tabulated(_tied_a2_force, n=1, m=1, m0=1 / 24, lip_V=1.0,
+                                f_at_zero_sup=0.0, batch=True),
+        "AssumptionReport(a1=AssumptionCheck(holds=False, margin=-7.99999999, "
+        "witness=(1, 0.0, np.float64(0.0), np.float64(0.0), np.float64(0.0)), "
+        "note=''), a2=AssumptionCheck(holds=False, margin=-2.0, "
+        "witness=(1, 0.5, np.float64(0.25), np.float64(0.0), np.float64(0.0)), "
+        "note=''), a3=AssumptionCheck(holds=True, margin=12.0, witness=None, "
+        "note=''), a4=AssumptionCheck(holds=True, margin=1e-08, witness=None, "
+        "note=''), a5=AssumptionCheck(holds=True, margin=1e-08, witness=None, "
+        "note=''), a6=AssumptionCheck(holds=False, margin=-1.4456830090293256, "
+        "witness=(1, 0.8796037337143668, np.float64(0.2222812872157347), "
+        "np.float64(0.8390413407865722), np.float64(0.8435677567007951), "
+        "np.float64(1.8608915728278896)), note=''), critical_mass=inf)"),
+    "one_tau_nan": (
+        lambda: build_tabulated(_one_tau_nan_force, n=2, m=1, m0=1 / 24,
+                                lip_V=4 + math.pi, f_at_zero_sup=0.0, batch=True),
+        "AssumptionReport(a1=AssumptionCheck(holds=True, margin=0.08012520466907347, "
+        "witness=None, note=''), a2=AssumptionCheck(holds=True, "
+        "margin=0.9999999999999996, witness=None, note=''), "
+        "a3=AssumptionCheck(holds=True, margin=1.8770650821585626, witness=None, "
+        "note=''), a4=AssumptionCheck(holds=False, margin=-inf, "
+        "witness=(1, 0.375, np.float64(0.0), np.float64(0.0625), np.float64(0.0)), "
+        "note='non-finite force value at the witness'), "
+        "a5=AssumptionCheck(holds=True, margin=1e-08, witness=None, note=''), "
+        "a6=AssumptionCheck(holds=True, margin=0.4357297907228057, witness=None, "
+        "note=''), critical_mass=0.049392790140215324)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_REPORTS))
+def test_sampled_check_ties_and_nan_keep_the_whole_mesh_order(name):
+    build, report = ORDER_REPORTS[name]
+    assert repr(fk.check_assumptions(build(), sample_density=8)) == report
+
+
+def test_sampled_check_memory_is_one_tau_block():
+    """The traced peak of one check of an n = 2, m = 2 batch force at
+    density 8 (d^(2m+2) = 262 144 mesh points, 2 MB an array): 16.24 MB
+    when the check held whole-mesh arrays, 5.36 MB one tau block at a
+    time.  The bound is half the first figure."""
+    m = build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
+                        f_at_zero_sup=0.3, batch=True)
+    fk.check_assumptions(m, sample_density=8)      # fill the module caches
+    tracemalloc.start()
+    try:
+        fk.check_assumptions(m, sample_density=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.24e6 / 2
 
 
 @pytest.mark.parametrize("density", [8.0, 2.5, "8", None])
