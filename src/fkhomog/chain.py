@@ -31,9 +31,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (ForceModel, ModelError, ConstantsLedger, check_assumptions,
-                    require_monotone, _drive, _force, _plan, _require_delta,
-                    _window_plan)
+from .model import (TWO_PI, ClassicalFK, ForceModel, ModelError, ConstantsLedger,
+                    check_assumptions, require_monotone, _drive, _force, _plan,
+                    _require_delta, _theta_pairs, _window_plan)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -140,27 +140,29 @@ def _window_gather(N: int, Q: int, m: int, n: int):
     return idx, shift, types
 
 
-#: the windows of rings held one after another in one flat state, with
-#: everything a step needs built once per layout: ring b is
-#: U[bounds[b]:bounds[b + 1]]; a step's windows are W = U[idx] + shift,
-#: read into the buffer W, or into a fresh array when W is None, in the
-#: layout of :func:`fkhomog.model._window_plan`, which also builds the
-#: plan of :func:`fkhomog.model._force`; work is the scratch of
+#: the windows of rings held one after another in one flat state, built
+#: once per layout: ring b is U[bounds[b]:bounds[b + 1]] and a step reads
+#: the windows U[idx] + shift of 0-based types.  Classical: idx and shift
+#: window-major (2m+1, K), from which :func:`_affine` builds the fused
+#: step, and plan and work None.  Tabulated: idx, shift and plan in the
+#: layout of :func:`fkhomog.model._window_plan`, and work the scratch of
 #: :func:`_euler_views`
-_Gather = namedtuple("_Gather", "rings bounds idx shift W plan work")
+_Gather = namedtuple("_Gather", "rings bounds idx shift types plan work")
 
 
 def _flat_gather(model: ForceModel, rings) -> _Gather:
     """The flat gather of rings, given as (N, Q) pairs: each ring's
     :func:`_window_gather`, its indices offset by the ring's start, with
-    the buffers and views of its steps."""
+    what its steps need."""
     parts = [_window_gather(N, Q, model.m, model.n) for N, Q in rings]
     bounds = np.cumsum([0] + [N for N, _ in rings])
     idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)], axis=1)
     shift = np.concatenate([ring[1] for ring in parts], axis=1)
     types = np.concatenate([ring[2] for ring in parts])
-    idx, shift, W, plan = _window_plan(model, idx, shift, types)
-    return _Gather(tuple(rings), bounds, idx, shift, W, plan,
+    if isinstance(model.kind, ClassicalFK):
+        return _Gather(tuple(rings), bounds, idx, shift, types, None, None)
+    idx, shift, plan = _window_plan(model, idx, shift, types)
+    return _Gather(tuple(rings), bounds, idx, shift, types, plan,
                    np.empty((2, 2, bounds[-1])))
 
 
@@ -171,16 +173,46 @@ def _neighbours(V: np.ndarray, Q: int, k: int):
     return V[..., idx[-1]] + shift[-1], V[..., idx[0]] + shift[0]
 
 
+@lru_cache(maxsize=16)
+def _ring_plan(model: ForceModel, N: int, Q: int):
+    """(idx, shift, types, W, plan): the gather of one ring of N particles
+    with twist Q (:func:`_window_gather`) and, for a classical model, a
+    window-major buffer W and the plan of :func:`fkhomog.model._force` on
+    it, built once per (model, N, Q) for the ring readers outside a march.
+    A tabulated plan copies its windows, so there W and plan are None."""
+    idx, shift, types = _window_gather(N, Q, model.m, model.n)
+    if not isinstance(model.kind, ClassicalFK):
+        return idx, shift, types, None, None
+    W = np.empty(idx.shape)
+    return idx, shift, types, W, _plan(model, W, types)[1]
+
+
+def _ring_force(model: ForceModel, tau: float, U: np.ndarray, layout):
+    """drive + F_i(tau, window) of one float ring U on its layout from
+    :func:`_ring_plan`.  A classical result lives in the layout's buffers
+    until the next call on it; a tabulated one is fresh, as are its
+    windows and types."""
+    idx, shift, types, W, plan = layout
+    if plan is None:
+        return _force(model, tau, *_plan(model, U[idx] + shift, types))
+    U.take(idx, None, W, "clip")
+    np.add(W, shift, W)
+    return _force(model, tau, W, plan)
+
+
 def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int) -> np.ndarray:
     """F_i(tau, window) for every particle of one ring U of shape (N,),
-    twist-aware, as a fresh array.  The marches of :func:`_march` read
-    their windows through a :func:`_flat_gather` instead.
+    twist-aware, as a fresh array, on the ring's cached
+    :func:`_ring_plan`, whose buffers every call on that (model, N, Q)
+    shares: two threads must not call it on one ring layout at once.  The
+    marches of :func:`_march` read their windows through a
+    :func:`_flat_gather` instead.
     """
     if np.ndim(U) != 1:
         raise ModelError(f"force_profile takes one ring U of shape (N,), "
                          f"got shape {np.shape(U)}")
-    idx, shift, types = _window_gather(len(U), Q, model.m, model.n)
-    return _force(model, tau, *_plan(model, U[idx] + shift, types))
+    U = np.asarray(U, dtype=float)
+    return _ring_force(model, tau, U, _ring_plan(model, len(U), Q)).copy()
 
 
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
@@ -271,6 +303,78 @@ def _euler_update(views, F: np.ndarray, c: float, beta: float, dt: float,
         np.add(Xi, b, Xi)
 
 
+#: the fused classical Euler step of a march (:func:`_affine`): flat
+#: indices idx into the stacked state and weights w, both (4, 2, K), of the
+#: four terms every entry sums, the constant b (K,) of the Xi row, coef =
+#: 2 dt A of the onsite sine, and the scratch G (4, 2, K) and s (K,) of a step
+_Affine = namedtuple("_Affine", "idx w b coef G s")
+
+
+def _affine(model: ForceModel, gather: _Gather, clock: _Clock,
+            drive: np.ndarray) -> _Affine:
+    """The classical Euler step of clock on the rings of a classical
+    :func:`_flat_gather`, each particle with its total drive, as one
+    affine map of the stacked state (U, Xi) plus the onsite sine:
+
+        U_i  <- c U_i + beta Xi_i + 0 U_i + 0 U_i
+        Xi_i <- c Xi_i + (beta - h (up_i + dn_i)) U_i + h up_i U_{i+1}
+                + h dn_i U_{i-1} + b_i + h A sin(2 pi U_i),
+        b_i  =  h (up_i sup_i + dn_i sdn_i + drive_i)
+
+    with h = 2 dt, up_i and dn_i the springs ahead of and behind particle
+    i, and sup_i, sdn_i the twist shifts of U_{i+1}, U_{i-1} across the
+    seam (-0.0 elsewhere).  Every entry sums its four terms in this order, the
+    U row padded with two zero weights on U_i itself, and every weight is
+    computed entry by entry, so a ring's bits never depend on the rings
+    beside it.  This is the formula of :func:`fkhomog.model._force` and
+    the update of :func:`_euler_update` regrouped: the sums differ from
+    theirs by rounding only."""
+    m, K = model.m, gather.bounds[-1]
+    h = 2.0 * clock.dt
+    dn, up = _theta_pairs(model.kind.theta).take(gather.types, 1)
+    own = np.arange(K)
+    idx = np.empty((4, 2, K), dtype=np.intp)
+    idx[0] = own, own + K
+    idx[1] = own + K, own
+    idx[2] = own, gather.idx[m + 1]
+    idx[3] = own, gather.idx[m - 1]
+    w = np.empty((4, 2, K))
+    w[0] = clock.c
+    w[1, 0] = clock.beta
+    w[1, 1] = clock.beta - h * (up + dn)
+    w[2:, 0] = 0.0
+    w[2, 1] = h * up
+    w[3, 1] = h * dn
+    b = h * (up * gather.shift[m + 1] + dn * gather.shift[m - 1] + drive)
+    return _Affine(idx, w, b, h * model.kind.amplitude, np.empty(w.shape),
+                   np.empty(K))
+
+
+def _affine_step(op: _Affine, S: np.ndarray, U: np.ndarray, Xi: np.ndarray,
+                 dt: float, extra: Optional[np.ndarray] = None):
+    """One Euler step of the operator op of :func:`_affine` in place on the
+    stacked state S = (U, Xi), of rows U and Xi: one take of every term,
+    the onsite sine of the pre-step U, one multiply by the weights, one sum
+    of each entry's terms written into S, then Xi += b and Xi += sine.
+    That is 8 calls, 4 with A = 0, and 2 more for the optional delta term
+    extra, added as dt extra last, as :func:`_euler_update` adds it."""
+    idx, w, b, coef, G, s = op
+    # mode "clip" (the indices are in range): mode "raise" buffers the out
+    S.take(idx, None, G, "clip")
+    if coef:
+        np.multiply(U, TWO_PI, s)
+        np.sin(s, s)
+        np.multiply(s, coef, s)
+    np.multiply(G, w, G)
+    np.add.reduce(G, 0, None, S)
+    np.add(Xi, b, Xi)
+    if coef:
+        np.add(Xi, s, Xi)
+    if extra is not None:
+        np.multiply(extra, dt, s)
+        np.add(Xi, s, Xi)
+
+
 def step(chain: TwistedChain, dt: float, delta: float = 0.0,
          a0: float = 0.0) -> TwistedChain:
     """One explicit Euler step on all N particles; tau advances by dt.
@@ -340,14 +444,15 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
     + k sample_dt) in the Euler steps of clock (:func:`_clock`).  drive
     holds each particle's total drive.
 
-    A step reads all windows in gather's layout (one take, one add of the
-    shift; :func:`fkhomog.model._window_plan`), evaluates them in one
-    :func:`fkhomog.model._force` call on gather's plan and writes the
-    state through one :func:`_euler_update`; every buffer, view and index
-    it uses is built once per layout.  The classical windows go
-    window-major into gather.W; the tabulated ones are taken window-last
-    into a fresh array, which _force hands to the callable as it is, in one
-    call of a batch callable per step.  Sample k of the n reference
+    A classical step is one :func:`_affine_step` of the operator
+    :func:`_affine` builds for the march.  A tabulated step reads all
+    windows in gather's layout (one take into a fresh window-last array,
+    one add of the shift; :func:`fkhomog.model._window_plan`), evaluates
+    them in one :func:`fkhomog.model._force` call on gather's plan, which
+    hands them to the callable as they are, in one call of a batch
+    callable per step, and writes the state through one
+    :func:`_euler_update`.  Every buffer, view and index a step uses is
+    built once per march.  Sample k of the n reference
     particles of ring b goes to out[b, :n, k] (U) and out[b, n:, k] (Xi),
     taken into a buffer of the check block with one take per sample and
     written to out once per block.  A clock with delta > 0 adds the
@@ -367,7 +472,10 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
     sample_dt, n_sub, dt_eff, c, beta, delta, a0 = clock
     bounds, idx, shift, plan = gather.bounds, gather.idx, gather.shift, gather.plan
     U, Xi = state
-    views = _euler_views(state, gather.work)
+    if plan is None:
+        op = _affine(model, gather, clock, drive)
+    else:
+        views = _euler_views(state, gather.work)
     use_delta = delta > 0.0
     extra = None
     if out is not None:
@@ -383,15 +491,18 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
             for k in range(s + 1, s_end + 1):
                 t = tau0 + (k - 1) * sample_dt
                 for j in range(n_sub):
-                    # ndarray.take, in mode "clip" (the indices are in range):
-                    # the np.take wrapper, and the buffered out of mode "raise",
-                    # cost more than the gather itself on a few dozen particles
-                    W = U.take(idx, None, gather.W, "clip")
-                    np.add(W, shift, W)
-                    F = _force(model, t + j * dt_eff, W, plan, drive)
                     if use_delta:
                         extra = _delta_term(model, U, Xi, gather.rings[0][1], delta, a0)
-                    _euler_update(views, F, c, beta, dt_eff, extra)
+                    if plan is None:
+                        _affine_step(op, state, U, Xi, dt_eff, extra)
+                        continue
+                    # ndarray.take, in mode "clip" (the indices are in range):
+                    # the np.take wrapper costs more than the gather itself
+                    # on a few dozen particles
+                    W = U.take(idx, None, None, "clip")
+                    np.add(W, shift, W)
+                    _euler_update(views, _force(model, t + j * dt_eff, W, plan, drive),
+                                  c, beta, dt_eff, extra)
                 if out is not None:
                     state.take(track, 1, taken[k - s - 1], "clip")
                 if snapshot_stride > 0 and k % snapshot_stride == 0:
@@ -619,7 +730,8 @@ def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
     """Classical RK4 on m0 U'' + U' = F in (U, W = U') variables, on the
     sample grid and substep rule of :func:`run` (sample_dt defaults to dt).
 
-    Xi is reconstructed as U + 2 m0 W = U + W/alpha0.  Used to cross-check
+    Xi is reconstructed as U + 2 m0 W = U + W/alpha0.  Every stage reads
+    the force on the ring's one :func:`_ring_plan`.  Used to cross-check
     the Euler path; it does not preserve comparison.
     """
     a0 = model.alpha0
@@ -627,12 +739,13 @@ def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
         sample_dt = dt
     n_sub, dt = _cut(sample_dt, dt)
     S = _n_samples(T, sample_dt)
-    U = chain0.U.copy()
+    U = chain0.U.astype(float)
     W = a0 * (chain0.Xi - chain0.U)
     Q, n, tau0 = chain0.Q, model.n, chain0.tau
+    layout = _ring_plan(model, chain0.N, Q)
 
     def deriv(tau, u, w):
-        return w, 2.0 * a0 * (force_profile(model, tau, u, Q) - w)
+        return w, 2.0 * a0 * (_ring_force(model, tau, u, layout) - w)
 
     times = tau0 + sample_dt * np.arange(S + 1)
     snaps = [(float(times[0]), U.copy(), U + W / a0)]

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (ClassicalFK, ForceModel, with_extra_drive, require_monotone,
-                    _force, _plan)
+                    _force, _plan, _springs, _stencil)
 from .chain import (NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update,
                     _euler_views)
 
@@ -434,9 +434,10 @@ def _rescale_micro(run: _MicroRun) -> Field:
     the slice's :func:`fkhomog.model._plan` and writes that slice of the
     state in place through :func:`fkhomog.chain._euler_update`.  The
     windows are views of U and the force and update scratch are sized once
-    for all of W; each slice takes its part of them, and its update views
-    and a classical plan (which reads U in place) serve both of its steps.
-    A tabulated plan copies its windows, so every step builds one."""
+    for all of W, as are the spring constants of a classical model; each
+    slice takes its part of them, and its update views and a classical
+    plan (which reads U in place) serve both of its steps.  A tabulated
+    plan copies its windows, so every step builds one."""
     model2, eps, pad, plan = run.model, run.eps, run.pad, run.plan
     m = model2.m
     n_obs = run.i_hi - run.i_lo + 1
@@ -453,6 +454,7 @@ def _rescale_micro(run: _MicroRun) -> Field:
     W = sliding_window_view(U, run.N_total - 2 * m)
     types = np.arange(run.N_total) % model2.n
     copies = not isinstance(model2.kind, ClassicalFK)
+    springs = None if copies else _springs(model2, types)
 
     obs = slice(pad, pad + n_obs)
     left = run.n_steps
@@ -466,12 +468,15 @@ def _rescale_micro(run: _MicroRun) -> Field:
             left -= 1
             reach = m * (left // 2)
             lo, hi = pad - reach, pad + n_obs + reach
-            if copies or (lo, hi) != span:
-                fplan = _plan(model2, W[:, lo - m:hi - m], types[lo:hi],
-                              buf[:, :hi - lo])
             if (lo, hi) != span:
                 span = lo, hi
                 views = _euler_views(state[:, lo:hi], work[..., :hi - lo])
+                Wk, bk = W[:, lo - m:hi - m], buf[:, :hi - lo]
+                if not copies:
+                    fplan = Wk, _stencil(model2, Wk, springs if model2.n == 1
+                                         else springs[:, lo:hi], bk)
+            if copies:
+                fplan = _plan(model2, Wk, types[lo:hi], bk)
             _euler_update(views, _force(model2, start + k * dt, *fplan),
                           c, beta, dt)
             particle_steps += hi - lo

@@ -214,22 +214,29 @@ def _theta_pairs(theta: tuple) -> np.ndarray:
     return pairs
 
 
-def _stencil(model: ForceModel, W: np.ndarray, types, buf=None) -> tuple:
+def _springs(model: ForceModel, types):
+    """The spring constants of a classical model for windows of 0-based
+    types (K,): theta_1 as one scalar when n = 1, which multiplies faster
+    than an array, else (theta_j, theta_{j+1}) of each window as the
+    columns of a (2, K) array."""
+    theta = model.kind.theta
+    return theta[0] if model.n == 1 else _theta_pairs(theta).take(types, 1)
+
+
+def _stencil(model: ForceModel, W: np.ndarray, springs, buf=None) -> tuple:
     """The plan of the classical formula in :func:`_force` on window-major
-    windows W of shape (2m+1, K) of 0-based types (K,): the rows (V_0, V_1)
-    ahead and (V_{-1}, V_0) behind, the spring constants theta (theta_1 as
-    one scalar when n = 1, else (theta_j, theta_{j+1}) of each window as a
-    (2, K) array), D = buf[:2] for theta (ahead - behind) and its two rows,
-    the centre row V_0 and s = buf[2] for the onsite term; buf of shape
-    (3, K) is fresh by default.  No callable runs on it, so W is read in
-    place, and :func:`_force` writes its result into buf[1].  A plain
-    tuple: :func:`_force` unpacks it on every step."""
-    m, theta = model.m, model.kind.theta
-    theta = theta[0] if model.n == 1 else _theta_pairs(theta).take(types, 1)
+    windows W of shape (2m+1, K) with their spring constants springs
+    (:func:`_springs`): the rows (V_0, V_1) ahead and
+    (V_{-1}, V_0) behind, springs, D = buf[:2] for springs (ahead -
+    behind) and its two rows, the centre row V_0 and s = buf[2] for the
+    onsite term; buf of shape (3, K) is fresh by default.  No callable runs
+    on it, so W is read in place, and :func:`_force` writes its result into
+    buf[1].  A plain tuple: :func:`_force` unpacks it on every step."""
+    m = model.m
     if buf is None:
         buf = np.empty((3,) + W.shape[1:])
     D = buf[:2]
-    return (W[m:m + 2], W[m - 1:m + 1], theta, D, D[0], D[1], W[m], buf[2])
+    return (W[m:m + 2], W[m - 1:m + 1], springs, D, D[0], D[1], W[m], buf[2])
 
 
 def _plan(model: ForceModel, W: np.ndarray, types, buf=None) -> tuple:
@@ -242,9 +249,9 @@ def _plan(model: ForceModel, W: np.ndarray, types, buf=None) -> tuple:
     :func:`_shift_row`), so an off-centre -0.0 arrives as +0.0, and the plan
     (jj, out) of fresh 1-based types jj and out = buf[0] (fresh when buf is
     None), which receives drive + F, so the result is never the callable's
-    own array.  Marches build theirs with :func:`_window_plan`."""
+    own array.  Tabulated marches build theirs with :func:`_window_plan`."""
     if isinstance(model.kind, ClassicalFK):
-        return W, _stencil(model, W, types, buf)
+        return W, _stencil(model, W, _springs(model, types), buf)
     out = np.empty(types.shape) if buf is None else buf[0]
     # a scalar add is one pass; a broadcast (2m+1,) row would run NumPy's
     # inner loop 2m+1 elements at a time
@@ -254,15 +261,13 @@ def _plan(model: ForceModel, W: np.ndarray, types, buf=None) -> tuple:
 
 
 def _window_plan(model: ForceModel, idx, shift, types):
-    """(idx, shift, W, plan): the layout in which a march's steps read the
-    windows U[idx] + shift, of window-major idx and shift (2m+1, K) and
-    0-based types (K,), and the plan of :func:`_force` on them, built once
-    per layout.  A step takes W = U.take(idx, None, W) and adds shift in
-    place.
+    """(idx, shift, plan): the layout in which a tabulated march's steps
+    read the windows U[idx] + shift, of window-major idx and shift
+    (2m+1, K) and 0-based types (K,), and the plan of :func:`_force` on
+    them, built once per layout.  A step takes fresh windows W =
+    U.take(idx) and adds shift in place.
 
-    Classical: idx and shift as given, W a (2m+1, K) buffer and the
-    :func:`_stencil` of W.  Tabulated: idx and shift window-last, C-order
-    (K, 2m+1), W None, so every step takes fresh windows, and the plan
+    idx and shift come back window-last, C-order (K, 2m+1), and the plan is
     (jj, out) of read-only 1-based types jj, the same for every step, and a
     (K,) buffer out for drive + F, so the result is never the callable's
     own array.  The shift has the window's +0.0 off the centre and -0.0 at
@@ -270,28 +275,28 @@ def _window_plan(model: ForceModel, idx, shift, types):
     as the ring's shift and then the window's: off the seam the sum is
     +0.0 off the centre and -0.0 at it, across the seam it is Q k, never 0
     for Q != 0; for Q = 0 a seam entry is +-0.0 and both forms turn a -0.0
-    there into +0.0 and leave every other value as it is."""
-    if isinstance(model.kind, ClassicalFK):
-        W = np.empty(idx.shape)
-        return idx, shift, W, _stencil(model, W, types)
+    there into +0.0 and leave every other value as it is.  Classical
+    marches step through :func:`fkhomog.chain._affine` instead."""
     jj = types + 1
     jj.flags.writeable = False
     return (np.ascontiguousarray(idx.T),
             np.ascontiguousarray((shift + _shift_row(model.m)[:, None]).T),
-            None, (jj, np.empty(types.shape)))
+            (jj, np.empty(types.shape)))
 
 
 def _force(model: ForceModel, tau: float, W, plan, drive=None) -> np.ndarray:
     """drive + F_j(tau, V) of shape (K,) on the K windows W in the layout
-    of plan, from :func:`_window_plan` in a march or :func:`_plan` for
-    windows the caller holds: the one force evaluation every layer uses.
-    drive, a scalar or (K,), holds each window's total drive; it defaults
-    to :func:`_drive` of the model.
+    of plan, from :func:`_window_plan` in a tabulated march or
+    :func:`_plan` for windows the caller holds: the one force evaluation
+    every layer uses.  drive, a scalar or (K,), holds each window's total
+    drive; it defaults to :func:`_drive` of the model.
 
     Classical: W is window-major (2m+1, K) and plan its :func:`_stencil`.
     D = theta (V_{0,1} - V_{-1,0}) is taken in one call on two rows at
     once, and F = D[1] - D[0] + A sin(2 pi V_0) + drive is written into the
-    plan's buffers, where it lives until the next call on the plan.
+    plan's buffers, where it lives until the next call on the plan.  This
+    formula defines the classical force; classical ring marches apply it
+    regrouped with the Euler update (:func:`fkhomog.chain._affine`).
 
     Tabulated: W is window-last (K, 2m+1), C-order, shifted, and plan is
     (jj, out) of 1-based types jj.  The callable gets W and jj as they are

@@ -1,5 +1,6 @@
 """Homogenized HJ solver, hyperbolic rescaling, and the eps study."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -410,6 +411,21 @@ def test_rescale_micro_counts_particle_steps():
     assert meta["particle_steps"] < meta["N_total"] * S
     # a step with k steps after it advances n_obs + 2 m floor(k / 2) particles
     assert meta["particle_steps"] == S * n_obs + 2 * m.m * ((S - 1) ** 2 // 4)
+
+
+def test_rescale_micro_two_type_classical_field_is_pinned():
+    """The rescaled field of a two-type classical chain (theta 1, 0.6,
+    L = 2, eps 0.0125, T = 1, particles -80..80) keeps the sha256 of its
+    t, x and u bytes, recorded while the slices looked their spring
+    constants up once each."""
+    field = fk.rescale_micro(fkmodel(theta=(1.0, 0.6)), 2.0, 0.0125,
+                             wavy_profile(amp=0.15), 1.0, (-1.0, 1.0))
+    assert field.values.shape == (1, 161)
+    h = hashlib.sha256()
+    for a in (field.t_grid, field.x_grid, field.values):
+        h.update(a.tobytes())
+    assert h.hexdigest() == \
+        "8078609994b2b8df4b089483d917050af8fa79cb587e83b32e70f29d4fdeda9c"
 
 
 def test_rescale_micro_records_no_rows_for_empty_t_record():

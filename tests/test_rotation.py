@@ -296,16 +296,17 @@ def test_table_estimates_own_their_logs():
 
 
 def test_sweep_marches_the_table_once(monkeypatch):
-    """The eps_pipeline table takes as many force evaluations as its longest
-    entry has Euler steps (2T / sample_dt), not one march per p column."""
+    """The eps_pipeline table takes as many fused classical steps as its
+    longest entry has Euler steps (2T / sample_dt), not one march per p
+    column."""
     calls = []
-    force = chn._force
+    affine_step = chn._affine_step
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return force(*args, **kwargs)
+        return affine_step(*args, **kwargs)
 
-    monkeypatch.setattr(chn, "_force", counted)
+    monkeypatch.setattr(chn, "_affine_step", counted)
     m = fkmodel(margin=1.1)
     table = fk.sweep(m, _EPS_PIPELINE_P, [2.0], tol=2e-3)
     h = fk.cfl_dt(m, 0.5, check=False)
