@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import (TWO_PI, ClassicalFK, ForceModel, ModelError, ConstantsLedger,
                     check_assumptions, require_monotone, _drive, _force, _plan,
-                    _require_delta, _theta_pairs, _window_plan)
+                    _require_delta, _shift_row, _theta_pairs)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
 TRANSIENT_RELAXATION_MULTIPLE = 5.0
@@ -128,10 +128,10 @@ def cfl_dt(model: ForceModel, safety: float = 1.0, check: bool = True,
 @lru_cache(maxsize=16)
 def _window_gather(N: int, Q: int, m: int, n: int):
     """Index, twist shift and 0-based type of the ring windows (U_{i-m}, ...,
-    U_{i+m}), window-major: row k holds U_{i+k-m} of every particle i, as
-    window[k, i] = U[idx[k, i]] + shift[k, i].  A neighbour across the seam
+    U_{i+m}), window-last: row i holds the window of particle i, as
+    window[i, k] = U[idx[i, k]] + shift[i, k].  A neighbour across the seam
     adds its multiple of Q, any other adds -0.0, a no-op."""
-    pos = np.arange(-m, m + 1)[:, None] + np.arange(N)
+    pos = np.arange(N)[:, None] + np.arange(-m, m + 1)
     idx = pos % N
     shift = float(Q) * (pos // N)
     shift[pos // N == 0] = -0.0
@@ -140,51 +140,45 @@ def _window_gather(N: int, Q: int, m: int, n: int):
     return idx, shift, types
 
 
-#: the windows of rings held one after another in one flat state, built
-#: once per layout: ring b is U[bounds[b]:bounds[b + 1]] and a step reads
-#: the windows U[idx] + shift of 0-based types.  Classical: idx and shift
-#: window-major (2m+1, K), from which :func:`_affine` builds the fused
-#: step, and plan and work None.  Tabulated: idx, shift and plan in the
-#: layout of :func:`fkhomog.model._window_plan`, and work the scratch of
-#: :func:`_euler_views`
-_Gather = namedtuple("_Gather", "rings bounds idx shift types plan work")
+#: the windows of rings held one after another in one flat state: ring b is
+#: U[bounds[b]:bounds[b + 1]] and a step reads the window-last windows
+#: U[idx] + shift, (K, 2m+1), of 0-based types (K,)
+_Gather = namedtuple("_Gather", "rings bounds idx shift types")
 
 
 def _flat_gather(model: ForceModel, rings) -> _Gather:
     """The flat gather of rings, given as (N, Q) pairs: each ring's
-    :func:`_window_gather`, its indices offset by the ring's start, with
-    what its steps need."""
+    :func:`_window_gather`, its indices offset by the ring's start."""
     parts = [_window_gather(N, Q, model.m, model.n) for N, Q in rings]
     bounds = np.cumsum([0] + [N for N, _ in rings])
-    idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)], axis=1)
-    shift = np.concatenate([ring[1] for ring in parts], axis=1)
+    idx = np.concatenate([ring[0] + lo for ring, lo in zip(parts, bounds)])
+    shift = np.concatenate([ring[1] for ring in parts])
     types = np.concatenate([ring[2] for ring in parts])
-    if isinstance(model.kind, ClassicalFK):
-        return _Gather(tuple(rings), bounds, idx, shift, types, None, None)
-    idx, shift, plan = _window_plan(model, idx, shift, types)
-    return _Gather(tuple(rings), bounds, idx, shift, types, plan,
-                   np.empty((2, 2, bounds[-1])))
+    return _Gather(tuple(rings), bounds, idx, shift, types)
 
 
 def _neighbours(V: np.ndarray, Q: int, k: int):
     """(V_{i+k}, V_{i-k}) for every i along the last axis of twisted rings,
     read through the ring gather :func:`_window_gather`."""
     idx, shift, _ = _window_gather(V.shape[-1], Q, k, 1)
-    return V[..., idx[-1]] + shift[-1], V[..., idx[0]] + shift[0]
+    return V[..., idx[:, -1]] + shift[:, -1], V[..., idx[:, 0]] + shift[:, 0]
 
 
 @lru_cache(maxsize=16)
 def _ring_plan(model: ForceModel, N: int, Q: int):
     """(idx, shift, types, W, plan): the gather of one ring of N particles
     with twist Q (:func:`_window_gather`) and, for a classical model, a
-    window-major buffer W and the plan of :func:`fkhomog.model._force` on
-    it, built once per (model, N, Q) for the ring readers outside a march.
-    A tabulated plan copies its windows, so there W and plan are None."""
+    buffer W and the plan of :func:`fkhomog.model._force` on it, built once
+    per (model, N, Q) for the ring readers outside a march.  A tabulated
+    plan copies its windows, so there W and plan are None."""
     idx, shift, types = _window_gather(N, Q, model.m, model.n)
     if not isinstance(model.kind, ClassicalFK):
         return idx, shift, types, None, None
-    W = np.empty(idx.shape)
-    return idx, shift, types, W, _plan(model, W, types)[1]
+    # the formula reads rows of the windows' transpose: a buffer of those
+    # rows, filled through the transposed gather, keeps them contiguous
+    # (strided rows of a window-last buffer cost ~10 % more per call)
+    W = np.empty((2 * model.m + 1, N))
+    return idx.T.copy(), shift.T.copy(), types, W, _plan(model, W.T, types)[1]
 
 
 def _ring_force(model: ForceModel, tau: float, U: np.ndarray, layout):
@@ -197,7 +191,7 @@ def _ring_force(model: ForceModel, tau: float, U: np.ndarray, layout):
         return _force(model, tau, *_plan(model, U[idx] + shift, types))
     U.take(idx, None, W, "clip")
     np.add(W, shift, W)
-    return _force(model, tau, W, plan)
+    return _force(model, tau, W.T, plan)
 
 
 def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int) -> np.ndarray:
@@ -336,8 +330,8 @@ def _affine(model: ForceModel, gather: _Gather, clock: _Clock,
     idx = np.empty((4, 2, K), dtype=np.intp)
     idx[0] = own, own + K
     idx[1] = own + K, own
-    idx[2] = own, gather.idx[m + 1]
-    idx[3] = own, gather.idx[m - 1]
+    idx[2] = own, gather.idx[:, m + 1]
+    idx[3] = own, gather.idx[:, m - 1]
     w = np.empty((4, 2, K))
     w[0] = clock.c
     w[1, 0] = clock.beta
@@ -345,7 +339,7 @@ def _affine(model: ForceModel, gather: _Gather, clock: _Clock,
     w[2:, 0] = 0.0
     w[2, 1] = h * up
     w[3, 1] = h * dn
-    b = h * (up * gather.shift[m + 1] + dn * gather.shift[m - 1] + drive)
+    b = h * (up * gather.shift[:, m + 1] + dn * gather.shift[:, m - 1] + drive)
     return _Affine(idx, w, b, h * model.kind.amplitude, np.empty(w.shape),
                    np.empty(K))
 
@@ -446,19 +440,23 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
 
     A classical step is one :func:`_affine_step` of the operator
     :func:`_affine` builds for the march.  A tabulated step reads all
-    windows in gather's layout (one take into a fresh window-last array,
-    one add of the shift; :func:`fkhomog.model._window_plan`), evaluates
-    them in one :func:`fkhomog.model._force` call on gather's plan, which
-    hands them to the callable as they are, in one call of a batch
-    callable per step, and writes the state through one
-    :func:`_euler_update`.  Every buffer, view and index a step uses is
-    built once per march.  Sample k of the n reference
-    particles of ring b goes to out[b, :n, k] (U) and out[b, n:, k] (Xi),
-    taken into a buffer of the check block with one take per sample and
-    written to out once per block.  A clock with delta > 0 adds the
-    transport term of the first ring (a march with delta holds one ring).
-    snapshot_stride > 0 appends copies of the first ring's (tau, U, Xi) to
-    snaps every that many samples.
+    windows (one take into a fresh window-last array, one add of a shift
+    that holds the ring's twist and the window's +0.0 off the centre and
+    -0.0 at it, :func:`fkhomog.model._shift_row`), evaluates them in one
+    :func:`fkhomog.model._force` call, which hands them to the callable as
+    they are, in one call of a batch callable per step, with the same
+    read-only 1-based types on every step, and writes the state through
+    one :func:`_euler_update`.  The folded shift gives the bits of adding
+    the ring's shift and then, as :func:`fkhomog.model._plan` does, the
+    window's: off the seam the sum is the window row's entry, across it
+    Q k, and at a seam entry of Q = 0 both forms turn a -0.0 into +0.0.
+    Every buffer, view and index a step uses is built once per march.
+    Sample k of the n reference particles of ring b goes to out[b, :n, k]
+    (U) and out[b, n:, k] (Xi), taken into a buffer of the check block with
+    one take per sample and written to out once per block.  A clock with
+    delta > 0 adds the transport term of the first ring (a march with delta
+    holds one ring).  snapshot_stride > 0 appends copies of the first
+    ring's (tau, U, Xi) to snaps every that many samples.
 
     Finiteness is checked once per block of samples, and each block starts
     from a copy of the state.  The march stops at the end of the first block
@@ -470,12 +468,17 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
     """
     n = model.n
     sample_dt, n_sub, dt_eff, c, beta, delta, a0 = clock
-    bounds, idx, shift, plan = gather.bounds, gather.idx, gather.shift, gather.plan
+    bounds, idx = gather.bounds, gather.idx
     U, Xi = state
-    if plan is None:
-        op = _affine(model, gather, clock, drive)
+    tabulated = not isinstance(model.kind, ClassicalFK)
+    if tabulated:
+        shift = gather.shift + _shift_row(model.m)
+        jj = gather.types + 1
+        jj.flags.writeable = False
+        plan = jj, np.empty(len(jj))
+        views = _euler_views(state)
     else:
-        views = _euler_views(state, gather.work)
+        op = _affine(model, gather, clock, drive)
     use_delta = delta > 0.0
     extra = None
     if out is not None:
@@ -493,7 +496,7 @@ def _march(model: ForceModel, state: np.ndarray, gather: _Gather, tau0: float,
                 for j in range(n_sub):
                     if use_delta:
                         extra = _delta_term(model, U, Xi, gather.rings[0][1], delta, a0)
-                    if plan is None:
+                    if not tabulated:
                         _affine_step(op, state, U, Xi, dt_eff, extra)
                         continue
                     # ndarray.take, in mode "clip" (the indices are in range):

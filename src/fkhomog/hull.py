@@ -316,11 +316,11 @@ def hull_residual(hull: HullFunction, model: ForceModel) -> dict:
 
     r_h = float(np.abs(lam * d_z(h) - a0 * (g - h)).max())
 
-    # [h]_{j,m}(z) on the grid, window-major (2m+1, n Z): the values
+    # [h]_{j,m}(z) on the grid, window-last (n Z, 2m+1): the values
     # h_{j+s}(z) for s in -m..m via the type-shift convention, type-major
     m = model.m
     win = np.array([[hull_value(hull, j + s, hull.z_grid, "h") for j in range(1, hull.n + 1)]
-                    for s in range(-m, m + 1)]).reshape(2 * m + 1, -1)
+                    for s in range(-m, m + 1)]).reshape(2 * m + 1, -1).T
     types = np.repeat(np.arange(hull.n), hull.Z)
     F = _force(model, 0.0, *_plan(model, win, types)).reshape(hull.n, hull.Z)
     r_g = float(np.abs(lam * d_z(g) - (2.0 * F + a0 * (h - g))).max())

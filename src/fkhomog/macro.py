@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (ClassicalFK, ForceModel, with_extra_drive, require_monotone,
-                    _force, _plan, _springs, _stencil)
+                    _force, _plan)
 from .chain import (NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update,
                     _euler_views)
 
@@ -429,12 +429,11 @@ def _plan_micro(model: ForceModel, L: float, eps: float, u0: Profile, T: float,
 def _rescale_micro(run: _MicroRun) -> Field:
     """March a planned run and record eps U on its particles at each time of
     its plan: the body of :func:`rescale_micro`, checks done.  The state is
-    one stacked (U, Xi) array; each Euler step evaluates the window-major
-    windows of the active slice in one :func:`fkhomog.model._force` call on
-    the slice's :func:`fkhomog.model._plan` and writes that slice of the
-    state in place through :func:`fkhomog.chain._euler_update`.  The
-    windows are views of U and the force and update scratch are sized once
-    for all of W, as are the spring constants of a classical model; each
+    one stacked (U, Xi) array; each Euler step evaluates the windows of the
+    active slice in one :func:`fkhomog.model._force` call on the slice's
+    :func:`fkhomog.model._plan` and writes that slice of the state in place
+    through :func:`fkhomog.chain._euler_update`.  The windows are views of
+    U and the force and update scratch are sized once for all of them; each
     slice takes its part of them, and its update views and a classical
     plan (which reads U in place) serve both of its steps.  A tabulated
     plan copies its windows, so every step builds one."""
@@ -448,17 +447,16 @@ def _rescale_micro(run: _MicroRun) -> Field:
     U[:] = run.u0.value(idx * eps) / eps
     Xi[:] = U if run.xi0 is None else run.xi0.value(idx * eps) / eps
 
-    # column k of the window-major view W is the window centred on U[k + m],
-    # so the force on U[lo:hi] reads W[:, lo - m:hi - m]; U is only ever
-    # written in place, so W stays current
-    W = sliding_window_view(U, run.N_total - 2 * m)
+    # row k of the window-last view V is the window centred on U[k + m], so
+    # the force on U[lo:hi] reads V[lo - m:hi - m]; U is only ever written
+    # in place, so V stays current
+    V = sliding_window_view(U, 2 * m + 1)
     types = np.arange(run.N_total) % model2.n
     copies = not isinstance(model2.kind, ClassicalFK)
-    springs = None if copies else _springs(model2, types)
 
     obs = slice(pad, pad + n_obs)
     left = run.n_steps
-    work, buf = np.empty((2, 2, W.shape[1])), np.empty((3, W.shape[1]))
+    work, buf = np.empty((2, 2, len(V))), np.empty((3, len(V)))
     span = None
     particle_steps = 0
     vals = []
@@ -468,15 +466,13 @@ def _rescale_micro(run: _MicroRun) -> Field:
             left -= 1
             reach = m * (left // 2)
             lo, hi = pad - reach, pad + n_obs + reach
-            if (lo, hi) != span:
+            new = (lo, hi) != span
+            if new:
                 span = lo, hi
                 views = _euler_views(state[:, lo:hi], work[..., :hi - lo])
-                Wk, bk = W[:, lo - m:hi - m], buf[:, :hi - lo]
-                if not copies:
-                    fplan = Wk, _stencil(model2, Wk, springs if model2.n == 1
-                                         else springs[:, lo:hi], bk)
-            if copies:
-                fplan = _plan(model2, Wk, types[lo:hi], bk)
+            if new or copies:
+                fplan = _plan(model2, V[lo - m:hi - m], types[lo:hi],
+                              buf[:, :hi - lo])
             _euler_update(views, _force(model2, start + k * dt, *fplan),
                           c, beta, dt)
             particle_steps += hi - lo

@@ -226,7 +226,8 @@ def test_step_detects_blowup():
     ch = fk.init_linear(m, 1, cells=4)
     with pytest.raises(NumericalError) as ei, np.errstate(over="ignore"):
         ch2 = fk.step(ch, 0.05)
-        fk.step(ch2, 1e160)
+        with pytest.warns(UserWarning, match="CFL bound"):
+            fk.step(ch2, 1e160)
     assert ei.value.tau is not None
 
 
@@ -558,8 +559,8 @@ def test_force_profile_calls_share_no_memory(model):
 @pytest.mark.parametrize("drive", [0.0, 0.3])
 def test_force_profile_never_returns_the_callables_array(drive):
     """A batch callable that returns an array it keeps gets back from
-    force_profile and from a march step a result that shares no memory
-    with it."""
+    force_profile and from the force on a flat gather's windows a result
+    that shares no memory with it."""
     kept = {}
 
     def fn(j, tau, w):
@@ -575,13 +576,14 @@ def test_force_profile_never_returns_the_callables_array(drive):
     gather = _flat_gather(model, [(chain.N, chain.Q)])
     W = chain.U.take(gather.idx)
     np.add(W, gather.shift, W)
-    assert not np.shares_memory(_force(model, 0.0, W, gather.plan), kept["F"])
+    assert not np.shares_memory(_force(model, 0.0, *_plan(model, W, gather.types)),
+                                kept["F"])
 
 
 @pytest.mark.parametrize("theta", [(1.0,), (1.0, 2.0), (0.5, 1.5, 1.0)])
 def test_flat_gather_windows_match_reference_per_ring(theta):
-    """The window-major windows of a flat gather over mixed rings (N = n, 2n,
-    5n), differenced by the one classical formula on their stencil,
+    """The window-last windows of a flat gather over mixed rings (N = n, 2n,
+    5n), differenced by the one classical formula on their plan,
     give each ring bitwise the reference force, with +-0.0 at the seams and a
     zero total drive stored as -0.0."""
     model = fkmodel(theta, A=0.7, L=0.25)

@@ -211,6 +211,37 @@ def test_output_path_that_is_a_file_exits_validation(tmp_path, capsys, command):
     assert f"output directory {out}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["effham", "pipeline"])
+def test_output_file_that_cannot_be_written_exits_validation(tmp_path, capsys,
+                                                             command):
+    """A directory at the path of an output file exits 2 naming the path;
+    pipeline still names its stage."""
+    cfg = _pipeline_cfg(tmp_path)
+    blocked = tmp_path / "out" / "effective_table.csv"
+    blocked.mkdir(parents=True)
+    rc, out = run_cli(tmp_path, cfg, command)
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "error: " in err and str(blocked) in err
+    assert ("pipeline failed at stage effham" in err) == (command == "pipeline")
+
+
+def test_cache_file_that_cannot_be_read_exits_validation(tmp_path, capsys):
+    """A cache entry that cannot be read (a directory at its path) exits 2
+    naming the path."""
+    cfg = _pipeline_cfg(tmp_path)
+    rc, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == 0
+    (cached,) = (out / "cache").glob("effham-*.txt")
+    cached.unlink()
+    cached.mkdir()
+    capsys.readouterr()
+    rc, out = run_cli(tmp_path, cfg, "pipeline")
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "error: " in err and str(cached) in err
+
+
 def test_pipeline_linear_chain(tmp_path, capsys):
     cfg = _pipeline_cfg(tmp_path)
     rc, out = run_cli(tmp_path, cfg, "pipeline")

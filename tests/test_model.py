@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
+from numpy.lib.stride_tricks import sliding_window_view
 from fkhomog.chain import force_profile
 from fkhomog.model import (ClassicalFK, ModelError, build_tabulated,
-                           model_from_config, model_to_config, report_to_json)
+                           model_from_config, model_to_config, report_to_json,
+                           _force, _plan)
 from test_chain import _wavy_force
 
 
@@ -89,6 +91,40 @@ def test_eval_force_reduces_j_mod_n():
     for j in (1, 2):
         assert fk.eval_force(m, j, 0.0, w) == fk.eval_force(m, j + 2, 0.0, w)
         assert fk.eval_force(m, j, 0.0, w) == fk.eval_force(m, j - 2, 0.0, w)
+
+
+def test_plan_takes_window_last_windows():
+    """_plan takes window-last windows (K, 2m+1).  On a sliding-window view
+    of a line, a classical plan reads the rows in place and gives the bytes
+    of force_profile's formula on the line's interior windows; a tabulated
+    plan hands the callable a fresh C-order copy whose off-centre -0.0
+    arrives as +0.0 while the centre keeps its sign."""
+    line = np.cumsum(np.random.default_rng(3).uniform(0.1, 0.4, 12))
+    V = sliding_window_view(line, 3)
+    types = np.arange(1, 11) % 2          # window k is centred on line[k + 1]
+    model = fk.with_extra_drive(fk.build_classical_fk((1.0, 2.0), amplitude=0.7), 0.3)
+    W, plan = _plan(model, V, types)
+    assert all(np.shares_memory(row, line) for row in (plan[0], plan[1], plan[6]))
+    F = _force(model, 0.2, W, plan)
+    assert F.tobytes() == force_profile(model, 0.2, line, 4)[1:-1].tobytes()
+
+    seen = []
+
+    def fn(j, tau, w):
+        seen.append(w)
+        return w.sum(axis=1)
+
+    tab = build_tabulated(fn, n=2, m=1, m0=0.05, lip_V=3.0, f_at_zero_sup=0.0,
+                          batch=True)
+    line = np.array([-0.0, -0.0, -0.0, 0.5, -0.0, 1.0])
+    V = sliding_window_view(line, 3)
+    _force(tab, 0.0, *_plan(tab, V, np.arange(1, 5) % 2))
+    (w,) = seen
+    assert w.shape == V.shape and w.flags.c_contiguous
+    assert not np.shares_memory(w, line)
+    assert (w == V).all()
+    assert not np.signbit(w[:, [0, 2]][w[:, [0, 2]] == 0.0]).any()
+    assert np.signbit(w[:, 1]).tolist() == np.signbit(V[:, 1]).tolist()
 
 
 def test_eval_force_window_shape_checked():
