@@ -170,10 +170,11 @@ def _ring_plan(model: ForceModel, N: int, Q: int):
     with twist Q (:func:`_window_gather`) and, for a classical model, a
     buffer W and the plan of :func:`fkhomog.model._force` on it, built once
     per (model, N, Q) for the ring readers outside a march.  A tabulated
-    plan copies its windows, so there W and plan are None."""
+    layout holds the shift folded with the window's +0.0 off the centre and
+    -0.0 at it, as :func:`_march` builds it, so there W and plan are None."""
     idx, shift, types = _window_gather(N, Q, model.m, model.n)
     if not isinstance(model.kind, ClassicalFK):
-        return idx, shift, types, None, None
+        return idx, shift + _shift_row(model.m), types, None, None
     # the formula reads rows of the windows' transpose: a buffer of those
     # rows, filled through the transposed gather, keeps them contiguous
     # (strided rows of a window-last buffer cost ~10 % more per call)
@@ -185,10 +186,13 @@ def _ring_force(model: ForceModel, tau: float, U: np.ndarray, layout):
     """drive + F_i(tau, window) of one float ring U on its layout from
     :func:`_ring_plan`.  A classical result lives in the layout's buffers
     until the next call on it; a tabulated one is fresh, as are its
-    windows and types."""
+    windows (one take and one add of the folded shift, the bits of
+    :func:`fkhomog.model._plan` on U[idx] + shift) and types."""
     idx, shift, types, W, plan = layout
     if plan is None:
-        return _force(model, tau, *_plan(model, U[idx] + shift, types))
+        W = U.take(idx, None, None, "clip")
+        np.add(W, shift, W)
+        return _force(model, tau, W, (types + 1, np.empty(len(types))))
     U.take(idx, None, W, "clip")
     np.add(W, shift, W)
     return _force(model, tau, W.T, plan)

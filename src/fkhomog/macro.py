@@ -5,9 +5,13 @@ The rescaled particle field u_eps(t, x) = eps * U_{floor(x/eps)}(t/eps)
 converges, as eps -> 0, to the viscosity solution of u_t = H(u_x) where H is
 the tabulated effective Hamiltonian.  The PDE is solved with a monotone
 Lax-Friedrichs scheme (artificial viscosity from the table's chord-Lipschitz
-estimate; H needs no convexity and may be flat on pinning plateaus), and the
-microscopic side runs on a finite window padded by the exact domain of
-dependence, so truncation certifiably never pollutes the observation window.
+estimate; H needs no convexity and may be flat on pinning plateaus).  The
+microscopic side runs on a finite window, padded either by the exact domain
+of dependence of the Euler map, so that truncation never reaches the
+observed particles, or by a short pad between ghost barriers that move
+faster than any particle: by the comparison principle the two barrier runs
+bound the infinite chain from above and below, and their rows are used
+only where they agree bitwise.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import (ClassicalFK, ForceModel, with_extra_drive, require_monotone,
-                    _force, _plan)
+from .model import (ClassicalFK, ForceModel, check_assumptions, constants_ledger,
+                    with_extra_drive, require_monotone, _force, _plan)
 from .chain import (NumericalError, cfl_dt, _cut, _euler_coeff, _euler_update,
                     _euler_views)
 
@@ -328,19 +332,15 @@ def rescale_micro(model: ForceModel, L: float, eps: float, u0: Profile,
     u_eps(t, x) = eps U_{floor(x/eps)}(t/eps) on the requested times, one
     column per particle of the window at its cell edge x = eps i.
 
-    An Euler step moves U by its own (U, Xi) and Xi by the U of m
-    neighbours per side, so influence travels m indices per two steps: a
-    step with k steps after it advances only the particles within
-    m floor(k / 2) of the window, a slice that reads m neighbours beyond
-    itself and shrinks by m per side every second step; the pad of
-    m ceil(n_steps / 2) particles per side holds it.  Particles outside the
-    slice keep stale values that never reach the window, so values on the
-    window are exactly those of the infinite chain.
-    meta records the particles actually stepped, summed over steps, as
-    particle_steps.  Euler steps are at most cfl_dt(model + L, 0.5), cut by
-    ``_march_plan`` to land on each time of t_record (default [T]).  Each
-    step writes the active slice in place, through the one Euler update.  The
-    window must hold >= 100 particles and the padded array at most
+    Euler steps are at most cfl_dt(model + L, 0.5), cut by ``_march_plan``
+    to land on each time of t_record (default [T]).  The run is marched in
+    one of two ways, picked before any march by its particle-step count
+    (:func:`_rescale_micro`): on the exact light cone of the window, whose
+    values on the window are those of the infinite chain, or as two
+    barrier runs that bound the infinite chain from above and below, whose
+    rows are returned only when they agree bitwise, else the light cone is
+    marched.  meta's pad, N_total and particle_steps say what was marched.
+    The window must hold >= 100 particles and the light-cone array at most
     MAX_PARTICLES; the keyword options (xi0, M0, K0, t_record) are those of
     :func:`_plan_micro`.
     """
@@ -389,6 +389,10 @@ class _MicroRun:
         return sum(n_sub for _, n_sub, _, _ in self.plan)
 
     @property
+    def n_obs(self) -> int:
+        return self.i_hi - self.i_lo + 1
+
+    @property
     def pad(self) -> int:
         """The light-cone pad m ceil(n_steps / 2) per side, widened so that
         the array starts on a type boundary: array position k then holds a
@@ -398,7 +402,32 @@ class _MicroRun:
 
     @property
     def N_total(self) -> int:
-        return self.i_hi - self.i_lo + 1 + 2 * self.pad
+        return self.n_obs + 2 * self.pad
+
+    @property
+    def cone_steps(self) -> int:
+        """The particles the light-cone march steps, summed over its steps:
+        S n_obs + 2 m floor((S - 1)^2 / 4) for S = n_steps."""
+        S = self.n_steps
+        return S * self.n_obs + 2 * self.model.m * ((S - 1) ** 2 // 4)
+
+    @property
+    def barrier_pad(self) -> int:
+        """The pad P of each barrier run, :func:`_barrier_pad` per side,
+        widened so that the run, its m ghosts per side included, starts on
+        a type boundary."""
+        m = self.model.m
+        P = _barrier_pad(self.n_steps, m)
+        return P + (self.i_lo - P - m) % self.model.n
+
+
+def _barrier_pad(S: int, m: int) -> int:
+    """The unwidened pad 3 m floor(sqrt S) per side of a barrier run of S
+    steps.  The influence of the ghosts spreads diffusively, ~sqrt S sites
+    in S steps, and this pad left the two runs bitwise equal on every
+    level of the eps studies it was sized on; a pad too small costs one
+    attempt, never a wrong value."""
+    return 3 * m * math.isqrt(S)
 
 
 def _plan_micro(model: ForceModel, L: float, eps: float, u0: Profile, T: float,
@@ -426,46 +455,120 @@ def _plan_micro(model: ForceModel, L: float, eps: float, u0: Profile, T: float,
     return run
 
 
-def _rescale_micro(run: _MicroRun) -> Field:
-    """March a planned run and record eps U on its particles at each time of
-    its plan: the body of :func:`rescale_micro`, checks done.  The state is
-    one stacked (U, Xi) array; each Euler step evaluates the windows of the
-    active slice in one :func:`fkhomog.model._force` call on the slice's
-    :func:`fkhomog.model._plan` and writes that slice of the state in place
-    through :func:`fkhomog.chain._euler_update`.  The windows are views of
-    U and the force and update scratch are sized once for all of them; each
-    slice takes its part of them, and its update views and a classical
-    plan (which reads U in place) serve both of its steps.  A tabulated
-    plan copies its windows, so every step builds one."""
-    model2, eps, pad, plan = run.model, run.eps, run.pad, run.plan
-    m = model2.m
-    n_obs = run.i_hi - run.i_lo + 1
+def _ghost_speed(run: _MicroRun) -> Optional[float]:
+    """The ghost speed of the barrier runs of a planned run: C4 of
+    constants_ledger(model + L, K0, K0=K0), a proven bound on the speed
+    |U_{k+1} - U_k| / dt of the infinite chain wherever its initial gap
+    |Xi - U| is at most C4 / alpha0 (:func:`_march` raises it to cover the
+    ghosts' initial gaps).  None where the proof below does not hold: a
+    tabulated model (its assumptions are sampled, not proven, and a
+    callable must never see a window that spans both runs), two or more
+    types without (A6), or an xi0 outside the slope frame K0.
 
-    idx = np.arange(run.i_lo - pad, run.i_hi + pad + 1)
-    state = np.empty((2, idx.size))
-    U, Xi = state
-    U[:] = run.u0.value(idx * eps) / eps
-    Xi[:] = U if run.xi0 is None else run.xi0.value(idx * eps) / eps
+    Proof.  With g = Xi - U, an Euler step of dt gives U+ - U = beta g and
+    g+ = (1 - 2 beta) g + 2 dt F, beta = dt alpha0 <= 1/2 (every step is
+    at most cfl_dt(model + L, 0.5)).  So if |F| <= Phi along the orbit,
+    induction gives |g| <= max(|g(0)|, Phi / alpha0) at every step and
+    site, and |U+ - U| / dt = alpha0 |g| <= max(alpha0 |g(0)|, Phi).
+
+    The chain is not periodic, so Phi comes from the slope frame.  The
+    chords of u0 (and of xi0) lie in [1/K0, K0], so the initial U and Xi
+    increase and U_{i+jn} - U_i lies in [floor(jn / K0), ceil(jn K0)] for
+    j >= 0.  The chain shifted by j type periods and by an integer is
+    again an orbit ((A4), (A5)), so by comparison that bound holds at
+    every step; both rows stay increasing as well (n = 1, or (A6)).  A
+    window then has |U_{i+s} - U_i| <= ceil((m + n - 1) K0) <= (m + n) K0
+    for |s| <= m.  F is unchanged by an integer translation of its window
+    (A4) and lip_V-Lipschitz in the sup norm, so shifting the window by
+    floor(U_i): |F| <= f_at_zero_sup + lip_V (1 + (m + n) K0) = Phi.  The
+    ledger's C4 at p = K0, C0 = 1, a0 = 0 is at least
+    f_at_zero_sup + lip_V (3 + (m + n) K0) + K0 / 2 > Phi.
+    """
+    model2 = run.model
+    if not isinstance(model2.kind, ClassicalFK):
+        return None
+    if model2.n > 1 and not check_assumptions(model2).a6.holds:
+        return None
+    if run.xi0 is not None and not check_A0(run.xi0, run.K0).ok:
+        return None
+    return constants_ledger(model2, run.K0, K0=run.K0).C4
+
+
+def _march(run: _MicroRun, edge: int, v: Optional[float] = None):
+    """March the particles i_lo - edge .. i_hi + edge of a planned run from
+    U_i(0) = u0(i eps) / eps and record eps U on i_lo..i_hi at each time of
+    its plan, stopping after the first record that is not finite: returns
+    (rows, particle_steps), rows of shape (records, runs, n_obs).
+
+    Light cone (v None, one run, edge the pad): an Euler step moves U by
+    its own (U, Xi) and Xi by the U of m neighbours per side, so influence
+    travels m indices per two steps.  A step with k steps after it
+    advances only the particles within m floor(k / 2) of the observed
+    ones, a slice that reads m neighbours beyond itself and shrinks by m
+    per side every second step; particles outside it keep stale values
+    that never reach the observed ones, which are exactly those of the
+    infinite chain.  particle_steps counts the particles stepped.
+
+    Barrier (v the ghost speed of :func:`_ghost_speed`, edge P + m): two
+    copies of the array one after another, the upper run and the lower
+    run.  The m outermost particles per side of each are ghosts, written
+    after every step as U(0) + v tau in the upper run and U(0) - v tau in
+    the lower one, tau the clock after the step, with v raised to alpha0
+    times the largest initial gap |Xi - U| of a ghost.  Every step
+    advances all window centres of the array at once; the windows that
+    span both runs are centred on ghosts, whose values are then
+    rewritten, and a ghost's Xi is never read.  particle_steps counts the
+    whole array, ghosts included, on every step.
+
+    The state is one stacked (U, Xi) array; each Euler step evaluates the
+    windows of the active slice in one :func:`fkhomog.model._force` call on
+    the slice's :func:`fkhomog.model._plan` and writes that slice of the
+    state in place through :func:`fkhomog.chain._euler_update`.  The
+    windows are views of U and the force and update scratch are sized once
+    for all of them; each slice takes its part of them, and its update
+    views and a classical plan (which reads U in place) serve every step
+    on it.  A tabulated plan copies its windows, so every step builds one.
+    """
+    model2, eps, plan = run.model, run.eps, run.plan
+    m, n_obs = model2.m, run.n_obs
+    runs = 1 if v is None else 2
+    idx = np.arange(run.i_lo - edge, run.i_hi + edge + 1)
+    N = idx.size
+    state = np.empty((2, runs, N))
+    state[0] = run.u0.value(idx * eps) / eps
+    state[1] = state[0] if run.xi0 is None else run.xi0.value(idx * eps) / eps
+    rows = state[0, :, edge:edge + n_obs]
+    state = state.reshape(2, runs * N)
+    U = state[0]
+    if v is not None:
+        ghost = (N * np.arange(runs)[:, None] + np.r_[:m, N - m:N]).ravel()
+        g0 = U[ghost]
+        v = max(v, model2.alpha0 * float(np.abs(state[1, ghost] - g0).max()))
+        gv = np.repeat([v, -v], 2 * m)
 
     # row k of the window-last view V is the window centred on U[k + m], so
     # the force on U[lo:hi] reads V[lo - m:hi - m]; U is only ever written
     # in place, so V stays current
     V = sliding_window_view(U, 2 * m + 1)
-    types = np.arange(run.N_total) % model2.n
+    types = np.tile(np.arange(N) % model2.n, runs)
     copies = not isinstance(model2.kind, ClassicalFK)
 
-    obs = slice(pad, pad + n_obs)
     left = run.n_steps
     work, buf = np.empty((2, 2, len(V))), np.empty((3, len(V)))
     span = None
     particle_steps = 0
     vals = []
-    for w, n_sub, dt, start in plan:
+    for _, n_sub, dt, start in plan:
         c, beta = _euler_coeff(model2, dt)
+        if v is not None:
+            ghosts = g0 + np.multiply.outer(start + dt * np.arange(1, n_sub + 1), gv)
         for k in range(n_sub):
             left -= 1
-            reach = m * (left // 2)
-            lo, hi = pad - reach, pad + n_obs + reach
+            if v is None:
+                reach = m * (left // 2)
+                lo, hi = edge - reach, edge + n_obs + reach
+            else:
+                lo, hi = m, len(U) - m
             new = (lo, hi) != span
             if new:
                 span = lo, hi
@@ -475,18 +578,76 @@ def _rescale_micro(run: _MicroRun) -> Field:
                               buf[:, :hi - lo])
             _euler_update(views, _force(model2, start + k * dt, *fplan),
                           c, beta, dt)
-            particle_steps += hi - lo
-        if not np.all(np.isfinite(U[obs])):
-            raise NumericalError(f"microscopic state blew up before t = {w}",
-                                 tau=w / eps)
-        vals.append(eps * U[obs])
+            if v is None:
+                particle_steps += hi - lo
+            else:
+                U[ghost] = ghosts[k]
+                particle_steps += len(U)
+        if not np.all(np.isfinite(rows)):
+            break
+        vals.append(eps * rows)
+    return np.reshape(vals, (len(vals), runs, n_obs)), particle_steps
 
-    return Field(t_grid=np.array([t for t, *_ in plan]),
-                 x_grid=eps * (run.i_lo + np.arange(n_obs)),
-                 values=np.reshape(vals, (len(vals), n_obs)),
+
+def _rescale_micro(run: _MicroRun) -> Field:
+    """March a planned run and record eps U on its particles at each time of
+    its plan: the body of :func:`rescale_micro` and of every level of
+    :func:`convergence_study`, checks done.  A run is marched in one of two
+    ways (:func:`_march`).
+
+    Barrier runs.  The Euler map at dt alpha0 <= 1 is nondecreasing in
+    every entry of the state ((A2), (A3)), so it obeys the comparison
+    principle.  The upper run starts from the infinite chain's values on
+    the observed particles plus P = barrier_pad per side, fenced by m
+    ghosts per side that move up at the ghost speed v of
+    :func:`_ghost_speed`, faster than any particle of the infinite chain
+    moves; step by step, the ghosts stay above the chain's values at their
+    sites, so the run stays above the chain.  The lower run, whose ghosts
+    move down at v, stays below it.  So the observed values of the
+    infinite chain lie between the two runs, exactly in real arithmetic
+    and up to the rounding of the map in floats, and rows on which the two
+    runs agree bitwise are returned.
+    The barrier is taken only where v exists and the two runs step fewer
+    particles than the light cone: 2 S (n_obs + 2 P + 2 m) <
+    S n_obs + 2 m floor((S - 1)^2 / 4) for S steps, both known before any
+    march.  Then meta's pad is P, N_total = 2 (n_obs + 2 P + 2 m) the
+    particles of both runs, ghosts included, and particle_steps N_total S.
+
+    Light cone.  Otherwise, and after barrier runs that differ anywhere,
+    or where a record is not finite, the run is marched on its light cone
+    alone, whose observed values are exactly those of the infinite chain;
+    a record that is not finite there raises NumericalError.  meta's pad
+    and N_total are then the light cone's, and particle_steps adds the
+    particles it stepped to those of the barrier attempt, if any.
+    """
+    m, S = run.model.m, run.n_steps
+    P = run.barrier_pad
+    N_barrier = 2 * (run.n_obs + 2 * (P + m))
+    spent = 0
+    v = _ghost_speed(run)
+    if v is not None and S * N_barrier < run.cone_steps:
+        vals, spent = _march(run, P + m, v)
+        upper, lower = vals[:, 0], vals[:, 1]
+        if len(vals) == len(run.plan) and upper.tobytes() == lower.tobytes():
+            return _micro_field(run, upper, P, N_barrier, spent)
+    vals, steps = _march(run, run.pad)
+    if len(vals) < len(run.plan):
+        w = run.plan[len(vals)][0]
+        raise NumericalError(f"microscopic state blew up before t = {w}",
+                             tau=w / run.eps)
+    return _micro_field(run, vals[:, 0], run.pad, run.N_total, spent + steps)
+
+
+def _micro_field(run: _MicroRun, values: np.ndarray, pad: int, N_total: int,
+                 particle_steps: int) -> Field:
+    """The Field of a marched run: its rows values, one per time of its
+    plan, and the meta of what was marched."""
+    return Field(t_grid=np.array([t for t, *_ in run.plan]),
+                 x_grid=run.eps * (run.i_lo + np.arange(run.n_obs)),
+                 values=np.ascontiguousarray(values),
                  meta={"pad": pad, "n_steps": run.n_steps, "dt": run.dt,
-                       "N_total": run.N_total, "K0": run.K0, "L": run.L,
-                       "eps": eps, "particle_steps": particle_steps})
+                       "N_total": N_total, "K0": run.K0, "L": run.L,
+                       "eps": run.eps, "particle_steps": particle_steps})
 
 
 def gradient_sandwich_probe(field: Field, K0: float, n_type: int,

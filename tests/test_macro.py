@@ -473,6 +473,132 @@ def test_rescale_micro_adds_at_most_one_cache_entry_per_call():
             assert a.currsize - b.currsize <= 1
 
 
+def _planned(model, L, eps, u0, T, window, t_record):
+    """The run rescale_micro plans for these arguments."""
+    return fk.macro._plan_micro(model, L, eps, u0, T,
+                                fk.macro._window_cells(eps, window),
+                                t_record=t_record)
+
+
+#: driven levels with several record times on which a barrier pad of 8
+#: leaves the two barrier runs apart on the observed particles
+BARRIER_CASES = {
+    "n1": lambda: fkmodel(L=1.0, margin=1.2),
+    "n2": lambda: fkmodel(theta=(1.0, 0.6), L=0.7, margin=1.2),
+}
+BARRIER_LEVEL = dict(L=0.5, eps=0.1, u0=wavy_profile(amp=0.15), T=1.0,
+                     window=(-5.0, 5.0), t_record=[0.25, 0.5, 0.75, 1.0])
+
+
+def _small_barrier_level(model, monkeypatch):
+    """A planned BARRIER_LEVEL of model whose barrier pad is forced to 8."""
+    monkeypatch.setattr(fk.macro, "_barrier_pad", lambda S, m: 8)
+    return _planned(model, **BARRIER_LEVEL)
+
+
+@pytest.mark.parametrize("case", sorted(BARRIER_CASES))
+def test_barrier_runs_sandwich_the_light_cone(case, monkeypatch):
+    """At the proven ghost speed the two barrier runs bound the light-cone
+    values, which are the infinite chain's, from above and below at every
+    recorded time, up to rounding, even with a pad too small for them to
+    agree."""
+    run = _small_barrier_level(BARRIER_CASES[case](), monkeypatch)
+    v = fk.macro._ghost_speed(run)
+    assert v is not None
+    runs, _ = fk.macro._march(run, run.barrier_pad + run.model.m, v)
+    cone, _ = fk.macro._march(run, run.pad)
+    upper, lower, cone = runs[:, 0], runs[:, 1], cone[:, 0]
+    assert upper.shape == cone.shape == (4, 101)
+    tol = 1e-12 * (1.0 + np.abs(cone).max())
+    assert np.all(lower <= cone + tol) and np.all(cone <= upper + tol)
+    assert (upper - lower).max() > 1e-6
+
+
+def test_barrier_sandwich_fails_below_a_true_particle_speed(monkeypatch):
+    """Ghosts that stand still (v = 0) on a driven chain hold the runs back:
+    the light-cone values leave the would-be sandwich, so the check of the
+    sandwich test can fail."""
+    run = _small_barrier_level(BARRIER_CASES["n1"](), monkeypatch)
+    runs, _ = fk.macro._march(run, run.barrier_pad + run.model.m, 0.0)
+    cone, _ = fk.macro._march(run, run.pad)
+    upper, lower, cone = runs[:, 0], runs[:, 1], cone[:, 0]
+    # still ghosts are one barrier: both runs agree, and are wrong
+    assert upper.tobytes() == lower.tobytes()
+    assert (cone - upper).max() > 1e-3
+
+
+def test_rescale_micro_falls_back_to_the_light_cone(monkeypatch):
+    """Barrier runs that differ return the light cone's bytes; particle_steps
+    counts both the barrier attempt and the light-cone march, and pad and
+    N_total are the light cone's."""
+    model = BARRIER_CASES["n2"]()
+    run = _small_barrier_level(model, monkeypatch)
+    cone, cone_steps = fk.macro._march(run, run.pad)
+    assert cone_steps == run.cone_steps
+    field = fk.rescale_micro(model, **BARRIER_LEVEL)
+    assert field.values.tobytes() == cone[:, 0].tobytes()
+    S, P, m = run.n_steps, run.barrier_pad, model.m
+    assert P == 9           # 8, widened to a type boundary of n = 2
+    barrier_steps = 2 * S * (run.n_obs + 2 * P + 2 * m)
+    assert barrier_steps < cone_steps
+    assert field.meta["particle_steps"] == barrier_steps + cone_steps
+    assert (field.meta["pad"], field.meta["N_total"]) == (run.pad, run.N_total)
+
+
+def test_rescale_micro_blow_up_raises_the_light_cone_error(monkeypatch):
+    """A level that blows up (a force gone NaN from micro time 4 on) raises
+    the light cone's NumericalError, its message and tau, after a barrier
+    attempt."""
+    force = fk.macro._force
+    widths = set()
+
+    def nan_force(model, tau, W, plan, drive=None):
+        widths.add(len(W))
+        F = force(model, tau, W, plan, drive)
+        if tau >= 4.0:
+            F[:] = np.nan
+        return F
+
+    monkeypatch.setattr(fk.macro, "_force", nan_force)
+    model = BARRIER_CASES["n1"]()
+    run = _small_barrier_level(model, monkeypatch)
+    with pytest.raises(NumericalError) as barrier:
+        fk.rescale_micro(model, **BARRIER_LEVEL)
+    # the barrier array, both runs, stepped on all its window centres
+    assert 2 * (run.n_obs + 2 * (run.barrier_pad + model.m)) - 2 * model.m in widths
+    monkeypatch.setattr(fk.macro, "_ghost_speed", lambda run: None)
+    with pytest.raises(NumericalError) as cone:
+        fk.rescale_micro(model, **BARRIER_LEVEL)
+    assert str(barrier.value) == str(cone.value) == \
+        "microscopic state blew up before t = 0.5"
+    assert barrier.value.tau == cone.value.tau == 5.0
+
+
+def test_eps_study_fine_levels_keep_their_rows_on_fewer_particle_steps(monkeypatch):
+    """On the eps_pipeline benchmark's model (one type, margin 1.1, L = 2),
+    profile and window, the eps study's levels 0.0125 and 0.00625 keep the
+    sha256 of the rows the light cone marched (recorded before the barrier
+    runs existed), and the finest steps at most 0.7 times the light cone's
+    S n + 2 m floor((S - 1)^2 / 4) particles."""
+    fields = []
+    march = fk.macro._rescale_micro
+    monkeypatch.setattr(fk.macro, "_rescale_micro",
+                        lambda run: fields.append(march(run)) or fields[-1])
+    H = HamiltonianInterp.from_points([0.8, 1.0, 1.25], [1.73, 1.76, 1.72])
+    # the benchmark's u0, in its order of operations
+    u0 = Profile.from_callable(
+        lambda x: x + 0.18 * (10.0 / (2 * math.pi)) * math.sin(2 * math.pi * x / 10.0),
+        -5.0, 5.0, 513)
+    fk.convergence_study(fkmodel(), 2.0, u0, [0.0125, 0.00625], 1.0, (-5.0, 5.0), H)
+    want = ["970b1ed9778f660df22880120ce07b72c4cf783ff5117a0f21a04c65e165630f",
+            "93b999ec5ebee3705840468d40f414d07a65cd2db0c55221aba3e530aa72058c"]
+    assert [hashlib.sha256(f.values.tobytes()).hexdigest() for f in fields] == want
+    meta, n = fields[-1].meta, fields[-1].values.shape[1]
+    S, m = meta["n_steps"], 1
+    assert (S, n) == (5832, 801)
+    assert meta["particle_steps"] <= 0.7 * (S * n + 2 * m * ((S - 1) ** 2 // 4))
+
+
 # ---------------------------------------------------------------------------
 # convergence study
 # ---------------------------------------------------------------------------
