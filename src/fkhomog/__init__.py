@@ -12,15 +12,12 @@ from .model import (AssumptionReport, ConstantsLedger, ForceModel,
                     check_assumptions, constants_ledger, eval_force,
                     ledger_identity_exact, model_from_config, with_extra_drive)
 from .chain import (InvariantReport, TrajectoryLog, TwistedChain, cfl_dt,
-                    extend, init_linear, monitor_invariants, rk4_oracle, run,
-                    step)
+                    extend, init_linear, monitor_invariants, run, step)
 from .rotation import (EffectiveTable, RotationEstimate, lambda_pm,
                        rotation_number, sweep)
 from .hull import (HullFunction, extract_hull, extract_hull_periodic,
-                   hull_residual, hull_value, isotonic_fit,
-                   reconstruct_traveling_wave, verify_hull_axioms)
+                   hull_residual, hull_value, isotonic_fit, verify_hull_axioms)
 from .macro import (ConvergenceReport, Field, HamiltonianInterp, Profile,
-                    check_A0, convergence_study, gradient_sandwich_probe,
-                    rescale_micro, solve_hj)
+                    check_A0, convergence_study, rescale_micro, solve_hj)
 
 __version__ = "0.1.0"

@@ -9,9 +9,9 @@ is advanced by explicit Euler.  The Euler map is nondecreasing in every state
 entry iff dt * alpha0 <= 1 (diagonal terms) given the structural assumptions
 on F (off-diagonal terms), so ordered states stay ordered; that comparison
 property is the backbone of every certified estimate downstream and the
-reason the integrator is Euler and not anything higher order.  A classical
-RK4 integrator of the underlying second-order equation is kept purely as an
-accuracy oracle.
+reason the integrator is Euler and not anything higher order.  The tests
+keep a classical RK4 integrator of the underlying second-order equation as
+an accuracy oracle, outside the package (tests/oracles.py).
 
 A ring of N particles with the twist U_{i+N} = U_i + Q realizes an infinite
 chain of exact rational slope p = n Q / N (positions advance by p per n
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (TWO_PI, ClassicalFK, ForceModel, ModelError, ConstantsLedger,
-                    check_assumptions, require_monotone, _drive, _force, _plan,
+                    check_assumptions, require_monotone, _drive, _force,
                     _require_delta, _shift_row, _theta_pairs)
 
 #: transient discarded before a-priori bounds are asserted, in units of 1/alpha0
@@ -162,55 +162,6 @@ def _neighbours(V: np.ndarray, Q: int, k: int):
     read through the ring gather :func:`_window_gather`."""
     idx, shift, _ = _window_gather(V.shape[-1], Q, k, 1)
     return V[..., idx[:, -1]] + shift[:, -1], V[..., idx[:, 0]] + shift[:, 0]
-
-
-@lru_cache(maxsize=16)
-def _ring_plan(model: ForceModel, N: int, Q: int):
-    """(idx, shift, types, W, plan): the gather of one ring of N particles
-    with twist Q (:func:`_window_gather`) and, for a classical model, a
-    buffer W and the plan of :func:`fkhomog.model._force` on it, built once
-    per (model, N, Q) for the ring readers outside a march.  A tabulated
-    layout holds the shift folded with the window's +0.0 off the centre and
-    -0.0 at it, as :func:`_march` builds it, so there W and plan are None."""
-    idx, shift, types = _window_gather(N, Q, model.m, model.n)
-    if not isinstance(model.kind, ClassicalFK):
-        return idx, shift + _shift_row(model.m), types, None, None
-    # the formula reads rows of the windows' transpose: a buffer of those
-    # rows, filled through the transposed gather, keeps them contiguous
-    # (strided rows of a window-last buffer cost ~10 % more per call)
-    W = np.empty((2 * model.m + 1, N))
-    return idx.T.copy(), shift.T.copy(), types, W, _plan(model, W.T, types)[1]
-
-
-def _ring_force(model: ForceModel, tau: float, U: np.ndarray, layout):
-    """drive + F_i(tau, window) of one float ring U on its layout from
-    :func:`_ring_plan`.  A classical result lives in the layout's buffers
-    until the next call on it; a tabulated one is fresh, as are its
-    windows (one take and one add of the folded shift, the bits of
-    :func:`fkhomog.model._plan` on U[idx] + shift) and types."""
-    idx, shift, types, W, plan = layout
-    if plan is None:
-        W = U.take(idx, None, None, "clip")
-        np.add(W, shift, W)
-        return _force(model, tau, W, (types + 1, np.empty(len(types))))
-    U.take(idx, None, W, "clip")
-    np.add(W, shift, W)
-    return _force(model, tau, W.T, plan)
-
-
-def force_profile(model: ForceModel, tau: float, U: np.ndarray, Q: int) -> np.ndarray:
-    """F_i(tau, window) for every particle of one ring U of shape (N,),
-    twist-aware, as a fresh array, on the ring's cached
-    :func:`_ring_plan`, whose buffers every call on that (model, N, Q)
-    shares: two threads must not call it on one ring layout at once.  The
-    marches of :func:`_march` read their windows through a
-    :func:`_flat_gather` instead.
-    """
-    if np.ndim(U) != 1:
-        raise ModelError(f"force_profile takes one ring U of shape (N,), "
-                         f"got shape {np.shape(U)}")
-    U = np.asarray(U, dtype=float)
-    return _ring_force(model, tau, U, _ring_plan(model, len(U), Q)).copy()
 
 
 def _euler_coeff(model: ForceModel, dt: float, delta: float = 0.0,
@@ -726,56 +677,6 @@ def monitor_invariants(obj, ledger: Optional[ConstantsLedger] = None) -> Invaria
         osc_exceeded=osc > 1.0 + 1e-9,
         gap_exceeded=(gap_bound is not None and gap > gap_bound + 1e-9),
     )
-
-
-# ---------------------------------------------------------------------------
-# RK4 accuracy oracle (non-monotone; cross-validation only)
-# ---------------------------------------------------------------------------
-
-def rk4_oracle(model: ForceModel, chain0: TwistedChain, T: float, dt: float,
-               sample_dt: Optional[float] = None) -> TrajectoryLog:
-    """Classical RK4 on m0 U'' + U' = F in (U, W = U') variables, on the
-    sample grid and substep rule of :func:`run` (sample_dt defaults to dt).
-
-    Xi is reconstructed as U + 2 m0 W = U + W/alpha0.  Every stage reads
-    the force on the ring's one :func:`_ring_plan`.  Used to cross-check
-    the Euler path; it does not preserve comparison.
-    """
-    a0 = model.alpha0
-    if sample_dt is None:
-        sample_dt = dt
-    n_sub, dt = _cut(sample_dt, dt)
-    S = _n_samples(T, sample_dt)
-    U = chain0.U.astype(float)
-    W = a0 * (chain0.Xi - chain0.U)
-    Q, n, tau0 = chain0.Q, model.n, chain0.tau
-    layout = _ring_plan(model, chain0.N, Q)
-
-    def deriv(tau, u, w):
-        return w, 2.0 * a0 * (_ring_force(model, tau, u, layout) - w)
-
-    times = tau0 + sample_dt * np.arange(S + 1)
-    snaps = [(float(times[0]), U.copy(), U + W / a0)]
-    for s in range(1, S + 1):
-        for k in range(n_sub):
-            tau = tau0 + (s - 1) * sample_dt + k * dt
-            k1u, k1w = deriv(tau, U, W)
-            k2u, k2w = deriv(tau + dt / 2, U + dt / 2 * k1u, W + dt / 2 * k1w)
-            k3u, k3w = deriv(tau + dt / 2, U + dt / 2 * k2u, W + dt / 2 * k2w)
-            k4u, k4w = deriv(tau + dt, U + dt * k3u, W + dt * k3w)
-            U = U + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-            W = W + dt / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        t, Xi = float(times[s]), U + W / a0
-        if not (np.all(np.isfinite(U)) and np.all(np.isfinite(Xi))):
-            raise NumericalError(f"state blew up at tau = {t}", tau=t,
-                                 snapshot=(U, Xi))
-        snaps.append((t, U.copy(), Xi))
-
-    tracked = np.array([np.concatenate([u[:n], xi[:n]]) for _, u, xi in snaps]).T
-    final = TwistedChain(chain0.N, Q, U, U + W / a0, float(times[-1]),
-                         chain0.p, model)
-    return TrajectoryLog(sample_times=times, tracked=tracked, snapshots=snaps,
-                         final_state=final, sample_dt=sample_dt, dt=dt)
 
 
 # ---------------------------------------------------------------------------

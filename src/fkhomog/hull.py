@@ -386,13 +386,6 @@ def verify_hull_axioms(hull: HullFunction, ledger: ConstantsLedger) -> HullAxiom
         displacement_ok=disp <= bound + AXIOM_TOL)
 
 
-def reconstruct_traveling_wave(hull: HullFunction, tau: float, y: float,
-                               j: int) -> tuple[float, float]:
-    """(U, Xi) of the traveling solution: (h_j(tau, p y + lambda tau), g_j(...))."""
-    z = float(hull.p) * y + hull.lam * tau
-    return (hull_value(hull, j, z, "h", tau), hull_value(hull, j, z, "g", tau))
-
-
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------

@@ -138,7 +138,12 @@ class A0Report:
 def check_A0(u0: Profile, K0: float, xi0: Optional[Profile] = None,
              M0: float = 0.0, eps: float = 1.0) -> A0Report:
     """Verify the slope frame 1/K0 <= chords <= K0 and, when xi0 is given,
-    the initial gap |u0 - xi0| <= M0 eps."""
+    the initial gap |u0 - xi0| <= M0 eps on the whole line.
+
+    Two piecewise-linear profiles differ most at a node of either one, so
+    the gap is read on the union of their nodes.  Outside both windows the
+    difference is affine: constant when their edge slopes agree, else
+    unbounded, and the gap is inf."""
     if K0 < 1.0:
         raise MacroError("K0 must be >= 1")
     s = u0.slopes()
@@ -150,7 +155,11 @@ def check_A0(u0: Profile, K0: float, xi0: Optional[Profile] = None,
         witness = (float(u0.x[bad]), float(u0.x[bad + 1]), float(s[bad]))
     gap, gap_ok = 0.0, True
     if xi0 is not None:
-        gap = float(np.abs(u0.value(xi0.x) - xi0.u).max())
+        if u0.edge_slopes != xi0.edge_slopes:
+            gap = math.inf
+        else:
+            x = np.union1d(u0.x, xi0.x)
+            gap = float(np.abs(u0.value(x) - xi0.value(x)).max())
         gap_ok = gap <= M0 * eps + 1e-12
     return A0Report(ok=ok and gap_ok, min_slope=lo, max_slope=hi,
                     witness=witness, gap=gap, gap_ok=gap_ok)
@@ -648,33 +657,6 @@ def _micro_field(run: _MicroRun, values: np.ndarray, pad: int, N_total: int,
                  meta={"pad": pad, "n_steps": run.n_steps, "dt": run.dt,
                        "N_total": N_total, "K0": run.K0, "L": run.L,
                        "eps": run.eps, "particle_steps": particle_steps})
-
-
-def gradient_sandwich_probe(field: Field, K0: float, n_type: int,
-                            rng: np.random.Generator, n_probes: int = 100) -> dict:
-    """Check the floor/ceil gradient sandwich on random (t, x, z) probes.
-
-    Probes are quantized to realized index differences k (multiples of the
-    type period), i.e. the sandwich is evaluated at the displacement
-    z = eps k the field actually resolves:
-    eps floor(k / K0) <= diff <= eps ceil(k K0).
-    """
-    eps = field.meta["eps"]
-    nt, nx = field.values.shape
-    worst_lo = math.inf
-    worst_hi = math.inf
-    for _ in range(n_probes):
-        s = rng.integers(0, nt)
-        i = int(rng.integers(0, nx - n_type))
-        kmax = (nx - 1 - i) // n_type
-        k = int(rng.integers(1, kmax + 1)) * n_type
-        diff = field.values[s, i + k] - field.values[s, i]
-        lo = eps * math.floor(k / K0)
-        hi = eps * math.ceil(k * K0)
-        worst_lo = min(worst_lo, diff - lo)
-        worst_hi = min(worst_hi, hi - diff)
-    return {"ok": worst_lo >= -1e-9 and worst_hi >= -1e-9,
-            "slack_lower": worst_lo, "slack_upper": worst_hi}
 
 
 # ---------------------------------------------------------------------------

@@ -745,14 +745,5 @@ def model_from_config(cfg: dict) -> ForceModel:
     return model
 
 
-def model_to_config(model: ForceModel) -> dict:
-    if not isinstance(model.kind, ClassicalFK):
-        raise ModelError("only classical models serialize to JSON configs")
-    k = model.kind
-    return {"n": model.n, "m": model.m, "m0": model.m0,
-            "force": {"kind": "classical_fk", "theta": list(k.theta),
-                      "amplitude": k.amplitude, "drive": model.drive}}
-
-
 def report_to_json(report: AssumptionReport) -> str:
     return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

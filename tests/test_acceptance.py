@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import fkhomog as fk
-from fkhomog.chain import TwistedChain, force_profile, _euler_coeff
-from fkhomog.hull import extract_hull, hull_residual, verify_hull_axioms, \
-    reconstruct_traveling_wave
-from fkhomog.macro import HamiltonianInterp, Profile, gradient_sandwich_probe
+from fkhomog.chain import _euler_coeff
+from fkhomog.hull import extract_hull, hull_residual, verify_hull_axioms
+from fkhomog.macro import HamiltonianInterp, Profile
+from oracles import (gradient_sandwich_probe, reconstruct_traveling_wave,
+                     rk4_oracle, ring_force)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -23,7 +24,9 @@ def report(num: int, ok: bool, detail: str):
     assert ok, detail
 
 
-def safe_fk(theta, A, L, margin=1.1, require_a6=False):
+def safe_fk(theta=(1.0,), A=1.0, L=0.0, margin=1.1, require_a6=False):
+    """Classical model whose mass sits `margin` times inside the a3 bound
+    (and the a6 bound, with require_a6)."""
     theta = list(theta)
     n = len(theta)
     alpha_min = max(2 * (theta[j] + theta[(j + 1) % n]) + 4 * math.pi * A
@@ -43,11 +46,10 @@ def random_monotone_fk(rng, require_a6=True):
     return safe_fk(theta, A, L, margin=margin, require_a6=require_a6)
 
 
-def test_01_comparison_principle():
-    """50 random ordered chain pairs, 1e4 Euler steps at dt = 1/alpha0:
-    zero ordering violations between the pairs."""
+def comparison_pairs():
+    """The 50 random ordered pairs of acceptance 01, as (model, chain a,
+    lift of U, lift of Xi): the upper chain is a plus the lifts."""
     rng = np.random.default_rng(20240801)
-    worst = 0.0
     for trial in range(50):
         m = random_monotone_fk(rng, require_a6=False)
         den = int(rng.integers(1, 4))
@@ -59,13 +61,23 @@ def test_01_comparison_principle():
         assert a.N <= 60
         lift_u = rng.uniform(0.0, 0.3, a.N)
         lift_x = lift_u + rng.uniform(0.0, 0.2, a.N)
+        yield m, a, lift_u, lift_x
+
+
+def test_01_comparison_principle():
+    """50 random ordered chain pairs, 1e4 Euler steps at dt = 1/alpha0:
+    zero ordering violations between the pairs."""
+    worst = 0.0
+    for m, a, lift_u, lift_x in comparison_pairs():
         dt = 1.0 / m.alpha0
         c, beta = _euler_coeff(m, dt)
         Ua, Xa = a.U.copy(), a.Xi.copy()
         Ub, Xb = a.U + lift_u, a.Xi + lift_x
+        # one ring force each: a classical result lives until the next call
+        force_a, force_b = ring_force(m, a.N, a.Q), ring_force(m, a.N, a.Q)
         for _ in range(10_000):
-            Fa = force_profile(m, 0.0, Ua, a.Q)
-            Fb = force_profile(m, 0.0, Ub, a.Q)
+            Fa = force_a(0.0, Ua)
+            Fb = force_b(0.0, Ub)
             Ua, Xa = c * Ua + beta * Xa, c * Xa + beta * Ua + 2 * dt * Fa
             Ub, Xb = c * Ub + beta * Xb, c * Xb + beta * Ub + 2 * dt * Fb
         worst = max(worst, float((Ua - Ub).max()), float((Xa - Xb).max()))
@@ -351,7 +363,7 @@ def test_15_oracle_equivalence():
 
         def sup_err(step):
             le = fk.run(ch, 50.0, 0.5, dt=step)
-            lr = fk.rk4_oracle(m, ch, 50.0, step, sample_dt=0.5)
+            lr = rk4_oracle(m, ch, 50.0, step, sample_dt=0.5)
             return max(np.abs(le.tracked_u - lr.tracked_u).max(),
                        np.abs(le.tracked_xi - lr.tracked_xi).max())
 

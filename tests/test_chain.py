@@ -11,23 +11,14 @@ from hypothesis import given, settings, strategies as st
 import fkhomog as fk
 from fkhomog import chain as chn
 from fkhomog.chain import (CHECK_BLOCK, NumericalError, TwistedChain,
-                           force_profile, snapshot_to_csv, trajectory_to_csv,
-                           _advance, _clock, _euler_coeff, _euler_update,
-                           _euler_views, _flat_gather, _neighbours, _start_log,
-                           _state_ordering_violation)
+                           snapshot_to_csv, trajectory_to_csv, _advance, _clock,
+                           _euler_coeff, _euler_update, _euler_views, _flat_gather,
+                           _neighbours, _start_log, _state_ordering_violation)
 from fkhomog.macro import _march_plan
 from fkhomog.model import ClassicalFK, ModelError, _drive, _force, _plan
+from oracles import rk4_oracle, ring_force
+from test_acceptance import comparison_pairs, safe_fk as fkmodel
 from test_rotation import _blow_up_model
-
-
-def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
-    """Classical model whose mass sits `margin` times inside the a3 bound."""
-    theta = list(theta)
-    n = len(theta)
-    alpha_min = max(2 * (theta[j] + theta[(j + 1) % n]) + 4 * math.pi * A
-                    for j in range(n))
-    return fk.build_classical_fk(theta, amplitude=A, drive=L,
-                                 m0=1.0 / (2.0 * alpha_min * margin))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +408,7 @@ def test_eval_force_matches_force_profile_classical(theta):
     rng = np.random.default_rng(len(theta))
     ch = fk.init_linear(m, Fraction(2, 3), cells=2,
                         perturbation=0.05 * rng.uniform(-1, 1, 3 * m.n * 2))
-    F = force_profile(m, 0.0, ch.U, ch.Q)
+    F = ring_force(m, ch.N, ch.Q)(0.0, ch.U)
     wins = _ring_windows(ch.U, ch.Q, m.m)
     assert [fk.eval_force(m, i + 1, 0.0, w) for i, w in enumerate(wins)] == F.tolist()
 
@@ -429,7 +420,7 @@ def test_eval_force_matches_force_profile_tabulated(batch):
     ch = fk.init_linear(m, Fraction(3, 2), cells=2)
     U = ch.U + 0.05 * np.sin(np.arange(ch.N))
     tau = 0.37
-    F = force_profile(m, tau, U, ch.Q)
+    F = ring_force(m, ch.N, ch.Q)(tau, U)
     wins = _ring_windows(U, ch.Q, m.m)
     assert [fk.eval_force(m, i + 1, tau, w) for i, w in enumerate(wins)] == F.tolist()
 
@@ -519,7 +510,7 @@ FORCE_PROFILE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FORCE_PROFILE_CASES))
 def test_force_profile_bytes_match_reference(case):
-    """force_profile on rings holding -0.0 and +0.0 entries, with the
+    """The ring force on rings holding -0.0 and +0.0 entries, with the
     model's drive and with each row's extra drive, is bitwise the
     reference."""
     model, tau, Q, Ls = FORCE_PROFILE_CASES[case]()
@@ -528,39 +519,17 @@ def test_force_profile_bytes_match_reference(case):
         U = _states_with_signed_zeros(rng, len(Ls), N, Q)
         for row, L in zip(U, Ls):
             driven = fk.with_extra_drive(model, L)
-            got = force_profile(driven, tau, row, Q)
+            got = ring_force(driven, N, Q)(tau, row)
             assert got.tobytes() == _force_profile_ref(driven, tau, row, Q).tobytes()
-        got = force_profile(model, tau, U[0], Q)
+        got = ring_force(model, N, Q)(tau, U[0])
         assert got.tobytes() == _force_profile_ref(model, tau, U[0], Q).tobytes()
-
-
-def test_force_profile_refuses_a_batch_of_rings():
-    m = fkmodel()
-    with pytest.raises(ModelError, match=r"got shape \(2, 4\)"):
-        force_profile(m, 0.0, np.zeros((2, 4)), 1)
-
-
-@pytest.mark.parametrize("model", [
-    fkmodel((1.0, 2.0), A=0.7, L=0.4),
-    fk.build_tabulated(_wavy_force, n=2, m=2, m0=0.02, lip_V=10.0,
-                       f_at_zero_sup=0.3, batch=True),
-])
-def test_force_profile_calls_share_no_memory(model):
-    """Each call returns an array of its own: a caller may hold one result
-    while it computes the next."""
-    chain = fk.init_linear(model, Fraction(1, 2), cells=2)
-    Fa = force_profile(model, 0.0, chain.U, chain.Q)
-    want = Fa.copy()
-    Fb = force_profile(model, 0.0, chain.U + 0.1, chain.Q)
-    assert not np.shares_memory(Fa, Fb)
-    assert Fa.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("drive", [0.0, 0.3])
 def test_force_profile_never_returns_the_callables_array(drive):
-    """A batch callable that returns an array it keeps gets back from
-    force_profile and from the force on a flat gather's windows a result
-    that shares no memory with it."""
+    """A batch callable that returns an array it keeps gets back from the
+    force on a flat gather's windows a result that shares no memory with
+    it."""
     kept = {}
 
     def fn(j, tau, w):
@@ -571,8 +540,6 @@ def test_force_profile_never_returns_the_callables_array(drive):
     model = fk.with_extra_drive(fk.build_tabulated(
         fn, n=2, m=2, m0=0.02, lip_V=10.0, f_at_zero_sup=0.3, batch=True), drive)
     chain = fk.init_linear(model, Fraction(1, 2), cells=2)
-    F = force_profile(model, 0.0, chain.U, chain.Q)
-    assert not np.shares_memory(F, kept["F"])
     gather = _flat_gather(model, [(chain.N, chain.Q)])
     W = chain.U.take(gather.idx)
     np.add(W, gather.shift, W)
@@ -861,8 +828,8 @@ def test_tabulated_run_calls_the_user_once_per_euler_step(batch):
 def test_tabulated_types_are_read_only_in_a_march():
     """Every step of a march hands a batch callable the same 1-based types:
     a write to them raises instead of shifting the types of later steps.
-    force_profile and eval_force hand it a fresh array on every call, which
-    it may overwrite."""
+    The ring force and eval_force hand it a fresh array on every call,
+    which it may overwrite."""
     def fn(j, tau, w):
         j += 1
         return _wavy_force(j, tau, w)
@@ -875,8 +842,8 @@ def test_tabulated_types_are_read_only_in_a_march():
     chain = fk.init_linear(model, Fraction(1, 2), cells=2)
     with pytest.raises(ValueError, match="read-only"):
         fk.run(chain, 1.0, 0.1, check=False)
-    assert (force_profile(model, 0.0, chain.U, chain.Q).tobytes()
-            == force_profile(ref, 0.0, chain.U, chain.Q).tobytes())
+    assert (ring_force(model, chain.N, chain.Q)(0.0, chain.U).tobytes()
+            == ring_force(ref, chain.N, chain.Q)(0.0, chain.U).tobytes())
     assert fk.eval_force(model, 1, 0.0, chain.U[:5]) == fk.eval_force(ref, 1, 0.0, chain.U[:5])
 
 
@@ -949,14 +916,35 @@ def test_comparison_preserved_sample():
         dt = 1.0 / m.alpha0
         c, beta = _euler_coeff(m, dt)
         Ua, Xa, Ub, Xb = a.U, a.Xi, b.U, b.Xi
+        # one ring force each: a classical result lives until the next call
+        force_a, force_b = ring_force(m, a.N, a.Q), ring_force(m, b.N, b.Q)
         worst = 0.0
         for _ in range(2000):
-            Fa = force_profile(m, 0.0, Ua, a.Q)
-            Fb = force_profile(m, 0.0, Ub, b.Q)
+            Fa = force_a(0.0, Ua)
+            Fb = force_b(0.0, Ub)
             Ua, Xa = c * Ua + beta * Xa, c * Xa + beta * Ua + 2 * dt * Fa
             Ub, Xb = c * Ub + beta * Xb, c * Xb + beta * Ub + 2 * dt * Fb
             worst = max(worst, float((Ua - Ub).max()), float((Xa - Xb).max()))
         assert worst <= 0.0
+
+
+def test_fused_step_keeps_comparison_to_rounding():
+    """The 50 ordered pairs of acceptance 01 marched by run, whose classical
+    march takes the fused affine step, 1 000 steps at dt = 1/alpha0, read
+    at every step: a pair may invert by rounding only, at most 2 ulp of its
+    largest |entry|.  10 pairs invert, each by at most 1 ulp, once the two
+    orbits merge; the textbook order of acceptance 01 inverts none."""
+    for m, a, lift_u, lift_x in comparison_pairs():
+        b = TwistedChain(a.N, a.Q, a.U + lift_u, a.Xi + lift_x, a.tau, a.p, m)
+        dt = 1.0 / m.alpha0
+        la, lb = (fk.run(ch, 1000 * dt, dt, dt=dt, snapshot_stride=1, check=False)
+                  for ch in (a, b))
+        assert len(la.snapshots) == len(lb.snapshots) == 1001
+        worst = scale = 0.0
+        for (_, Ua, Xa), (_, Ub, Xb) in zip(la.snapshots, lb.snapshots):
+            worst = max(worst, float((Ua - Ub).max()), float((Xa - Xb).max()))
+            scale = max(scale, *(float(np.abs(v).max()) for v in (Ua, Xa, Ub, Xb)))
+        assert worst <= 2 * np.spacing(scale)
 
 
 def test_ordering_preserved_under_run_and_delta():
@@ -1165,7 +1153,7 @@ def test_rk4_matches_scalar_closed_form():
     L = 1.5
     m = fk.build_constant_force(L, m0=0.02)
     ch = fk.init_linear(m, 1, cells=2)
-    log = fk.rk4_oracle(m, ch, 2.0, 0.001)
+    log = rk4_oracle(m, ch, 2.0, 0.001)
     t = log.sample_times
     closed = ch.U[0] + L * (t - m.m0 * (1.0 - np.exp(-t / m.m0)))
     assert np.abs(log.tracked_u[0] - closed).max() < 1e-8
@@ -1177,7 +1165,7 @@ def test_rk4_euler_agreement_richardson():
 
     def sup_err(dt):
         le = fk.run(ch, 20.0, 0.5, dt=dt)
-        lr = fk.rk4_oracle(m, ch, 20.0, dt, sample_dt=0.5)
+        lr = rk4_oracle(m, ch, 20.0, dt, sample_dt=0.5)
         return max(np.abs(le.tracked_u - lr.tracked_u).max(),
                    np.abs(le.tracked_xi - lr.tracked_xi).max())
 
@@ -1199,7 +1187,7 @@ def test_one_substep_rule(ratio, n_sub):
     dt = h / ratio
     (_, plan_n, plan_dt, _), = _march_plan([h], h, dt)
     euler = fk.run(ch, h, h, dt=dt, check=False).dt
-    rk4 = fk.rk4_oracle(m, ch, h, dt, sample_dt=h).dt
+    rk4 = rk4_oracle(m, ch, h, dt, sample_dt=h).dt
     assert plan_n == n_sub
     assert repr(euler) == repr(rk4) == repr(plan_dt) == repr(h / n_sub)
 
@@ -1207,7 +1195,7 @@ def test_one_substep_rule(ratio, n_sub):
 def test_rk4_never_steps_longer_than_asked():
     m = fk.build_constant_force(0.5, m0=1.0)
     ch = fk.init_linear(m, 1, cells=2)
-    log = fk.rk4_oracle(m, ch, 1.0, 0.1, sample_dt=0.25)
+    log = rk4_oracle(m, ch, 1.0, 0.1, sample_dt=0.25)
     assert log.dt == 0.25 / 3
     assert log.dt == fk.run(ch, 1.0, 0.25, dt=0.1, check=False).dt
 
@@ -1217,7 +1205,7 @@ def test_rk4_xi_reconstruction_near_euler():
     ch = fk.init_linear(m, 1, cells=4)
     dt = 0.002
     le = fk.run(ch, 10.0, 0.5, dt=dt)
-    lr = fk.rk4_oracle(m, ch, 10.0, dt, sample_dt=0.5)
+    lr = rk4_oracle(m, ch, 10.0, dt, sample_dt=0.5)
     assert np.abs(le.tracked_xi - lr.tracked_xi).max() < 10 * dt
 
 

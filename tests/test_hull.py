@@ -15,18 +15,11 @@ from fkhomog.chain import _transient_cut
 from fkhomog.hull import (HullExtractionError, HullFunction, _isotonic_periodic,
                           _resample, _stratum, extract_hull, extract_hull_periodic,
                           hull_residual, hull_to_csv, hull_value, isotonic_fit,
-                          reconstruct_traveling_wave, verify_hull_axioms)
+                          verify_hull_axioms)
 from fkhomog.rotation import lambda_pm
+from oracles import reconstruct_traveling_wave
+from test_acceptance import safe_fk as fkmodel
 from test_tabulated_parity import _model as _two_type_model
-
-
-def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
-    theta = list(theta)
-    n = len(theta)
-    alpha_min = max(2 * (theta[j] + theta[(j + 1) % n]) + 4 * math.pi * A
-                    for j in range(n))
-    return fk.build_classical_fk(theta, amplitude=A, drive=L,
-                                 m0=1.0 / (2.0 * alpha_min * margin))
 
 
 # ---------------------------------------------------------------------------

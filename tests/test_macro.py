@@ -8,21 +8,12 @@ import numpy as np
 import pytest
 
 import fkhomog as fk
-from fkhomog.chain import (NumericalError, _euler_coeff, _window_gather,
-                           force_profile)
+from fkhomog.chain import NumericalError, _euler_coeff, _window_gather
 from fkhomog.macro import (COMPACT_TIMES, A0Report, ConvergenceReport,
-                           HamiltonianInterp, MacroError, Profile, _march_plan,
-                           gradient_sandwich_probe)
+                           HamiltonianInterp, MacroError, Profile, _march_plan)
 from fkhomog.model import ModelError, _shift_row
-
-
-def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
-    theta = list(theta)
-    n = len(theta)
-    alpha_min = max(2 * (theta[j] + theta[(j + 1) % n]) + 4 * math.pi * A
-                    for j in range(n))
-    return fk.build_classical_fk(theta, amplitude=A, drive=L,
-                                 m0=1.0 / (2.0 * alpha_min * margin))
+from oracles import gradient_sandwich_probe, ring_force
+from test_acceptance import safe_fk as fkmodel
 
 
 def wavy_profile(p=1.0, amp=0.18, span=(-5.0, 5.0), n=513):
@@ -69,6 +60,22 @@ def test_check_A0_band_pass_and_gap():
     assert rep2.ok and rep2.gap == pytest.approx(0.05)
     rep3 = fk.check_A0(u0, 2.0, xi0=xi0, M0=0.1, eps=0.1)
     assert not rep3.ok and not rep3.gap_ok
+
+
+@pytest.mark.parametrize("x,u,gap", [
+    # matched edge slopes: the gap peaks at u0's node x = 1.5
+    ([0.0, 1.0, 1.5, 2.0, 3.0], [0.0, 1.0, 1.9, 2.0, 3.0], 0.4),
+    # mismatched edge slopes: the affine extensions part without bound
+    ([0.0, 0.5, 1.0], [0.0, 0.9, 1.0], math.inf)], ids=["u0_node", "edge_slopes"])
+def test_check_A0_gap_off_the_nodes_of_xi0(x, u, gap):
+    """xi0 is the chord through u0's end nodes, where the two agree: the gap
+    sits where xi0 has no node."""
+    u0 = Profile(x=np.array(x), u=np.array(u))
+    xi0 = Profile(x=u0.x[[0, -1]], u=u0.u[[0, -1]])
+    rep = fk.check_A0(u0, 5.0, xi0=xi0, M0=0.1, eps=1.0)
+    assert not rep.ok and not rep.gap_ok
+    assert rep.gap == pytest.approx(gap)
+    assert fk.check_A0(u0, 5.0, xi0=xi0, M0=0.5, eps=1.0).ok == (gap < 0.5)
 
 
 def test_check_A0_flat_segment_fails_with_witness():
@@ -279,8 +286,9 @@ def _march_whole_array(model, U, Xi, n_steps, dt, start=0.0):
     m = model.m
     c, beta = _euler_coeff(model, dt)
     inner = slice(m, U.size - m)
+    force = ring_force(model, U.size, 0)
     for k in range(n_steps):
-        F = force_profile(model, start + k * dt, U, 0)[inner]
+        F = force(start + k * dt, U)[inner]
         u, xi = U[inner], Xi[inner]
         U[inner], Xi[inner] = c * u + beta * xi, c * xi + beta * u + (2.0 * dt) * F
 

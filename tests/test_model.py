@@ -11,10 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import fkhomog as fk
 from numpy.lib.stride_tricks import sliding_window_view
-from fkhomog.chain import force_profile
 from fkhomog.model import (ClassicalFK, ModelError, build_tabulated,
-                           model_from_config, model_to_config, report_to_json,
-                           _force, _plan)
+                           model_from_config, report_to_json, _force, _plan)
+from oracles import ring_force
 from test_chain import _wavy_force
 
 
@@ -96,7 +95,7 @@ def test_eval_force_reduces_j_mod_n():
 def test_plan_takes_window_last_windows():
     """_plan takes window-last windows (K, 2m+1).  On a sliding-window view
     of a line, a classical plan reads the rows in place and gives the bytes
-    of force_profile's formula on the line's interior windows; a tabulated
+    of the ring force's formula on the line's interior windows; a tabulated
     plan hands the callable a fresh C-order copy whose off-centre -0.0
     arrives as +0.0 while the centre keeps its sign."""
     line = np.cumsum(np.random.default_rng(3).uniform(0.1, 0.4, 12))
@@ -106,7 +105,7 @@ def test_plan_takes_window_last_windows():
     W, plan = _plan(model, V, types)
     assert all(np.shares_memory(row, line) for row in (plan[0], plan[1], plan[6]))
     F = _force(model, 0.2, W, plan)
-    assert F.tobytes() == force_profile(model, 0.2, line, 4)[1:-1].tobytes()
+    assert F.tobytes() == ring_force(model, line.size, 4)(0.2, line)[1:-1].tobytes()
 
     seen = []
 
@@ -736,7 +735,7 @@ def test_batch_force_result_shape_rule():
     with pytest.raises(ModelError, match=r"expected \(\d+,\)"):
         fk.check_assumptions(bad, sample_density=4)
     with pytest.raises(ModelError, match=r"shape \(6, 1\) for 6 windows; expected \(6,\)"):
-        force_profile(bad, 0.0, np.arange(6.0), 6)
+        ring_force(bad, 6, 6)(0.0, np.arange(6.0))
 
 
 def test_one_drive_field_for_both_kinds():
@@ -843,8 +842,7 @@ def test_model_config_roundtrip():
                      "amplitude": 1.0, "drive": 0.3}}
     m = model_from_config(cfg)
     assert m.n == 2 and m.alpha0 == 50.0
-    back = model_from_config(model_to_config(m))
-    assert back == m
+    assert m == fk.build_classical_fk([1.0, 2.0], amplitude=1.0, drive=0.3, m0=0.01)
 
 
 def test_model_config_alpha0_form_and_errors():

@@ -12,15 +12,8 @@ from fkhomog.chain import NumericalError
 from fkhomog.model import ModelError
 from fkhomog.rotation import (EffectiveTable, LogTooShort, depinning_threshold,
                               monotone_in_L_violation, table_to_json, _solve_table)
-
-
-def fkmodel(theta=(1.0,), A=1.0, L=0.0, margin=1.1):
-    theta = list(theta)
-    n = len(theta)
-    alpha_min = max(2 * (theta[j] + theta[(j + 1) % n]) + 4 * math.pi * A
-                    for j in range(n))
-    return fk.build_classical_fk(theta, amplitude=A, drive=L,
-                                 m0=1.0 / (2.0 * alpha_min * margin))
+from oracles import rk4_oracle
+from test_acceptance import safe_fk as fkmodel
 
 
 def test_lambda_pm_constant_force_exact():
@@ -106,7 +99,7 @@ def test_rotation_cross_integrator_agreement():
     est = fk.rotation_number(m, 1, tol=tol)
     ch = fk.init_linear(m, 1, cells=2)
     dt = fk.cfl_dt(m, 0.5)
-    lr = fk.rk4_oracle(m, ch, 400.0, dt, sample_dt=0.5)
+    lr = rk4_oracle(m, ch, 400.0, dt, sample_dt=0.5)
     lo, hi = fk.lambda_pm(lr, 150.0)
     lam_rk4 = 0.5 * (lo + hi)
     assert est.lambda_hat == pytest.approx(lam_rk4, abs=2 * tol + (hi - lo))
